@@ -14,10 +14,11 @@
 #           shared prefix, failure storm) smokes: schema validation,
 #           per-figure fidelity gates (KunServe beats vLLM p99 on every
 #           leg, bounded prefix-recompute amplification), budget gate
-#   gateway the fig24 online-gateway closed-loop smoke: worker-count
-#           byte-identity asserted in-bin, then goodput/p99 tolerance
-#           and wall-clock budget gates on the emitted JSON
-#   scale   Cluster A fidelity lineup on the parallel executor
+#   gateway the fig24 online-gateway closed-loop smoke: ledger audits
+#           asserted in-bin, then goodput/p99 tolerance and wall-clock
+#           budget gates on the emitted JSON
+#   scale   Cluster A fidelity lineup, serial vs. the parallel bench
+#           harness (byte-identity asserted in-bin, speedup gated)
 #
 # Usage: ./ci.sh [stage...]   (no args = every stage, in the order above)
 #
@@ -176,9 +177,9 @@ stage_scenarios() {
 
 stage_gateway() {
     local json=target/bench-json/fig24_gateway.json
-    echo "--- fig24 gateway closed-loop smoke (serial + 1/2/4-worker sharded arms)"
+    echo "--- fig24 gateway closed-loop smoke"
     cargo run --release --offline -q -p bench --bin fig24_gateway -- \
-        --smoke --threads 4 --json "$json"
+        --smoke --json "$json"
     echo "--- bench-JSON schema validation"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
         --schema "$json"
@@ -192,19 +193,14 @@ stage_gateway() {
 
 stage_scale() {
     local ps_json=target/bench-json/paper_scale_parallel.json
-    # Absolute: `cargo bench` runs the target with cwd = the package dir,
-    # not the workspace root, so a relative path would land in crates/bench/.
-    local sw_json="$PWD/target/bench-json/shard_window.json"
     cargo run --release --offline -q -p bench --bin paper_scale_parallel -- \
         --threads 4 --json "$ps_json"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
         --schema "$ps_json"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
         "$ps_json" crates/bench/tolerances/paper_scale.json
-    echo "--- shard_window barrier-loop bench (1/2/4/8 workers, one-hot skew)"
-    cargo bench --offline -q -p bench --bench shard_window -- --json "$sw_json"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json "$ps_json" "$sw_json"
+        --budget crates/bench/tolerances/ci_budget.json "$ps_json"
 }
 
 STAGES=("$@")

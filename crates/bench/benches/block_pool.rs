@@ -66,7 +66,7 @@ fn bench_alloc_append_free(c: &mut Criterion) {
     g.finish();
 }
 
-/// Accounting reads the executors hit on every admission decision.
+/// Accounting reads the engine hits on every admission decision.
 fn bench_accounting_reads(c: &mut Criterion) {
     let mut m = BlockManager::new(64 * 1024, 64);
     m.grow_extent(ExtentTag::Remap, 4096);

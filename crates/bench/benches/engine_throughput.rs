@@ -1,10 +1,9 @@
 //! Criterion benchmark for raw engine event throughput.
 //!
-//! Tracks events/sec of the serial discrete-event engine on a fixed
-//! overload scenario (the hot path the sharded executor's shards run), so
-//! hot-path regressions — event-queue churn, per-event allocations,
-//! redundant group sweeps — show up as a drop in this number rather than
-//! as silent wall-clock creep in the paper-scale runs.
+//! Tracks events/sec of the discrete-event engine on a fixed overload
+//! scenario, so hot-path regressions — event-queue churn, per-event
+//! allocations, redundant group sweeps — show up as a drop in this number
+//! rather than as silent wall-clock creep in the paper-scale runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

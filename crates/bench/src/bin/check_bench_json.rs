@@ -76,7 +76,7 @@
 //!   `KS_CI_FORCE_SPEEDUP_GATE=1` forces enforcement.
 //!
 //! Wall-clock metadata (`wall_clock_ms`, `threads`) is echoed when
-//! present so CI logs track executor performance over time.
+//! present so CI logs track bench-bin performance over time.
 
 use bench::Json;
 use std::process::ExitCode;
@@ -215,10 +215,8 @@ const SIMLINT_RULES: &[&str] = &[
     "D-TIME",
     "D-RAND",
     "D-CAST",
-    "D-STEAL",
     "U-FILE",
     "U-SAFETY",
-    "U-SEND",
     "LINT-PRAGMA",
 ];
 

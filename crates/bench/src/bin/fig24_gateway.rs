@@ -2,11 +2,10 @@
 //! clients. Everything below the gateway is the deterministic simulator;
 //! this bin exercises the production face on top of it — API keys,
 //! per-tenant quotas, incremental token streams and first-class elastic
-//! model ops — and proves the bridge keeps the simulation's central
-//! property: the identical submission program replayed on the sharded
-//! executor at 1/2/4 workers produces byte-identical reports (the serial
-//! engine runs the same program on its own discrete schedule and is
-//! reported as a comparison arm).
+//! model ops. The bridge keeps the simulation's central property: the
+//! submission program is a pure function of the setup, so every run of
+//! this bin reports byte-identically (`tests/gateway.rs` pins the same
+//! bridge to the batch `Run` builder).
 //!
 //! The scenario: three tenants drive closed-loop clients (one outstanding
 //! request each, exponential think times) against a two-model cluster.
@@ -20,15 +19,14 @@
 //! parameter bytes in the memory ledger), chat clients bounce with
 //! `ModelUnavailable` and retry, then `load_model` restores the parked
 //! copy (ParamRestore) and chat traffic resumes. The elastic-HBM ledger
-//! is audited at every pump boundary of every arm.
+//! is audited at every pump boundary.
 //!
 //! Run: `cargo run --release -p bench --bin fig24_gateway`
 //! Flags: `--smoke` (tiny cluster, seconds — the CI regression scenario),
-//!        `--threads N` (parallel executor arms),
 //!        `--json PATH` (default `target/bench-json/fig24_gateway.json`).
 
-use bench::{harness, json_out_path, outcome_json_labeled, secs, with_exec_meta, write_json, Json};
-use cluster::{ClusterConfig, ModelAvailability, ModelId, ParallelConfig};
+use bench::{json_out_path, outcome_json_labeled, secs, with_exec_meta, write_json, Json};
+use cluster::{ClusterConfig, ModelAvailability, ModelId};
 use gateway::{Gateway, GatewayError, Quota, RequestHandle, RequestStatus, SubmitSpec, Virtual};
 use kunserve::serving::{RunOutcome, SystemKind};
 use rand::rngs::SmallRng;
@@ -97,7 +95,7 @@ fn full_setup() -> Setup {
 /// One closed-loop client: one outstanding request, exponential think
 /// time, resubmits on completion. All its randomness comes from a seeded
 /// per-client stream, so the whole submission program is a pure function
-/// of the setup — the executor arms must not perturb it.
+/// of the setup.
 struct Client {
     key: &'static str,
     model: ModelId,
@@ -118,10 +116,8 @@ impl Client {
     }
 }
 
-struct ArmResult {
+struct DriveResult {
     outcome: RunOutcome,
-    /// Byte-level identity fingerprint (report + reconfig timeline).
-    fingerprint: String,
     ledger_violations: Vec<String>,
     finished: u64,
     cancelled: u64,
@@ -129,13 +125,9 @@ struct ArmResult {
     unavailable_rejections: u64,
 }
 
-/// Replays the identical closed-loop submission program on one executor
-/// arm. `pcfg: None` = the serial engine; `Some` = the sharded executor.
-fn drive(setup: &Setup, label: &str, pcfg: Option<ParallelConfig>) -> ArmResult {
-    let mut gw = match pcfg {
-        None => Gateway::new(SystemKind::KunServe, setup.cfg.clone(), Virtual),
-        Some(p) => Gateway::sharded(SystemKind::KunServe, setup.cfg.clone(), p, Virtual),
-    };
+/// Runs the closed-loop submission program through one gateway.
+fn drive(setup: &Setup, label: &str) -> DriveResult {
+    let mut gw = Gateway::new(SystemKind::KunServe, setup.cfg.clone(), Virtual);
     let mut clients = Vec::new();
     for (i, &(name, key, quota, model, n)) in setup.tenants.iter().enumerate() {
         gw.register_tenant(name, key, quota);
@@ -209,17 +201,14 @@ fn drive(setup: &Setup, label: &str, pcfg: Option<ParallelConfig>) -> ArmResult 
         ModelAvailability::Available,
         "{label}: the chat model must be back in service after the swap"
     );
-    let fingerprint = format!("{:?}|{:?}", report, state.metrics.reconfig_events);
     let outcome = RunOutcome {
         name: label.to_string(),
         report,
         state,
         span: setup.duration + setup.drain,
-        stats: None,
     };
-    ArmResult {
+    DriveResult {
         outcome,
-        fingerprint,
         ledger_violations,
         finished: clients.iter().map(|c| c.finished).sum(),
         cancelled: clients.iter().map(|c| c.cancelled).sum(),
@@ -264,20 +253,7 @@ fn submit_ready<C: gateway::Clock>(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = harness::threads_from_args(&args);
     let setup = if smoke { smoke_setup() } else { full_setup() };
-    let pcfg = |workers| ParallelConfig {
-        workers,
-        num_shards: 4,
-        lookahead: None,
-        speculation: false,
-    };
-    let arms: Vec<(&str, Option<ParallelConfig>)> = vec![
-        ("gateway (serial)", None),
-        ("gateway (1 worker)", Some(pcfg(1))),
-        ("gateway (2 workers)", Some(pcfg(2))),
-        ("gateway (4 workers)", Some(pcfg(4))),
-    ];
     let clients: usize = setup.tenants.iter().map(|t| t.4).sum();
     println!(
         "# Figure 24: {} ({} tenants, {} closed-loop clients, chat hot-swap {}-{}s)",
@@ -289,102 +265,72 @@ fn main() {
     );
 
     let timer = std::time::Instant::now();
-    let results =
-        harness::run_indexed(threads, arms.len(), |i| drive(&setup, arms[i].0, arms[i].1));
+    let r = drive(&setup, "gateway (serial)");
     let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
-
-    // The bridge-determinism claim: the identical submission program on
-    // the sharded executor must report byte-identically at every worker
-    // count. (The serial engine is reported for comparison but runs a
-    // different discrete schedule — reconfig completions land on exact
-    // event times rather than window boundaries.)
-    for r in &results {
-        assert!(
-            r.ledger_violations.is_empty(),
-            "{}: ledger audit failed:\n{}",
-            r.outcome.name,
-            r.ledger_violations.join("\n")
-        );
-    }
-    let sharded: Vec<&ArmResult> = results
-        .iter()
-        .zip(&arms)
-        .filter(|(_, (_, p))| p.is_some())
-        .map(|(r, _)| r)
-        .collect();
-    for r in &sharded[1..] {
-        assert_eq!(
-            sharded[0].fingerprint, r.fingerprint,
-            "worker counts diverged: `{}` vs `{}`",
-            sharded[0].outcome.name, r.outcome.name
-        );
-    }
-    println!(
-        "# all {} sharded worker counts byte-identical",
-        sharded.len()
+    assert!(
+        r.ledger_violations.is_empty(),
+        "{}: ledger audit failed:\n{}",
+        r.outcome.name,
+        r.ledger_violations.join("\n")
     );
 
-    let mut sys_jsons = Vec::new();
-    for r in &results {
-        let out = &r.outcome;
-        println!();
-        println!("## {}", out.name);
-        println!(
-            "summary,finished={}/{},goodput={:.3},p99={}",
-            out.report.finished_requests,
-            out.report.total_requests,
-            out.report.goodput_frac(),
-            secs(out.report.ttft.p99)
-        );
-        println!(
-            "gateway,client_finished={},client_cancelled={},quota_rejections={},unavailable_rejections={}",
-            r.finished, r.cancelled, r.quota_rejections, r.unavailable_rejections
-        );
-        let mut j = outcome_json_labeled(&setup.cfg, out, &out.name);
-        if let Json::Obj(pairs) = &mut j {
-            pairs.push(("goodput_frac".into(), Json::Num(out.report.goodput_frac())));
-            pairs.push((
-                "goodput_requests".into(),
-                Json::Num(out.report.goodput_requests as f64),
-            ));
-            pairs.push((
-                "deadline_misses".into(),
-                Json::Num(out.report.deadline_misses as f64),
-            ));
-            pairs.push((
-                "shed_requests".into(),
-                Json::Num(out.report.shed_requests as f64),
-            ));
-            pairs.push((
-                "abandoned_requests".into(),
-                Json::Num(out.report.abandoned_requests as f64),
-            ));
-            pairs.push(("retries".into(), Json::Num(out.report.retries as f64)));
-            // The retry-window split, keyed to the hot-swap: before the
-            // unload vs from the unload to the end of the open window.
-            pairs.push((
-                "retries_early".into(),
-                Json::Num(out.state.metrics.retries_in(SimTime::ZERO, setup.unload_at) as f64),
-            ));
-            pairs.push((
-                "retries_late".into(),
-                Json::Num(
-                    out.state
-                        .metrics
-                        .retries_in(setup.unload_at, SimTime::ZERO + setup.duration)
-                        as f64,
-                ),
-            ));
-            pairs.push((
-                "quota_rejections".into(),
-                Json::Num(r.quota_rejections as f64),
-            ));
-            pairs.push((
-                "unavailable_rejections".into(),
-                Json::Num(r.unavailable_rejections as f64),
-            ));
-        }
-        sys_jsons.push(j);
+    let out = &r.outcome;
+    println!();
+    println!("## {}", out.name);
+    println!(
+        "summary,finished={}/{},goodput={:.3},p99={}",
+        out.report.finished_requests,
+        out.report.total_requests,
+        out.report.goodput_frac(),
+        secs(out.report.ttft.p99)
+    );
+    println!(
+        "gateway,client_finished={},client_cancelled={},quota_rejections={},unavailable_rejections={}",
+        r.finished, r.cancelled, r.quota_rejections, r.unavailable_rejections
+    );
+    let mut j = outcome_json_labeled(&setup.cfg, out, &out.name);
+    if let Json::Obj(pairs) = &mut j {
+        pairs.push(("goodput_frac".into(), Json::Num(out.report.goodput_frac())));
+        pairs.push((
+            "goodput_requests".into(),
+            Json::Num(out.report.goodput_requests as f64),
+        ));
+        pairs.push((
+            "deadline_misses".into(),
+            Json::Num(out.report.deadline_misses as f64),
+        ));
+        pairs.push((
+            "shed_requests".into(),
+            Json::Num(out.report.shed_requests as f64),
+        ));
+        pairs.push((
+            "abandoned_requests".into(),
+            Json::Num(out.report.abandoned_requests as f64),
+        ));
+        pairs.push(("retries".into(), Json::Num(out.report.retries as f64)));
+        // The retry-window split, keyed to the hot-swap: before the
+        // unload vs from the unload to the end of the open window.
+        pairs.push((
+            "retries_early".into(),
+            Json::Num(out.state.metrics.retries_in(SimTime::ZERO, setup.unload_at) as f64),
+        ));
+        pairs.push((
+            "retries_late".into(),
+            Json::Num(
+                out.state
+                    .metrics
+                    .retries_in(setup.unload_at, SimTime::ZERO + setup.duration)
+                    as f64,
+            ),
+        ));
+        pairs.push((
+            "quota_rejections".into(),
+            Json::Num(r.quota_rejections as f64),
+        ));
+        pairs.push((
+            "unavailable_rejections".into(),
+            Json::Num(r.unavailable_rejections as f64),
+        ));
     }
 
     let doc = with_exec_meta(
@@ -393,13 +339,9 @@ fn main() {
             ("scenario", Json::str(setup.name)),
             ("smoke", Json::Bool(smoke)),
             ("clients", Json::Num(clients as f64)),
-            (
-                "arms_identical",
-                Json::Bool(true), // asserted above; recorded for the gate
-            ),
-            ("systems", Json::Arr(sys_jsons)),
+            ("systems", Json::Arr(vec![j])),
         ]),
-        threads,
+        1,
         wall_ms,
     );
     let path = json_out_path("fig24_gateway", &args);

@@ -3,17 +3,13 @@
 //! parallel bench harness, with the serial engine timed side by side so
 //! the speedup is recorded in the bench JSON.
 //!
-//! Three measurements per invocation:
+//! Two measurements per invocation:
 //!
-//! 1. **serial**: the five-system lineup back to back on one thread —
-//!    the pre-parallel-executor baseline;
+//! 1. **serial**: the five-system lineup back to back on one thread;
 //! 2. **parallel**: the same lineup fanned over `--threads` workers via
 //!    `bench::harness` (inter-run parallelism). Reports are asserted
 //!    byte-identical with the serial pass — the harness may only change
-//!    wall-clock, never results;
-//! 3. **sharded**: KunServe once more on the intra-run sharded executor
-//!    (`ShardedEngine`, conservative time-sync barrier) — the same
-//!    paper-scale scenario exercising per-group event shards.
+//!    wall-clock, never results.
 //!
 //! The JSON gate (`check_bench_json`) enforces the paper's ordering
 //! (KunServe p99 < vLLM p99), completion floors, p99 ceilings, and — on
@@ -22,10 +18,8 @@
 //! Run: `cargo run --release -p bench --bin paper_scale_parallel -- --threads 4`
 
 use bench::{
-    harness, json_out_path, outcome_json, outcome_json_labeled, secs, with_exec_meta, write_json,
-    Json, Scenario,
+    harness, json_out_path, outcome_json, secs, with_exec_meta, write_json, Json, Scenario,
 };
-use cluster::ParallelConfig;
 use kunserve::serving::{Run, SystemKind};
 
 /// Runs a timed pass twice and keeps the faster one (results are
@@ -83,25 +77,6 @@ fn main() {
         );
     }
 
-    // 3. The intra-run sharded executor on the same paper-scale scenario.
-    let trace = sc.trace();
-    let sharded = harness::timed(|| {
-        Run::new(SystemKind::KunServe, sc.cfg.clone(), &trace)
-            .drain(sc.drain)
-            .sharded(ParallelConfig::with_workers(threads))
-            .execute()
-    });
-    let sharded_out = &sharded.value;
-    println!();
-    println!(
-        "sharded executor: {} finished {}/{} p99={}s in {:.0} ms ({} workers)",
-        sharded_out.name,
-        sharded_out.report.finished_requests,
-        sharded_out.report.total_requests,
-        secs(sharded_out.report.ttft.p99),
-        sharded.wall_ms,
-        threads,
-    );
     println!();
     println!(
         "wall_clock: serial {:.0} ms, parallel {:.0} ms ({} threads, {} available) -> speedup {:.2}x",
@@ -112,17 +87,11 @@ fn main() {
         speedup,
     );
 
-    let mut sys_jsons: Vec<Json> = parallel
+    let sys_jsons: Vec<Json> = parallel
         .value
         .iter()
         .map(|o| outcome_json(&sc.cfg, o))
         .collect();
-    let mut sharded_json = outcome_json_labeled(&sc.cfg, sharded_out, "KunServe (sharded)");
-    if let Json::Obj(pairs) = &mut sharded_json {
-        pairs.push(("wall_clock_ms".into(), Json::Num(sharded.wall_ms)));
-        pairs.push(("workers".into(), Json::Num(threads as f64)));
-    }
-    sys_jsons.push(sharded_json);
 
     let doc = with_exec_meta(
         Json::obj([
@@ -131,11 +100,10 @@ fn main() {
             ("systems", Json::Arr(sys_jsons)),
             ("wall_clock_ms_serial", Json::Num(serial.wall_ms)),
             ("wall_clock_ms_parallel", Json::Num(parallel.wall_ms)),
-            ("wall_clock_ms_sharded", Json::Num(sharded.wall_ms)),
             ("speedup", Json::Num(speedup)),
         ]),
         threads,
-        serial.wall_ms + parallel.wall_ms + sharded.wall_ms,
+        serial.wall_ms + parallel.wall_ms,
     );
     let path = json_out_path("paper_scale_parallel", &args);
     write_json(&path, &doc).expect("write JSON");

@@ -7,10 +7,7 @@
 //! to the simulated cluster's serving capacity (the paper does the same
 //! with TraceUpscaler).
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use cluster::{ClusterConfig, ModelId};
 use kunserve::serving::{Run, RunOutcome, SystemKind};
@@ -421,8 +418,7 @@ pub fn outcome_json(cfg: &ClusterConfig, out: &RunOutcome) -> Json {
 
 /// Like [`outcome_json`], but with the `system` field overridden —
 /// for bins whose rows are configurations of one system (ablation
-/// levels, drop degrees, executor variants) rather than distinct
-/// systems.
+/// levels, drop degrees) rather than distinct systems.
 pub fn outcome_json_labeled(cfg: &ClusterConfig, out: &RunOutcome, label: &str) -> Json {
     let mut j = outcome_json(cfg, out);
     if let Json::Obj(pairs) = &mut j {

@@ -25,22 +25,6 @@ enum Event {
     NetPoll,
 }
 
-/// Read-only access to the request table — the serial engine reads the
-/// `ClusterState` slice directly, the sharded executor reads through its
-/// disjoint-ownership raw table. Sharing the iteration-collection logic
-/// below through this trait keeps the two executors' batching rules from
-/// drifting apart.
-pub(crate) trait ReqRead {
-    /// Borrows one request.
-    fn read(&self, id: RequestId) -> &Request;
-}
-
-impl ReqRead for [Request] {
-    fn read(&self, id: RequestId) -> &Request {
-        &self[id.0]
-    }
-}
-
 /// Tokens each in-decode request advances per iteration.
 ///
 /// Single-stage groups decode one token per iteration (classic
@@ -51,7 +35,7 @@ impl ReqRead for [Request] {
 /// per-token latency faithful to continuous pipeline streaming without
 /// per-cycle event traffic; the Eq. 1 cost of a `(p, K)` chunk equals
 /// the summed cost of `K` single-token steps exactly.
-pub(crate) fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
+fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
     if stages == 1 {
         1
     } else {
@@ -66,10 +50,9 @@ pub(crate) fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 
 
 /// Collects one iteration's work for a group: a decode chunk per running
 /// decode request plus budget-bounded prefill chunks in arrival order.
-/// Shared verbatim by both executors (see [`ReqRead`]).
-pub(crate) fn collect_work<R: ReqRead + ?Sized>(
+fn collect_work(
     g: &crate::group::ExecGroup,
-    reqs: &R,
+    reqs: &[Request],
     cfg: &ClusterConfig,
     skipped: &[RequestId],
 ) -> Vec<SeqChunk> {
@@ -89,7 +72,7 @@ pub(crate) fn collect_work<R: ReqRead + ?Sized>(
         if skipped.contains(&r) {
             continue; // no KV slot this iteration (swap in flight)
         }
-        let req = reqs.read(r);
+        let req = &reqs[r.0];
         if req.state != ReqState::Running {
             continue;
         }
@@ -109,12 +92,12 @@ pub(crate) fn collect_work<R: ReqRead + ?Sized>(
             prefills.push(r);
         }
     }
-    prefills.sort_by_key(|&r| (reqs.read(r).spec.arrival, r));
+    prefills.sort_by_key(|&r| (reqs[r.0].spec.arrival, r));
     for r in prefills {
         if used >= budget {
             break;
         }
-        let req = reqs.read(r);
+        let req = &reqs[r.0];
         let chunk = req.prefill_remaining().min(budget - used);
         if chunk == 0 {
             continue;
@@ -129,6 +112,18 @@ pub(crate) fn collect_work<R: ReqRead + ?Sized>(
         used += chunk;
     }
     work
+}
+
+/// Kept for the benchmark, which still names it; the engine is serial,
+/// so this carries nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ParallelConfig;
+
+impl ParallelConfig {
+    /// Kept for the benchmark; the worker count is ignored.
+    pub fn with_workers(_workers: usize) -> Self {
+        ParallelConfig
+    }
 }
 
 /// The simulation engine: cluster state + policy + event queue.
@@ -248,9 +243,9 @@ impl<P: Policy> Engine<P> {
             }
             let (t, ev) = self.events.pop().expect("peeked above");
             // A hard assert, not a debug_assert: time running backwards
-            // means event bookkeeping (e.g. a shard merge) is corrupt, and
-            // that must fail loudly in release CI too — every metric
-            // recorded after a regression would be silently wrong.
+            // means event bookkeeping is corrupt, and that must fail
+            // loudly in release CI too — every metric recorded after a
+            // regression would be silently wrong.
             assert!(
                 t >= self.now,
                 "event time regressed: {t} < {now} ({ev:?})",
@@ -349,23 +344,6 @@ impl<P: Policy> Engine<P> {
     pub fn step_until(&mut self, until: SimTime) {
         assert!(self.open, "step_until requires an open session");
         self.pump(Some(until), &mut |_, _| {});
-    }
-
-    /// Current simulated time of an open session (alias of [`Engine::now`],
-    /// named to match the sharded engine's session surface).
-    pub fn session_now(&self) -> SimTime {
-        assert!(self.open, "session_now requires an open session");
-        self.now
-    }
-
-    /// Runs `f` against the cluster state between events of an open
-    /// session — the hook elastic model load/unload operations use. The
-    /// serial engine owns its state outright, so this is a plain call; the
-    /// name mirrors the sharded engine, where the same operation must be
-    /// fenced to a barrier.
-    pub fn session_mutate(&mut self, f: impl FnOnce(&mut ClusterState, SimTime)) {
-        assert!(self.open, "session_mutate requires an open session");
-        f(&mut self.state, self.now);
     }
 
     /// Closes the session: no further injections, runs to completion (or
@@ -478,7 +456,7 @@ impl<P: Policy> Engine<P> {
                 self.finished += 1;
                 continue;
             }
-            let g = self.state.redispatch_retry(r, now, None);
+            let g = self.state.redispatch_retry(r, now);
             self.state.group_mut(g).queue.push_back(r);
             self.try_start(g);
         }

@@ -12,19 +12,16 @@
 //! prefix (its attention cost reflects that, per Eq. 1). Decode chunks
 //! (one token) are atomic.
 //!
-//! The formers live *below* the policy layer so both executors can reach
-//! them: the serial [`crate::engine::Engine`] lets the policy form batches
-//! against the full `ClusterState`, while the sharded executor runs inside
-//! a shard that owns only its own groups — it captures the policy's
-//! [`MicrobatchFormerSpec`] at a barrier and forms batches shard-locally.
+//! A policy names its former with a [`MicrobatchFormerSpec`]; the default
+//! [`crate::Policy::form_microbatches`] runs it for every pipelined
+//! iteration of the [`crate::engine::Engine`].
 
 use costmodel::{ChunkWork, CostParams};
 
 use crate::batch::{token_count_form, MicroBatch, SeqChunk};
 
-/// A self-contained description of how a policy forms microbatches,
-/// capturable at a synchronization barrier and usable without
-/// `&ClusterState` (the sharded executor's contract).
+/// How a policy forms microbatches: a plain value that forms batches
+/// without `&ClusterState`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicrobatchFormerSpec {
     /// Token-count balancing (Sarathi-style; the baseline of Fig. 9).

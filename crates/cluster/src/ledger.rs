@@ -7,7 +7,7 @@
 //! snapshots every device's balance sheet from the live cluster state, and
 //! [`MemoryLedger::check_invariants`] verifies the paper's safety
 //! conditions in one place — reused by the integration tests, the property
-//! tests and `debug_assert!`s in both executors, instead of the scattered
+//! tests and the engine's `debug_assert!`s, instead of the scattered
 //! per-test HBM assertions it replaced.
 //!
 //! Invariants checked, per device:

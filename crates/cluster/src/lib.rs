@@ -20,11 +20,7 @@
 //!                  └── monitor ◄──┴──────── metrics ◄──────────────┘
 //! ```
 
-// The one crate with `unsafe` (the sharded executor's request table,
-// `shard.rs`): inner unsafe operations stay explicit, and every block
-// carries its `// SAFETY:` argument (also enforced by `simlint`).
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod config;
@@ -38,12 +34,11 @@ pub mod metrics;
 pub mod pipeline;
 pub mod policy;
 pub mod request;
-pub mod shard;
 pub mod state;
 
 pub use batch::{token_count_form, MicroBatch, SeqChunk};
 pub use config::{ClusterConfig, ConfigError, ModelDeployment, Testbed};
-pub use engine::Engine;
+pub use engine::{Engine, ParallelConfig};
 pub use failure::{FailureEvent, FailureInjector, FailureSchedule, FaultKind, ScheduleError};
 pub use former::{balance_microbatches, MicrobatchFormerSpec};
 pub use group::{ExecGroup, GroupId};
@@ -56,6 +51,5 @@ pub use policy::{
     TransferPurpose,
 };
 pub use request::{ReqState, Request, RequestId, StallReason};
-pub use shard::{derive_lookahead, ParallelConfig, ShardStats, ShardedEngine};
 pub use state::{CancelOutcome, ClusterState, DeadlineSweep, ModelAvailability};
 pub use workload::{Deadline, ModelId, RetryPolicy};

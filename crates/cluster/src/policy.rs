@@ -94,61 +94,17 @@ pub enum OomResolution {
     SkipIteration,
 }
 
-/// One window's barrier-deferred reactive hook flags, in deterministic
-/// order: `blocked` groups sorted and deduplicated, `oom` entries sorted by
-/// `(group, request)`. This is exactly the input the serial barrier arms
-/// feed to [`Policy::on_admission_blocked`] / [`Policy::on_decode_oom`];
-/// the speculative path hands the same batch to [`Policy::plan_deferred`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeferredHooks {
-    /// Groups whose head-of-line admission failed during the window.
-    pub blocked: Vec<GroupId>,
-    /// `(group, request)` decode-OOM events raised during the window.
-    pub oom: Vec<(GroupId, RequestId)>,
-}
+/// Kept for the benchmark's [`Policy`] forwarding; nothing constructs it.
+#[derive(Debug)]
+pub struct DeferredHooks;
 
-impl DeferredHooks {
-    /// Whether the window raised no reactive flags at all.
-    pub fn is_empty(&self) -> bool {
-        self.blocked.is_empty() && self.oom.is_empty()
-    }
-}
+/// Kept for the benchmark's [`Policy`] forwarding; nothing constructs it.
+#[derive(Debug)]
+pub struct HookPlan;
 
-/// An opaque, policy-owned speculative hook plan plus the structural epoch
-/// of the snapshot it was computed from. Produced by a [`SpecJob`], applied
-/// by [`Policy::commit_deferred`] once the executor has validated that no
-/// conflicting structural mutation happened in between.
-pub struct HookPlan {
-    /// [`ClusterState::structural_epoch`] at snapshot time.
-    pub base_epoch: u64,
-    /// The policy's plan payload; only the policy that produced it knows
-    /// the concrete type.
-    pub payload: Box<dyn std::any::Any + Send>,
-}
-
-impl std::fmt::Debug for HookPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookPlan")
-            .field("base_epoch", &self.base_epoch)
-            .finish_non_exhaustive()
-    }
-}
-
-/// An owned speculative computation: a pure function of the snapshot it
-/// captured, safe to run on any worker thread while the next window is in
-/// flight. It must **not** touch [`ClusterState`] — the executor may be
-/// mutating requests concurrently — which the `Send + 'static` bound
-/// enforces structurally (the closure can only capture owned data).
-pub struct SpecJob {
-    /// The deferred planning computation.
-    pub run: Box<dyn FnOnce() -> HookPlan + Send + 'static>,
-}
-
-impl std::fmt::Debug for SpecJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SpecJob { .. }")
-    }
-}
+/// Kept for the benchmark's [`Policy`] forwarding; nothing constructs it.
+#[derive(Debug)]
+pub struct SpecJob;
 
 /// A serving policy: hooks invoked by the engine at decision points.
 ///
@@ -190,13 +146,8 @@ pub trait Policy {
         false
     }
 
-    /// The self-contained microbatch former this policy uses.
-    ///
-    /// The sharded executor captures this spec at a time-sync barrier and
-    /// forms microbatches inside shards (which own only their own groups,
-    /// not the full `ClusterState`). The default serial
-    /// [`Policy::form_microbatches`] delegates to the same spec, so the two
-    /// executors batch identically for policies that don't override either.
+    /// The microbatch former this policy uses; the default
+    /// [`Policy::form_microbatches`] delegates to it.
     fn microbatch_former(&self) -> MicrobatchFormerSpec {
         MicrobatchFormerSpec::TokenCount
     }
@@ -226,16 +177,8 @@ pub trait Policy {
     ) {
     }
 
-    /// Optimistic barrier hooks, part 1: turn one window's deferred flags
-    /// into an owned [`SpecJob`] the executor races against the *next*
-    /// window. The job's expensive pure planning (e.g. KunServe's drop
-    /// arbitration) runs off the critical path; the cheap state reads
-    /// needed to build its snapshot happen here, serially, against the
-    /// fully reassembled barrier state.
-    ///
-    /// Returning `None` (the default) keeps the policy on the exact serial
-    /// hook path — speculation is strictly opt-in per policy *and* per
-    /// [`ParallelConfig`](crate::ParallelConfig).
+    /// Kept for the benchmark's forwarding wrapper; the engine never
+    /// calls it.
     fn plan_deferred(
         &mut self,
         _state: &ClusterState,
@@ -245,13 +188,8 @@ pub trait Policy {
         None
     }
 
-    /// Optimistic barrier hooks, part 2: apply a validated [`HookPlan`] at
-    /// the barrier following its launch. Only called when the structural
-    /// epoch is unchanged since [`Policy::plan_deferred`] built the
-    /// snapshot; otherwise the executor discards the plan and re-runs the
-    /// saved [`DeferredHooks`] through the classic serial arms instead.
-    /// The commit decision is a pure function of simulated state, so the
-    /// result is byte-identical at any worker count.
+    /// Kept for the benchmark's forwarding wrapper; the engine never
+    /// calls it.
     fn commit_deferred(&mut self, _state: &mut ClusterState, _now: SimTime, _plan: HookPlan) {}
 }
 
@@ -311,18 +249,5 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 
     fn on_transfer_done(&mut self, state: &mut ClusterState, now: SimTime, event: &TransferEvent) {
         (**self).on_transfer_done(state, now, event)
-    }
-
-    fn plan_deferred(
-        &mut self,
-        state: &ClusterState,
-        now: SimTime,
-        hooks: &DeferredHooks,
-    ) -> Option<SpecJob> {
-        (**self).plan_deferred(state, now, hooks)
-    }
-
-    fn commit_deferred(&mut self, state: &mut ClusterState, now: SimTime, plan: HookPlan) {
-        (**self).commit_deferred(state, now, plan)
     }
 }

@@ -115,8 +115,8 @@ pub enum CancelOutcome {
     /// ([`ReqState::Dropped`]) and its blocks are free.
     Cancelled,
     /// The request is mid-iteration or mid-transfer; the caller retries at
-    /// the next idle boundary (monitor tick / barrier), mirroring the
-    /// deadline sweep's conservatism.
+    /// the next idle boundary (monitor tick), mirroring the deadline
+    /// sweep's conservatism.
     Deferred,
     /// The request had already finished or been dropped.
     AlreadyTerminal,
@@ -199,13 +199,6 @@ pub struct ClusterState {
     next_batch: u64,
     /// In-flight elastic model load/unload operations (gateway-driven).
     model_ops: Vec<ModelOp>,
-    /// Monotone counter of *structural* mutations: group creation/death
-    /// (merge, split, failure, recovery) and freeze/unfreeze flips. The
-    /// optimistic executor validates speculative hook plans against it —
-    /// an unchanged epoch proves the snapshot's group structure is intact,
-    /// so a plan computed from it can still be applied. Bumped only on the
-    /// serial barrier path, so it is a pure function of simulated state.
-    structural_epoch: u64,
 }
 
 impl ClusterState {
@@ -308,20 +301,7 @@ impl ClusterState {
             transfer_batches: HashMap::new(),
             next_batch: 0,
             model_ops: Vec::new(),
-            structural_epoch: 0,
         })
-    }
-
-    /// The structural-mutation epoch (see the field doc). Speculative hook
-    /// plans snapshot this and are only committed while it holds.
-    pub fn structural_epoch(&self) -> u64 {
-        self.structural_epoch
-    }
-
-    /// Records a structural mutation (group created/destroyed or a freeze
-    /// flip), invalidating any in-flight speculative hook plan.
-    fn note_structural_change(&mut self) {
-        self.structural_epoch += 1;
     }
 
     // ------------------------------------------------------------------
@@ -385,27 +365,6 @@ impl ClusterState {
             .enumerate()
             .filter(|(_, g)| g.is_some())
             .map(|(i, _)| GroupId(i))
-    }
-
-    /// Number of group slots ever created (live or dead). Slot ids below
-    /// this bound are valid indices for [`Self::group_alive`].
-    pub fn group_slots(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Removes a live group from its slot, leaving a dead slot behind.
-    /// The sharded executor uses this to hand a shard exclusive ownership
-    /// of its groups for one conservative window; [`Self::put_group`]
-    /// reinstalls them at the barrier.
-    pub fn take_group(&mut self, id: GroupId) -> ExecGroup {
-        self.groups[id.0].take().expect("group is alive")
-    }
-
-    /// Reinstalls a group taken with [`Self::take_group`].
-    pub fn put_group(&mut self, group: ExecGroup) {
-        let slot = group.id.0;
-        debug_assert!(self.groups[slot].is_none(), "slot must be empty");
-        self.groups[slot] = Some(group);
     }
 
     /// Borrows a request.
@@ -546,26 +505,11 @@ impl ClusterState {
     /// Panics if no live group serves `model` — traces must only reference
     /// deployed models.
     pub fn dispatch(&self, model: ModelId, input_tokens: u64) -> GroupId {
-        self.dispatch_with_pending(model, input_tokens, None)
-    }
-
-    /// The same least-loaded rule with an optional map of *pending* tokens
-    /// per group — arrivals already dispatched but not yet enqueued. The
-    /// sharded executor dispatches a whole conservative window's arrivals
-    /// at one barrier and threads the in-flight batch through here so the
-    /// two executors share one dispatch policy.
-    pub fn dispatch_with_pending(
-        &self,
-        model: ModelId,
-        input_tokens: u64,
-        pending: Option<&HashMap<GroupId, u64>>,
-    ) -> GroupId {
         self.alive_group_ids()
             .filter(|&g| self.group(g).model == model)
             .min_by(|&a, &b| {
                 let load = |g: GroupId| {
-                    let extra = pending.and_then(|p| p.get(&g).copied()).unwrap_or_default();
-                    (self.group_demand_tokens(g) + extra + input_tokens) as f64
+                    (self.group_demand_tokens(g) + input_tokens) as f64
                         / self.group_capacity_tokens(g).max(1) as f64
                 };
                 load(a).partial_cmp(&load(b)).expect("loads are finite")
@@ -575,11 +519,9 @@ impl ClusterState {
 
     /// Records the dispatcher's decision for an arriving request: binds it
     /// to `group` and settles its shared-prefix credit against the prefix
-    /// ledger. Both executors route every arrival through here, so prefix
-    /// accounting is executor-invariant: the hit/miss decision happens at
-    /// dispatch time and is encoded in the request's `prefix_credit`, which
-    /// `prefill_target()` then applies identically under serial and
-    /// sharded admission.
+    /// ledger. The hit/miss decision happens at dispatch time and is
+    /// encoded in the request's `prefix_credit`, which `prefill_target()`
+    /// then applies at admission.
     pub fn note_dispatch(&mut self, id: RequestId, group: GroupId) {
         self.requests[id.0].group = group;
         let Some(p) = self.requests[id.0].spec.prefix else {
@@ -860,7 +802,6 @@ impl ClusterState {
         for &g in &groups {
             self.group_mut(g).frozen = true;
         }
-        self.note_structural_change();
         self.pending_reconfigs.push(Reconfig::Merge {
             groups,
             grants,
@@ -882,7 +823,6 @@ impl ClusterState {
             return;
         }
         self.group_mut(group).frozen = true;
-        self.note_structural_change();
         self.pending_reconfigs.push(Reconfig::Split { group });
     }
 
@@ -1221,7 +1161,6 @@ impl ClusterState {
     /// Returns the newly created groups.
     pub fn execute_ready_reconfigs(&mut self, now: SimTime) -> Vec<GroupId> {
         let mut created = Vec::new();
-        let mut mutated = false;
         let pending = std::mem::take(&mut self.pending_reconfigs);
         for rc in pending {
             // A reconfig referencing a dead group (a member failed while it
@@ -1243,7 +1182,6 @@ impl ClusterState {
                 } else {
                     self.metrics.on_reconfig(now, "split-abandoned: group died");
                 }
-                mutated = true;
                 continue;
             }
             let ready = match &rc {
@@ -1259,31 +1197,24 @@ impl ClusterState {
                     groups,
                     grants,
                     drop_range,
-                } => {
-                    mutated = true;
-                    match self.merge_groups(&groups, &grants, drop_range, now) {
-                        Ok(g) => created.push(g),
-                        Err(msg) => {
-                            // Unfreeze and abandon; the policy will retry.
-                            for &g in &groups {
-                                if self.group_alive(g) {
-                                    self.group_mut(g).frozen = false;
-                                }
+                } => match self.merge_groups(&groups, &grants, drop_range, now) {
+                    Ok(g) => created.push(g),
+                    Err(msg) => {
+                        // Unfreeze and abandon; the policy will retry.
+                        for &g in &groups {
+                            if self.group_alive(g) {
+                                self.group_mut(g).frozen = false;
                             }
-                            self.metrics
-                                .on_reconfig(now, format!("merge-failed: {msg}"));
                         }
+                        self.metrics
+                            .on_reconfig(now, format!("merge-failed: {msg}"));
                     }
-                }
+                },
                 Reconfig::Split { group } => match self.split_group(group, now) {
-                    Ok(gs) => {
-                        mutated = true;
-                        created.extend(gs);
-                    }
+                    Ok(gs) => created.extend(gs),
                     Err(_busy) => {
                         // Usage crept back above the restorable level; keep
                         // the group pipelined and let the policy retry.
-                        mutated = true;
                         if self.group_alive(group) {
                             self.group_mut(group).frozen = false;
                         }
@@ -1291,9 +1222,6 @@ impl ClusterState {
                     }
                 },
             }
-        }
-        if mutated {
-            self.note_structural_change();
         }
         created
     }
@@ -1925,7 +1853,6 @@ impl ClusterState {
     pub fn fail_instance(&mut self, failed: InstanceId, now: SimTime) -> Vec<GroupId> {
         let gid = self.instances[failed.0 as usize].group;
         assert!(self.group_alive(gid), "instance already failed");
-        self.note_structural_change();
         let model_id = self.group(gid).model;
         let kv_per_token = self.cfg.model_cfg(model_id).kv_bytes_per_token();
         // Settle the donation ledger before anything restores: bytes this
@@ -2099,7 +2026,6 @@ impl ClusterState {
         if self.group_alive(self.instances[inst.0 as usize].group) {
             return None;
         }
-        self.note_structural_change();
         let model_id = self.instances[inst.0 as usize].model;
         self.instances[inst.0 as usize] = Instance::for_model(inst, model_id, &self.cfg);
         let kv_per_token = self.cfg.model_cfg(model_id).kv_bytes_per_token();
@@ -2180,9 +2106,8 @@ impl ClusterState {
     /// are aborted: the client gives up, discards all progress, and either
     /// re-sends after [`workload::RetryPolicy::backoff`] (attempt budget
     /// permitting) or abandons the request. Backoff requests whose timer
-    /// expired are returned as `due` for the engine to re-dispatch — the
-    /// engine owns re-dispatch because the two executors enqueue arrivals
-    /// differently (direct push vs. shard-local event).
+    /// expired are returned as `due` for the engine to re-dispatch, since
+    /// the engine owns the group queues and starts iterations.
     ///
     /// Running attempts are only aborted while their group is idle and
     /// unfrozen: an in-flight iteration plan must never reference a request
@@ -2260,16 +2185,9 @@ impl ClusterState {
 
     /// Re-dispatches a backoff request whose retry timer expired: resets
     /// the attempt clock to `now`, picks a group with the shared
-    /// least-loaded rule (threading the executor's pending-arrival batch
-    /// through, like any fresh arrival), and counts the retry. The caller
-    /// enqueues the request on the returned group in its executor-native
-    /// way.
-    pub fn redispatch_retry(
-        &mut self,
-        id: RequestId,
-        now: SimTime,
-        pending: Option<&HashMap<GroupId, u64>>,
-    ) -> GroupId {
+    /// least-loaded rule, like any fresh arrival, and counts the retry. The
+    /// caller enqueues the request on the returned group.
+    pub fn redispatch_retry(&mut self, id: RequestId, now: SimTime) -> GroupId {
         debug_assert_eq!(self.requests[id.0].state, ReqState::Backoff);
         self.requests[id.0].retry_reset(now);
         self.requests[id.0].state = ReqState::Queued;
@@ -2277,7 +2195,7 @@ impl ClusterState {
             let spec = &self.requests[id.0].spec;
             (spec.model, spec.input_tokens)
         };
-        let g = self.dispatch_with_pending(model, input, pending);
+        let g = self.dispatch(model, input);
         self.note_dispatch(id, g);
         self.metrics.on_retry(now);
         g
@@ -2297,32 +2215,15 @@ impl ClusterState {
     /// torn down while their group is idle and unfrozen — the same
     /// in-flight-iteration conservatism as [`Self::sweep_deadlines`] — so
     /// the caller must retry [`CancelOutcome::Deferred`] at the next
-    /// monitor-tick/barrier boundary. Stalled and swapped attempts finish
-    /// their transfer first (the transfer's completion handler must find
-    /// the request where it left it).
+    /// monitor-tick boundary. Stalled and swapped attempts finish their
+    /// transfer first (the transfer's completion handler must find the
+    /// request where it left it).
     pub fn cancel_request(&mut self, id: RequestId) -> CancelOutcome {
-        self.cancel_request_inner(id, false)
-    }
-
-    /// Barrier-time variant for the sharded executor: at a barrier the
-    /// coordinator owns the whole reassembled state and in-flight
-    /// iteration plans skip non-`Running` requests at completion, so
-    /// tearing an attempt out of a busy (mid-iteration) group is safe
-    /// there — a saturated group would otherwise never go idle at a
-    /// barrier and the cancel would starve. Frozen groups (reconfig in
-    /// flight) still defer.
-    pub fn cancel_request_at_barrier(&mut self, id: RequestId) -> CancelOutcome {
-        self.cancel_request_inner(id, true)
-    }
-
-    fn cancel_request_inner(&mut self, id: RequestId, at_barrier: bool) -> CancelOutcome {
         match self.requests[id.0].state {
             ReqState::Finished | ReqState::Dropped => CancelOutcome::AlreadyTerminal,
             ReqState::Running => {
                 let g = self.requests[id.0].group;
-                if self.group_alive(g)
-                    && (self.group(g).frozen || (!at_barrier && self.group(g).is_busy()))
-                {
+                if self.group_alive(g) && (self.group(g).frozen || self.group(g).is_busy()) {
                     return CancelOutcome::Deferred; // revisit once idle
                 }
                 self.abort_attempt(id);
@@ -2416,7 +2317,6 @@ impl ClusterState {
             return false;
         };
         self.group_mut(g).frozen = false;
-        self.note_structural_change();
         self.metrics
             .on_reconfig(now, format!("load: restoring {m}"));
         if self.start_param_restore(g, now) {
@@ -2436,7 +2336,7 @@ impl ClusterState {
 
     /// One monitor-tick step of every in-flight elastic model operation.
     /// Deterministic: operations advance in request order based only on
-    /// simulated state. Call at tick/barrier boundaries (gated by
+    /// simulated state. Call at tick boundaries (gated by
     /// [`Self::has_model_ops`]).
     pub fn advance_model_ops(&mut self, now: SimTime) {
         let mut i = 0;
@@ -2523,7 +2423,6 @@ impl ClusterState {
     /// the unload: one compressed parameter copy parked, duplicates freed.
     fn park_unloaded(&mut self, g: GroupId, m: ModelId, now: SimTime) {
         self.group_mut(g).frozen = true;
-        self.note_structural_change();
         let freed: u64 = self
             .group(g)
             .members
@@ -2590,7 +2489,6 @@ impl ClusterState {
                     BatchEffect::RecoveryReady(group) => {
                         if self.group_alive(group) {
                             self.group_mut(group).frozen = false;
-                            self.note_structural_change();
                         }
                         Some(TransferEvent::RecoveryReady { group })
                     }
@@ -2756,7 +2654,7 @@ mod tests {
             .is_empty());
         let sweep = state.sweep_deadlines(due_at);
         assert_eq!(sweep.due, vec![r]);
-        let g2 = state.redispatch_retry(r, due_at, None);
+        let g2 = state.redispatch_retry(r, due_at);
         assert_eq!(state.requests[0].attempt, 1);
         assert_eq!(state.requests[0].attempt_arrival, due_at);
         assert_eq!(state.metrics.retries, 1);

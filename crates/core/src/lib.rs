@@ -48,10 +48,7 @@
 //! assert_eq!(outcome.report.finished_requests, trace.len());
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod lookahead;
@@ -67,8 +64,4 @@ pub use plan::{
     PlanGroup,
 };
 pub use policy::{KunServeConfig, KunServePolicy};
-#[allow(deprecated)]
-pub use serving::{
-    run_system, run_system_sharded, run_system_sharded_with_failures, run_system_with_failures,
-};
 pub use serving::{Run, RunOutcome, ServingSession, SystemKind};

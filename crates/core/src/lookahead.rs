@@ -1,10 +1,8 @@
 //! Lookahead batch formation (paper §4.3, Figs. 10–11).
 //!
-//! The implementation lives in [`cluster::former`] so that both executors
-//! can reach it: the serial engine forms batches through the policy with
-//! the full `ClusterState` in hand, while the sharded executor captures a
-//! [`cluster::MicrobatchFormerSpec`] at a barrier and forms batches inside
-//! a shard that owns only its own groups. This module re-exports the
-//! public surface under its historical path.
+//! The implementation lives in [`cluster::former`], next to the token-count
+//! baseline the default [`cluster::Policy::form_microbatches`] uses; the
+//! KunServe policy selects it through [`cluster::MicrobatchFormerSpec`].
+//! This module re-exports the public surface under its historical path.
 
 pub use cluster::former::balance_microbatches;

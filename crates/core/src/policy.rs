@@ -4,8 +4,7 @@
 use std::collections::HashSet;
 
 use cluster::{
-    ClusterState, DeferredHooks, GroupId, HookPlan, MicrobatchFormerSpec, ModelId, Policy,
-    ReqState, RequestId, SpecJob, TransferEvent,
+    ClusterState, GroupId, MicrobatchFormerSpec, ModelId, Policy, RequestId, TransferEvent,
 };
 use sim_core::SimTime;
 
@@ -158,14 +157,6 @@ impl KunServeConfig {
     }
 }
 
-/// The payload of a speculative KunServe hook plan: the arbitration
-/// outcome computed off the critical path, plus the decode-OOM entries of
-/// the batch (re-validated at commit for the GiveUp fallback).
-struct KunPlan {
-    outcome: ArbitrationOutcome,
-    oom: Vec<(GroupId, RequestId)>,
-}
-
 /// The KunServe serving policy.
 #[derive(Debug)]
 pub struct KunServePolicy {
@@ -292,12 +283,9 @@ impl KunServePolicy {
         self.apply_outcome(state, &outcome)
     }
 
-    /// The serial half of a drop round: snapshot the per-model demands,
-    /// lender offers and projected forward terms from the barrier state.
-    /// Cheap state reads only — the expensive arbitration over the result
-    /// is a pure function, which is what lets the sharded executor race it
-    /// against the next window ([`Policy::plan_deferred`]). Returns `None`
-    /// when no model has an arbitrable demand.
+    /// The input of a drop round: the per-model demands, lender offers
+    /// and projected forward terms read from the current state. Returns
+    /// `None` when no model has an arbitrable demand.
     fn build_drop_round(
         &self,
         state: &ClusterState,
@@ -403,9 +391,8 @@ impl KunServePolicy {
         Some((demands, offers))
     }
 
-    /// The commit half of a drop round: turn an arbitration outcome into
-    /// merge requests. Shared by the synchronous path ([`Self::maybe_drop`])
-    /// and the speculative commit ([`Policy::commit_deferred`]).
+    /// The output of a drop round: turn an arbitration outcome into merge
+    /// requests.
     fn apply_outcome(&mut self, state: &mut ClusterState, outcome: &ArbitrationOutcome) -> bool {
         let mut any = false;
         for arb in &outcome.plans {
@@ -640,91 +627,6 @@ impl Policy for KunServePolicy {
             // only park the request behind a parameter reload.
             None => true,
             Some(load) => load > self.cfg.shed_load_factor,
-        }
-    }
-
-    /// The speculative half of the reactive hooks: snapshot one window's
-    /// deferred batch into a pure arbitration job the sharded executor
-    /// races against the next window.
-    ///
-    /// The serial arms run `maybe_drop` once per hook with a singleton
-    /// eligible set; the speculative batch arbitrates the **union** of the
-    /// batch's models in one round instead (the documented semantic delta
-    /// of `ParallelConfig::speculation` — one arbitration round cannot be
-    /// split across a snapshot). The expensive part —
-    /// [`arbitrate_with_donation`] over the snapshot — is a pure function
-    /// of the captured demands and offers, so it is safe to run on any
-    /// thread while the next window mutates requests.
-    fn plan_deferred(
-        &mut self,
-        state: &ClusterState,
-        _now: SimTime,
-        hooks: &DeferredHooks,
-    ) -> Option<SpecJob> {
-        // Declining falls back to the exact serial arms: the right move
-        // whenever a drop round could not start anyway (no dynamic drop, a
-        // reconfiguration already in flight) or before the first tick has
-        // configured the network.
-        if !self.network_configured || !self.cfg.dynamic_drop || state.has_pending_reconfigs() {
-            return None;
-        }
-        let mut eligible: HashSet<ModelId> = HashSet::new();
-        for &g in &hooks.blocked {
-            if state.group_alive(g) && !state.group(g).frozen {
-                eligible.insert(state.group_model(g));
-            }
-        }
-        for &(g, _) in &hooks.oom {
-            if state.group_alive(g) {
-                eligible.insert(state.group_model(g));
-            }
-        }
-        if eligible.is_empty() {
-            return None;
-        }
-        let (demands, offers) = self.build_drop_round(state, Some(&eligible))?;
-        let base_epoch = state.structural_epoch();
-        let allowance = self.cfg.reclaim_allowance_bytes;
-        let arbitration = self.cfg.arbitration;
-        let oom = hooks.oom.clone();
-        Some(SpecJob {
-            run: Box::new(move || HookPlan {
-                base_epoch,
-                payload: Box::new(KunPlan {
-                    outcome: arbitrate_with_donation(&demands, &offers, allowance, arbitration),
-                    oom,
-                }),
-            }),
-        })
-    }
-
-    /// Applies a validated speculative plan: the arbitration outcome turns
-    /// into merge requests exactly as on the synchronous path, then the
-    /// batch's decode-OOM entries are re-validated — covered by the drop
-    /// (or any in-flight reconfiguration) they skip an iteration; left
-    /// uncovered they take the KVCache-centric GiveUp fallback (recompute
-    /// preemption), mirroring [`Policy::on_decode_oom`].
-    fn commit_deferred(&mut self, state: &mut ClusterState, _now: SimTime, plan: HookPlan) {
-        let Ok(plan) = plan.payload.downcast::<KunPlan>() else {
-            return;
-        };
-        let dropped = if state.has_pending_reconfigs() {
-            false // epoch-checked, so unreachable in practice; stay safe
-        } else {
-            self.apply_outcome(state, &plan.outcome)
-        };
-        let memory_coming = dropped || state.has_pending_reconfigs();
-        for &(g, r) in &plan.oom {
-            if !state.group_alive(g) {
-                continue;
-            }
-            let req = state.request(r);
-            if req.state != ReqState::Running || req.group != g {
-                continue;
-            }
-            if !memory_coming {
-                state.preempt_youngest(g);
-            }
         }
     }
 

@@ -26,10 +26,7 @@
 //! - [`fit`]: offline profiling + ordinary-least-squares fitting (§4.3
 //!   "determined through offline profiling ... least squares method").
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod fit;
 pub mod ground_truth;

@@ -1,6 +1,6 @@
 //! The gateway proper: submit / stream / cancel / elastic model ops.
 
-use cluster::{ClusterConfig, ClusterState, ModelAvailability, ParallelConfig};
+use cluster::{ClusterConfig, ClusterState, ModelAvailability};
 use kunserve::serving::{ServingSession, SystemKind};
 use sim_core::{SimDuration, SimTime};
 use workload::{Deadline, ModelId, RequestSpec, SharedPrefix};
@@ -140,9 +140,9 @@ struct Track {
 /// the gateway injects every due submission (in arrival order), steps the
 /// engine session, advances any elastic model operation, fires streaming
 /// callbacks, and lets the [`Clock`] pace the loop. Because injection and
-/// stepping happen only at tick boundaries, a sharded session reproduces
-/// the batch window structure exactly: the same submissions produce
-/// byte-identical reports at any worker count, paced or virtual.
+/// stepping happen only at tick boundaries, a session reproduces the batch
+/// run of the same submissions exactly: byte-identical reports, paced or
+/// virtual.
 pub struct Gateway<C: Clock> {
     session: ServingSession,
     clock: C,
@@ -155,30 +155,15 @@ pub struct Gateway<C: Clock> {
 }
 
 impl<C: Clock> Gateway<C> {
-    /// Opens a gateway over a serial-engine session.
+    /// Opens a gateway over a fresh serving session.
     pub fn new(kind: SystemKind, cfg: ClusterConfig, clock: C) -> Self {
         let interval = cfg.monitor_interval;
-        Gateway::over(ServingSession::open(kind, cfg), interval, clock)
-    }
-
-    /// Opens a gateway over a sharded session: same API, worker-count
-    /// invariant execution.
-    pub fn sharded(kind: SystemKind, cfg: ClusterConfig, pcfg: ParallelConfig, clock: C) -> Self {
-        let interval = cfg.monitor_interval;
-        Gateway::over(
-            ServingSession::open_sharded(kind, cfg, pcfg),
-            interval,
-            clock,
-        )
-    }
-
-    fn over(session: ServingSession, interval: SimDuration, clock: C) -> Self {
         assert!(
             interval > SimDuration::ZERO,
             "monitor interval must be positive"
         );
         Gateway {
-            session,
+            session: ServingSession::open(kind, cfg),
             clock,
             interval,
             now: SimTime::ZERO,

@@ -11,7 +11,7 @@
 //!   delivered through a callback at every pump boundary.
 //! - **Tenancy** ([`Gateway::register_tenant`], [`Quota`]): API keys
 //!   resolve to tenants with request/token quotas, checked at submit time
-//!   against reserved usage so admission is executor-independent.
+//!   against reserved usage so admission depends only on the submissions.
 //! - **Elastic model ops** ([`Gateway::unload_model`],
 //!   [`Gateway::load_model`]): first-class KunServe operations — unload
 //!   drains and merges a model's groups, freeing duplicate parameter
@@ -20,8 +20,9 @@
 //! - **The virtual-time ↔ wall-clock bridge** ([`Clock`], [`Virtual`],
 //!   [`Paced`]): pacing only delays boundary processing, never feeds back
 //!   into the simulation, so a real-time demo and an as-fast-as-possible
-//!   CI run of the same submissions produce byte-identical reports — on
-//!   the serial engine or the sharded executor at any worker count.
+//!   CI run of the same submissions produce byte-identical reports — and
+//!   the same report as a batch [`kunserve::serving::Run`] of those
+//!   arrivals, as long as none lands exactly on a monitor tick.
 //!
 //! The gateway owns a [`kunserve::serving::ServingSession`]; it never
 //! constructs engines itself, keeping `core::serving` the single engine
@@ -46,9 +47,7 @@
 //! assert_eq!(report.finished_requests, 1);
 //! ```
 
-// This crate sits above the deterministic core and must stay free of
-// `unsafe`; the audited allowlist in `simlint::config` enforces the same.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod clock;

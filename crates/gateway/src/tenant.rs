@@ -4,8 +4,7 @@
 //! the key resolves to a [`TenantId`] with a [`Quota`]. Quotas are checked
 //! at submit time against *reserved* usage — a request charges its full
 //! `input + output` token budget up front — so admission decisions depend
-//! only on the submission sequence, never on execution progress, and stay
-//! identical across executors and worker counts.
+//! only on the submission sequence, never on execution progress.
 
 use std::fmt;
 

@@ -28,10 +28,7 @@
 //! assert_eq!(mgr.free(SeqKey(1)).unwrap(), 192);
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod manager;

@@ -22,10 +22,7 @@
 //! assert_eq!(m.kv_bytes_per_token(), 192 * 1024);
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod config;

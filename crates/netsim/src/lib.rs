@@ -33,10 +33,7 @@
 //! # let _ = job;
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod link;
 pub mod network;

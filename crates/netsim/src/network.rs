@@ -91,12 +91,6 @@ impl Network {
         self.target_chunk_time = t;
     }
 
-    /// The chunk-time target — the atomic-transfer floor the sharded
-    /// executor derives its conservative lookahead from.
-    pub fn target_chunk_time(&self) -> SimDuration {
-        self.target_chunk_time
-    }
-
     /// The fabric spec used for inter-instance links.
     pub fn fabric_spec(&self) -> LinkSpec {
         self.fabric_spec
@@ -107,7 +101,7 @@ impl Network {
     /// healthy link (modelled as inflated bytes, so chunking, priorities and
     /// completion ordering all stay exact). `1` restores the link. Jobs
     /// already in flight are unaffected — degradation is sampled once at
-    /// submission, which keeps the model deterministic under any executor.
+    /// submission, which keeps the model deterministic.
     ///
     /// # Panics
     ///

@@ -21,19 +21,12 @@
 //! assert_eq!(q.pop().unwrap().1, "later");
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod queue;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
 pub use queue::EventQueue;
-pub use shard::{
-    ConservativeClock, ShardId, ShardedQueue, SpecOutcome, SpecSequencer, StealDeques,
-};
 pub use stats::{Percentiles, TimeSeries, WindowedRate};
 pub use time::{SimDuration, SimTime};

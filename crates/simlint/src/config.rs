@@ -56,11 +56,12 @@ pub const METRIC_PATHS: &[&str] = &[
     "crates/bench/src/json.rs",
 ];
 
-/// The only files allowed to contain `unsafe` at all (`U-FILE`). This
-/// list is intentionally *not* pragma-suppressable: widening the unsafe
-/// surface requires editing the analyzer, which makes it a reviewed,
-/// global decision rather than a local one.
-pub const UNSAFE_FILES: &[&str] = &["crates/cluster/src/shard.rs"];
+/// The only files allowed to contain `unsafe` at all (`U-FILE`); empty,
+/// since the workspace has no `unsafe` code. This list is intentionally
+/// *not* pragma-suppressable: widening the unsafe surface requires
+/// editing the analyzer, which makes it a reviewed, global decision
+/// rather than a local one.
+pub const UNSAFE_FILES: &[&str] = &[];
 
 /// Audited `D-MAP` file allowlist: files that may use `HashMap`/`HashSet`
 /// because their iteration either never feeds observable order or is
@@ -167,7 +168,7 @@ mod tests {
 
     #[test]
     fn classification_by_path() {
-        let c = classify("crates/cluster/src/shard.rs").unwrap();
+        let c = classify("crates/cluster/src/engine.rs").unwrap();
         assert_eq!(c.scope, Scope::Sim);
         assert!(!c.test_tree);
         assert!(!c.metric_path);
@@ -197,8 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_allowlist_is_exactly_the_shard_table() {
-        assert!(unsafe_file_allowed("crates/cluster/src/shard.rs"));
+    fn unsafe_allowlist_is_empty() {
+        assert!(UNSAFE_FILES.is_empty());
         assert!(!unsafe_file_allowed("crates/cluster/src/state.rs"));
         assert!(!unsafe_file_allowed("crates/kvcache/src/manager.rs"));
     }
@@ -206,6 +207,6 @@ mod tests {
     #[test]
     fn d_map_allowlist_lookup() {
         assert!(d_map_allow_reason("crates/cluster/src/state.rs").is_some());
-        assert!(d_map_allow_reason("crates/cluster/src/shard.rs").is_none());
+        assert!(d_map_allow_reason("crates/cluster/src/engine.rs").is_none());
     }
 }

@@ -9,7 +9,7 @@
 //! writes the machine-readable report (default: `<root>/target/simlint.json`),
 //! and exits non-zero when any unsuppressed diagnostic fired.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -124,7 +124,7 @@ mod tests {
         assert!(json.contains("\"wall_clock_ms\": 42"));
         assert!(json.contains("\"ok\": true"));
         assert!(json.contains("\"rule\": \"D-MAP\""));
-        assert!(json.contains("\"rule\": \"U-SEND\""));
+        assert!(json.contains("\"rule\": \"U-SAFETY\""));
     }
 
     #[test]

@@ -16,24 +16,17 @@
 //!   benches included — lineups are byte-compared across runs).
 //! - `D-CAST`: every `as`-cast to an integer type in a designated metric
 //!   path must state its rounding rationale (casts silently truncate).
-//! - `D-STEAL`: `unsafe` in the work-stealing / speculation path (any
-//!   site whose line or attached comment speaks of stealing or
-//!   speculative execution) must stay inside the audited executor file
-//!   (the `U-FILE` allowlist) *and* carry an ownership-*transfer*
-//!   `// SAFETY:` argument — who owned the data before the steal and who
-//!   owns it after; **not** pragma-suppressable (a stolen-task data race
-//!   silently breaks byte-identical reports).
 //!
-//! **U-rules (unsafe hygiene)** — the sharded executor's raw-pointer
-//! request table is sound by a documented ownership discipline; these
-//! rules keep that discipline written down where it is relied upon:
+//! **U-rules (unsafe hygiene)** — every library crate is
+//! `#![forbid(unsafe_code)]`; these rules reach the integration tests,
+//! benches and examples, which are separate crates the attribute does not
+//! cover:
 //!
 //! - `U-FILE`: `unsafe` may only appear in the audited file allowlist
-//!   ([`crate::config::UNSAFE_FILES`]); **not** pragma-suppressable.
+//!   ([`crate::config::UNSAFE_FILES`], empty today); **not**
+//!   pragma-suppressable.
 //! - `U-SAFETY`: every `unsafe` block/fn/impl carries a `// SAFETY:`
 //!   comment immediately above (or trailing on the same line).
-//! - `U-SEND`: `unsafe impl Send`/`Sync` additionally needs a substantive
-//!   ownership argument (a `SAFETY:` comment of at least eight words).
 //!
 //! Suppression: `// simlint: allow(RULE, RULE2)` on the offending line,
 //! or standalone on the line above. The pragma must begin the comment
@@ -54,15 +47,10 @@ pub enum Rule {
     DRand,
     /// Undocumented integer truncation in metric paths.
     DCast,
-    /// Steal/speculation-path `unsafe` without an ownership-transfer
-    /// argument, or outside the audited executor.
-    DSteal,
     /// `unsafe` outside the audited file allowlist.
     UFile,
     /// `unsafe` without a `// SAFETY:` comment.
     USafety,
-    /// `unsafe impl Send/Sync` without an ownership argument.
-    USend,
     /// Malformed / unknown-rule suppression pragma.
     LintPragma,
 }
@@ -73,10 +61,8 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::DTime,
     Rule::DRand,
     Rule::DCast,
-    Rule::DSteal,
     Rule::UFile,
     Rule::USafety,
-    Rule::USend,
     Rule::LintPragma,
 ];
 
@@ -88,10 +74,8 @@ impl Rule {
             Rule::DTime => "D-TIME",
             Rule::DRand => "D-RAND",
             Rule::DCast => "D-CAST",
-            Rule::DSteal => "D-STEAL",
             Rule::UFile => "U-FILE",
             Rule::USafety => "U-SAFETY",
-            Rule::USend => "U-SEND",
             Rule::LintPragma => "LINT-PRAGMA",
         }
     }
@@ -103,10 +87,8 @@ impl Rule {
             Rule::DTime => "wall-clock time (Instant/SystemTime) in simulation code",
             Rule::DRand => "ambient entropy (thread_rng/from_entropy/OsRng)",
             Rule::DCast => "undocumented integer-truncating cast in a metric path",
-            Rule::DSteal => "steal/speculation-path unsafe without an ownership-transfer argument",
             Rule::UFile => "unsafe code outside the audited file allowlist",
             Rule::USafety => "unsafe without a // SAFETY: comment",
-            Rule::USend => "unsafe impl Send/Sync without an ownership argument",
             Rule::LintPragma => "unknown rule in a simlint suppression pragma",
         }
     }
@@ -117,11 +99,10 @@ impl Rule {
     }
 
     /// Whether a `simlint: allow(..)` pragma can suppress this rule.
-    /// `U-FILE` and `D-STEAL` are allowlist-only by design: growing the
-    /// unsafe surface — or moving raw-pointer ownership across worker
-    /// threads — must be a reviewed, analyzer-level decision.
+    /// `U-FILE` is allowlist-only by design: growing the unsafe surface
+    /// must be a reviewed, analyzer-level decision.
     pub fn suppressable(self) -> bool {
-        !matches!(self, Rule::UFile | Rule::DSteal | Rule::LintPragma)
+        !matches!(self, Rule::UFile | Rule::LintPragma)
     }
 }
 
@@ -302,50 +283,6 @@ fn safety_marker(block: &str) -> Option<usize> {
     None
 }
 
-/// Vocabulary that marks an `unsafe` site as part of the work-stealing /
-/// speculative-execution path (matched against the lowercased site line
-/// plus its attached comment block).
-const STEAL_PATH_WORDS: &[&str] = &["steal", "stole", "speculat"];
-
-/// Vocabulary of an ownership-*transfer* argument: a steal-path `SAFETY:`
-/// comment must say who owned the data and who owns it now, not merely
-/// that the pointer is valid.
-const OWNERSHIP_WORDS: &[&str] = &["owner", "transfer", "handed", "exclusive"];
-
-/// Whether lowercased `hay` mentions `kw` as scheduler prose — a match
-/// must start at a word boundary (`_` counts as one: `run_speculative`
-/// is in the path), and a `d-steal` rule-name mention does not count (so
-/// writing about the rule is not being in its path, while
-/// `work-stealing` still is).
-fn mentions(hay: &str, kw: &str) -> bool {
-    let mut from = 0;
-    while let Some(rel) = hay[from..].find(kw) {
-        let at = from + rel;
-        let pre = &hay[..at];
-        let boundary = pre.chars().next_back().is_none_or(|c| !c.is_alphanumeric());
-        if boundary && !pre.ends_with("d-") {
-            return true;
-        }
-        from = at + kw.len();
-    }
-    false
-}
-
-/// Words of ownership argument after `SAFETY:` in a comment block.
-fn safety_argument_words(block: &str) -> Option<usize> {
-    let at = safety_marker(block)?;
-    let arg = &block[at + "SAFETY:".len()..];
-    Some(
-        arg.split_whitespace()
-            .filter(|w| {
-                w.trim_matches(['/', '*', '-'])
-                    .chars()
-                    .any(char::is_alphanumeric)
-            })
-            .count(),
-    )
-}
-
 /// Lints `src` as if it lived at workspace-relative `rel_path`.
 ///
 /// Returns `None` when the path is outside simlint's scan scope (vendored
@@ -403,7 +340,6 @@ pub fn lint_classified(rel_path: &str, src: &str, class: FileClass) -> FileResul
     let unsafe_allowed = config::unsafe_file_allowed(rel_path);
 
     let toks = &scanned.tokens;
-    let src_lines: Vec<&str> = src.lines().collect();
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
             continue;
@@ -497,68 +433,6 @@ pub fn lint_classified(rel_path: &str, src: &str, class: FileClass) -> FileResul
                         None,
                         "`unsafe` without a `// SAFETY:` comment immediately above".to_string(),
                     );
-                }
-                // `unsafe impl Send/Sync`: the SAFETY comment must carry a
-                // substantive ownership argument, not a bare marker.
-                let is_send_sync_impl = toks.get(i + 1).is_some_and(|n| n.text == "impl")
-                    && toks[i + 2..]
-                        .iter()
-                        .take_while(|n| n.text != "for" && n.text != "{")
-                        .any(|n| n.text == "Send" || n.text == "Sync");
-                if is_send_sync_impl {
-                    let words = block.as_deref().and_then(safety_argument_words);
-                    if words.is_none_or(|w| w < 8) {
-                        emit(
-                            &mut out,
-                            &mut seen,
-                            Rule::USend,
-                            t.line,
-                            None,
-                            "`unsafe impl Send/Sync` needs a documented ownership argument \
-                             (a `// SAFETY:` comment of at least eight words)"
-                                .to_string(),
-                        );
-                    }
-                }
-                // D-STEAL: a steal/speculation-path unsafe site hands raw
-                // request access across worker threads. It must live in
-                // the audited executor file and its SAFETY argument must
-                // be an ownership-*transfer* argument — who owned the
-                // data before the steal, who owns it now.
-                let line_text = src_lines.get(t.line as usize - 1).copied().unwrap_or("");
-                let site =
-                    format!("{}\n{}", block.as_deref().unwrap_or(""), line_text).to_lowercase();
-                if STEAL_PATH_WORDS.iter().any(|k| mentions(&site, k)) {
-                    if !unsafe_allowed {
-                        emit(
-                            &mut out,
-                            &mut seen,
-                            Rule::DSteal,
-                            t.line,
-                            None,
-                            "steal/speculation-path `unsafe` outside the audited executor \
-                             (config::UNSAFE_FILES); the work-stealing ownership discipline \
-                             is only audited there — this rule is allowlist-only and cannot \
-                             be pragma-suppressed"
-                                .to_string(),
-                        );
-                    } else {
-                        let comment = block.as_deref().unwrap_or("").to_lowercase();
-                        if !OWNERSHIP_WORDS.iter().any(|k| mentions(&comment, k)) {
-                            emit(
-                                &mut out,
-                                &mut seen,
-                                Rule::DSteal,
-                                t.line,
-                                None,
-                                "steal/speculation-path `unsafe` without an \
-                                 ownership-transfer `// SAFETY:` argument: say who owned \
-                                 the data and who owns it now (ownership / transfer / \
-                                 handed / exclusive), not merely that the pointer is valid"
-                                    .to_string(),
-                            );
-                        }
-                    }
                 }
             }
             _ => {}
@@ -673,10 +547,16 @@ fn f(p: *mut u32) {
     unsafe { *p = 2 };
 }
 ";
-        let res = lint_classified("crates/cluster/src/shard.rs", src, SIM);
+        let res = lint_classified("crates/fake/src/a.rs", src, SIM);
         assert_eq!(fired(&res, Rule::USafety), 1);
-        assert_eq!(res.diagnostics[0].line, 4);
-        assert_eq!(fired(&res, Rule::UFile), 0, "shard.rs is allowlisted");
+        let lines: Vec<u32> = res
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == Rule::USafety)
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(lines, vec![4]);
+        assert_eq!(fired(&res, Rule::UFile), 2, "no file allowlists unsafe");
     }
 
     #[test]
@@ -690,94 +570,6 @@ unsafe fn f() {}
         assert_eq!(fired(&res, Rule::UFile), 1);
         // The pragma naming an unsuppressable rule is itself diagnosed.
         assert_eq!(fired(&res, Rule::LintPragma), 1);
-    }
-
-    #[test]
-    fn u_send_needs_an_ownership_argument() {
-        let bad = "\
-// SAFETY: trust me.
-unsafe impl Send for T {}
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", bad, SIM);
-        assert_eq!(fired(&res, Rule::USend), 1);
-
-        let good = "\
-// SAFETY: the table is only dereferenced by the shard that owns the
-// request's group during a window; the coordinator never touches it
-// while a window is in flight.
-unsafe impl Send for T {}
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", good, SIM);
-        assert_eq!(fired(&res, Rule::USend), 0);
-        assert_eq!(fired(&res, Rule::USafety), 0);
-    }
-
-    #[test]
-    fn d_steal_needs_an_ownership_transfer_argument() {
-        // Valid-pointer prose is not an ownership-transfer argument.
-        let bad = "\
-// SAFETY: the deque said the stolen pointer is valid.
-unsafe fn apply(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", bad, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 1);
-
-        let good = "\
-// SAFETY: ownership of the stolen task is handed to exactly one
-// worker at pop; access is exclusive for the rest of the window.
-unsafe fn apply(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", good, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 0);
-
-        // Scheduler vocabulary on the code line itself marks the site.
-        let line_marked = "\
-// SAFETY: the pointer is valid for writes.
-unsafe fn run_speculative(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", line_marked, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 1);
-
-        // Unrelated unsafe stays out of the rule's path.
-        let unrelated = "\
-// SAFETY: p is valid for writes; caller holds the unique reference.
-unsafe fn plain(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", unrelated, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 0);
-    }
-
-    #[test]
-    fn d_steal_fires_outside_the_executor_and_resists_pragmas() {
-        let src = "\
-// simlint: allow(D-STEAL)
-// SAFETY: ownership of the stolen task transfers to this worker.
-unsafe fn apply(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/kvcache/src/manager.rs", src, SIM);
-        // Outside the audited executor the rule fires even with a perfect
-        // ownership argument, and the pragma attempt is itself diagnosed.
-        assert_eq!(fired(&res, Rule::DSteal), 1);
-        assert_eq!(fired(&res, Rule::LintPragma), 1);
-    }
-
-    #[test]
-    fn d_steal_ignores_rule_name_mentions_but_not_work_stealing() {
-        // A comment about the D-STEAL rule itself is not scheduler prose.
-        let rule_mention = "\
-// SAFETY: p is valid (see the D-STEAL analyzer note for context).
-unsafe fn plain(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", rule_mention, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 0);
-
-        // `work-stealing` is.
-        let hyphenated = "\
-// SAFETY: valid under the work-stealing protocol.
-unsafe fn plain(p: *mut u32) { *p = 1; }
-";
-        let res = lint_classified("crates/cluster/src/shard.rs", hyphenated, SIM);
-        assert_eq!(fired(&res, Rule::DSteal), 1);
     }
 
     #[test]

@@ -83,22 +83,8 @@ fn sweep() -> Vec<(&'static str, FileResult)> {
             lint_classified("fixtures/d_cast.rs", &fixture("d_cast.rs"), SIM),
         ),
         (
-            "d_steal.rs @ executor",
-            // At the audited executor path U-FILE stays quiet and D-STEAL
-            // judges the SAFETY wording alone.
-            lint_classified("crates/cluster/src/shard.rs", &fixture("d_steal.rs"), SIM),
-        ),
-        (
-            "d_steal.rs @ sim",
-            // Outside the executor every steal-path site fires regardless
-            // of wording (plus U-FILE, which has its own fixture).
-            lint_classified("fixtures/d_steal.rs", &fixture("d_steal.rs"), SIM),
-        ),
-        (
-            "u_safety.rs @ unsafe-allowlisted",
-            // Linted as-if at the one audited unsafe file so U-FILE stays
-            // quiet and U-SAFETY / U-SEND are isolated.
-            lint_classified("crates/cluster/src/shard.rs", &fixture("u_safety.rs"), SIM),
+            "u_safety.rs @ sim",
+            lint_classified("fixtures/u_safety.rs", &fixture("u_safety.rs"), SIM),
         ),
         (
             "u_file.rs @ sim",
@@ -153,54 +139,28 @@ fn d_cast_fires_on_metric_paths_only() {
 }
 
 #[test]
-fn d_steal_judges_wording_inside_the_executor_and_place_outside() {
+fn u_safety_fires_and_suppresses() {
     let all = sweep();
     let res = &all[7].1;
-    // Valid-pointer wording (line 6), a pragma-resistant speculative site
-    // (line 18); the ownership-transfer argument (line 12) and the
-    // unrelated site (line 23) stay quiet.
-    assert_eq!(counts(res, Rule::DSteal), (2, 0, 0), "executor path");
-    assert_eq!(counts(res, Rule::LintPragma), (1, 0, 0), "pragma attempt");
-    let lines: Vec<u32> = res
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == Rule::DSteal)
-        .map(|d| d.line)
-        .collect();
-    assert_eq!(lines, vec![6, 18]);
-
-    let res = &all[8].1;
-    // Outside the audited executor all three steal-path sites fire, the
-    // well-worded one included; the unrelated site still does not.
-    assert_eq!(counts(res, Rule::DSteal), (3, 0, 0), "outside the executor");
-    let lines: Vec<u32> = res
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == Rule::DSteal)
-        .map(|d| d.line)
-        .collect();
-    assert_eq!(lines, vec![6, 12, 18]);
-}
-
-#[test]
-fn u_safety_and_u_send_fire_and_suppress() {
-    let all = sweep();
-    let res = &all[9].1;
     assert_eq!(counts(res, Rule::USafety), (1, 1, 0));
-    assert_eq!(counts(res, Rule::USend), (1, 0, 0));
-    assert_eq!(counts(res, Rule::UFile), (0, 0, 0), "allowlisted file");
-    let fired: Vec<(&str, u32)> = res
+    assert_eq!(
+        counts(res, Rule::UFile),
+        (3, 0, 0),
+        "no file allowlists unsafe"
+    );
+    let lines: Vec<u32> = res
         .diagnostics
         .iter()
-        .map(|d| (d.rule.id(), d.line))
+        .filter(|d| d.rule == Rule::USafety)
+        .map(|d| d.line)
         .collect();
-    assert_eq!(fired, vec![("U-SAFETY", 7), ("U-SEND", 23)]);
+    assert_eq!(lines, vec![6]);
 }
 
 #[test]
 fn u_file_fires_and_resists_pragmas() {
     let all = sweep();
-    let res = &all[10].1;
+    let res = &all[8].1;
     assert_eq!(counts(res, Rule::UFile), (2, 0, 0));
     assert_eq!(
         counts(res, Rule::USafety),

@@ -1,10 +1,9 @@
-//! U-SAFETY / U-SEND fixture, linted under the allowlisted unsafe file
-//! path so `U-FILE` stays quiet.
-//! Expected: U-SAFETY 1 fired, 1 suppressed; U-SEND 1 fired (the Send
-//! impl has a SAFETY marker — so no U-SAFETY — but no argument).
+//! U-SAFETY fixture. No file allowlists `unsafe`, so U-FILE fires at
+//! every site here too (3 fired); this fixture's own subject is
+//! U-SAFETY: 1 fired, 1 suppressed.
 
 fn undocumented(p: *mut u32) {
-    unsafe { *p = 1 }; // fires U-SAFETY: line 7
+    unsafe { *p = 1 }; // fires U-SAFETY: line 6
 }
 
 fn documented(p: *mut u32) {
@@ -14,14 +13,5 @@ fn documented(p: *mut u32) {
 
 fn pragma_escape(p: *mut u32) {
     // simlint: allow(U-SAFETY) — fixture: the suppression path.
-    unsafe { *p = 3 }; // suppressed (still a U-FILE hit in other files)
+    unsafe { *p = 3 }; // suppressed (U-FILE still fires)
 }
-
-struct Table(*mut u8);
-
-// SAFETY: short.
-unsafe impl Send for Table {} // fires U-SEND: marker comment, no argument
-
-// SAFETY: fixture ownership argument — each thread dereferences only the
-// slots its shard owns during a window, so access is pairwise disjoint.
-unsafe impl Sync for Table {} // ok: a substantive (≥ 8 word) argument

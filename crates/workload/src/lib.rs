@@ -35,10 +35,7 @@
 //! abort and re-arrive with deterministic exponential backoff — the
 //! amplification mechanism behind the cascading-recovery storm.
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod arrivals;
 pub mod dataset;

@@ -8,13 +8,13 @@
 //! cascading-recovery storm) unless the serving side sheds.
 //!
 //! Everything here is a pure function of `(policy, request id, attempt)` —
-//! no RNG state is threaded through the executors, so retry re-arrivals are
-//! seed-deterministic under any worker count and any event interleaving.
+//! no RNG state is threaded through the engine, so retry re-arrivals are
+//! seed-deterministic under any event interleaving.
 
 use sim_core::SimDuration;
 
-/// Deterministic splitmix64 — the same mixer the sharded executor uses for
-/// per-group RNG streams; good avalanche behaviour from consecutive inputs.
+/// Deterministic splitmix64: good avalanche behaviour from consecutive
+/// inputs.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -2,7 +2,7 @@
 //!
 //! A pre-materialized [`Trace`] fits batch replays, but a gateway driving
 //! an incremental engine session needs arrivals *on demand* — it pulls
-//! everything due before the next monitor-tick/barrier boundary, injects,
+//! everything due before the next monitor-tick boundary, injects,
 //! and steps. [`ArrivalSource`] is that contract; [`TraceSource`] adapts a
 //! trace, and [`OpenLoopSource`] generates an unbounded seeded Poisson
 //! stream (the open-loop synthetic-client half of the virtual-time

@@ -26,10 +26,7 @@
 //! assert_eq!(outcome.report.finished_requests, trace.len());
 //! ```
 
-// `unsafe` is confined to the audited allowlist in `simlint::config`
-// (today: `cluster/src/shard.rs` only); everything else refuses it at
-// compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub use cluster;
 pub use costmodel;
@@ -45,12 +42,7 @@ pub use workload;
 /// One-line imports for examples and tests.
 pub mod prelude {
     pub use cluster::{
-        ClusterConfig, Engine, FailureInjector, FailureSchedule, ParallelConfig, Policy, RunReport,
-        ShardedEngine, Testbed,
-    };
-    #[allow(deprecated)]
-    pub use kunserve::serving::{
-        run_system, run_system_sharded, run_system_sharded_with_failures, run_system_with_failures,
+        ClusterConfig, Engine, FailureInjector, FailureSchedule, Policy, RunReport, Testbed,
     };
     pub use kunserve::serving::{Run, RunOutcome, ServingSession, SystemKind};
     pub use kunserve::{KunServeConfig, KunServePolicy};

@@ -8,15 +8,14 @@
 //! - **Bridge determinism**: the gateway is a pure bridge. Replaying the
 //!   same arrival sequence through `Gateway::submit` + `pump_until` must
 //!   produce a report byte-identical to handing the materialized trace to
-//!   the batch [`Run`] builder — on the sharded executor at 1, 2 and 4
-//!   workers. The elastic hot-swap (`unload_model`/`load_model`) is held
-//!   to the same worker-count invariance with the memory ledger audited
-//!   at every pump boundary.
+//!   the batch [`Run`] builder, for every system of the paper's lineup.
+//!   The elastic hot-swap (`unload_model`/`load_model`) runs with the
+//!   memory ledger audited at every pump boundary.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{ModelAvailability, ModelId, ParallelConfig};
+use cluster::{ModelAvailability, ModelId};
 use gateway::{Gateway, GatewayError, Quota, RequestStatus, SubmitSpec, Virtual};
 use kunserve::serving::Run;
 use kunserve_repro::prelude::*;
@@ -103,147 +102,155 @@ fn session_lifecycle_submit_stream_cancel_quota() {
     assert!(state.ledger().check_invariants("final").is_empty());
 }
 
+/// Replays `trace` through a gateway and returns the report plus the
+/// reconfig timeline, serialized.
+fn gateway_replay(kind: SystemKind, cfg: &ClusterConfig, trace: &Trace) -> String {
+    let drain = SimDuration::from_secs(600);
+    let mut gw = Gateway::new(kind, cfg.clone(), Virtual);
+    gw.register_tenant("replay", "k", Quota::UNLIMITED);
+    for spec in &trace.requests {
+        gw.submit(
+            "k",
+            SubmitSpec::new(
+                spec.model,
+                spec.arrival,
+                spec.input_tokens,
+                spec.output_tokens,
+            ),
+        )
+        .unwrap();
+    }
+    gw.pump_until(SimTime::ZERO + trace.duration());
+    let (report, state) = gw.finish(drain);
+    format!("{:?}|{:?}", report, state.metrics.reconfig_events)
+}
+
+/// The same trace through the batch `Run` builder, serialized alike.
+fn batch_run(kind: SystemKind, cfg: &ClusterConfig, trace: &Trace) -> (String, RunOutcome) {
+    let out = Run::new(kind, cfg.clone(), trace)
+        .drain(SimDuration::from_secs(600))
+        .execute();
+    let bytes = format!("{:?}|{:?}", out.report, out.state.metrics.reconfig_events);
+    (bytes, out)
+}
+
 /// The bridge-determinism contract: gateway submissions and the batch
 /// `Run` builder are two front doors to the same deterministic world.
 #[test]
-fn gateway_replay_is_byte_identical_to_batch_run_at_1_2_4_workers() {
-    let cfg = ClusterConfig::tiny_test(2);
-    let drain = SimDuration::from_secs(600);
-    let horizon = SimDuration::from_secs(20);
-    // A Poisson open-loop stream: arrivals are continuous, so none land
+fn gateway_replay_is_byte_identical_to_batch_run() {
+    // Poisson open-loop streams: arrivals are continuous, so none land
     // exactly on the 100 ms monitor grid.
-    let trace = OpenLoopSource::new(Dataset::BurstGpt, 18.0, 0xB1D6E).to_trace(horizon);
-    assert!(!trace.is_empty());
-
-    let pcfg = |workers| ParallelConfig {
-        workers,
-        num_shards: 4,
-        lookahead: None,
-        speculation: false,
-    };
-    let mut fingerprints = Vec::new();
-    for workers in [1, 2, 4] {
-        let batch = Run::new(SystemKind::KunServe, cfg.clone(), &trace)
-            .drain(drain)
-            .sharded(pcfg(workers))
-            .execute();
-
-        let mut gw = Gateway::sharded(SystemKind::KunServe, cfg.clone(), pcfg(workers), Virtual);
-        gw.register_tenant("replay", "k", Quota::UNLIMITED);
-        for spec in &trace.requests {
-            gw.submit(
-                "k",
-                SubmitSpec::new(
-                    spec.model,
-                    spec.arrival,
-                    spec.input_tokens,
-                    spec.output_tokens,
-                ),
-            )
-            .unwrap();
+    let cfg = ClusterConfig::tiny_test(2);
+    for seed in [0xB1D6E, 3, 17] {
+        let trace =
+            OpenLoopSource::new(Dataset::BurstGpt, 18.0, seed).to_trace(SimDuration::from_secs(20));
+        assert!(!trace.is_empty());
+        for kind in SystemKind::paper_lineup() {
+            assert_eq!(
+                gateway_replay(kind, &cfg, &trace),
+                batch_run(kind, &cfg, &trace).0,
+                "{} (seed {seed}): gateway submissions must replay the batch run byte-for-byte",
+                kind.name()
+            );
         }
-        gw.pump_until(SimTime::ZERO + horizon);
-        let (report, state) = gw.finish(drain);
-
-        let via_gateway = format!("{:?}|{:?}", report, state.metrics.reconfig_events);
-        let via_batch = format!(
-            "{:?}|{:?}",
-            batch.report, batch.state.metrics.reconfig_events
-        );
-        assert_eq!(
-            via_gateway, via_batch,
-            "{workers} workers: gateway submissions must replay the batch run byte-for-byte"
-        );
-        fingerprints.push(via_gateway);
     }
-    assert!(
-        fingerprints.windows(2).all(|w| w[0] == w[1]),
-        "worker counts must agree with each other"
-    );
+
+    // A memory-overloading burst, where KunServe drops parameters: the
+    // bridge must also carry the reconfiguration timeline exactly.
+    let trace = BurstTraceBuilder::new(Dataset::BurstGpt)
+        .base_rps(60.0)
+        .duration(SimDuration::from_secs(25))
+        .burst(SimTime::from_secs(6), SimDuration::from_secs(12), 3.0)
+        .seed(9)
+        .build();
+    let mut cfg = ClusterConfig::tiny_test(4);
+    cfg.reserve_frac = 0.45;
+    for kind in SystemKind::paper_lineup() {
+        let (batch, out) = batch_run(kind, &cfg, &trace);
+        if kind == SystemKind::KunServe {
+            let drops = out
+                .state
+                .metrics
+                .reconfig_events
+                .iter()
+                .filter(|(_, w)| w.starts_with("drop"))
+                .count();
+            assert!(drops > 0, "the burst must make KunServe drop");
+        }
+        assert_eq!(
+            gateway_replay(kind, &cfg, &trace),
+            batch,
+            "{} (burst): gateway submissions must replay the batch run byte-for-byte",
+            kind.name()
+        );
+    }
 }
 
 /// The elastic hot-swap through the gateway: unload drains and parks the
 /// chat model (its parameter bytes become lendable in the ledger), load
-/// restores it — byte-identically at every worker count, with the ledger
-/// invariants holding at every pump boundary.
+/// restores it, with the ledger invariants holding at every pump boundary
+/// and every loan settled at the end.
 #[test]
-fn hot_swap_is_ledger_audited_and_worker_count_invariant() {
+fn hot_swap_is_ledger_audited() {
     let cfg = ClusterConfig::tiny_two_model(3, 2);
     let chat = ModelId(1);
-    let pcfg = |workers| ParallelConfig {
-        workers,
-        num_shards: 4,
-        lookahead: None,
-        speculation: false,
-    };
-
-    let run = |workers: usize| -> String {
-        let mut gw = Gateway::sharded(SystemKind::KunServe, cfg.clone(), pcfg(workers), Virtual);
-        gw.register_tenant("ops", "k", Quota::UNLIMITED);
-        // Light primary traffic across the whole window; chat traffic
-        // only ahead of the unload, so no accepted submission targets the
-        // parked model. Both streams are off the monitor grid.
-        let primary =
-            OpenLoopSource::new(Dataset::BurstGpt, 6.0, 7).to_trace(SimDuration::from_secs(30));
-        let chat_burst = OpenLoopSource::new(Dataset::BurstGpt, 4.0, 11)
-            .model(chat)
-            .to_trace(SimDuration::from_secs(5));
-        for spec in primary.requests.iter().chain(&chat_burst.requests) {
-            gw.submit(
-                "k",
-                SubmitSpec::new(
-                    spec.model,
-                    spec.arrival,
-                    spec.input_tokens,
-                    spec.output_tokens,
-                ),
-            )
-            .unwrap();
+    let mut gw = Gateway::new(SystemKind::KunServe, cfg, Virtual);
+    gw.register_tenant("ops", "k", Quota::UNLIMITED);
+    // Light primary traffic across the whole window; chat traffic only
+    // ahead of the unload, so no accepted submission targets the parked
+    // model. Both streams are off the monitor grid.
+    let primary =
+        OpenLoopSource::new(Dataset::BurstGpt, 6.0, 7).to_trace(SimDuration::from_secs(30));
+    let chat_burst = OpenLoopSource::new(Dataset::BurstGpt, 4.0, 11)
+        .model(chat)
+        .to_trace(SimDuration::from_secs(5));
+    for spec in primary.requests.iter().chain(&chat_burst.requests) {
+        gw.submit(
+            "k",
+            SubmitSpec::new(
+                spec.model,
+                spec.arrival,
+                spec.input_tokens,
+                spec.output_tokens,
+            ),
+        )
+        .unwrap();
+    }
+    let mut swapped_out = false;
+    let mut swapped_in = false;
+    let mut t = SimTime::ZERO;
+    while t < SimTime::from_secs(40) {
+        t += SimDuration::from_millis(500);
+        gw.pump_until(t);
+        let audit = gw.state().ledger().check_invariants(&t.to_string());
+        assert!(audit.is_empty(), "{}", audit.join("\n"));
+        if !swapped_out && t >= SimTime::from_secs(8) {
+            gw.unload_model(chat).unwrap();
+            swapped_out = true;
         }
-        let mut swapped_out = false;
-        let mut swapped_in = false;
-        let mut t = SimTime::ZERO;
-        while t < SimTime::from_secs(40) {
-            t += SimDuration::from_millis(500);
-            gw.pump_until(t);
-            let audit = gw.state().ledger().check_invariants(&t.to_string());
-            assert!(audit.is_empty(), "{workers} workers: {}", audit.join("\n"));
-            if !swapped_out && t >= SimTime::from_secs(8) {
-                gw.unload_model(chat).unwrap();
-                swapped_out = true;
-            }
-            if swapped_out
-                && !swapped_in
-                && t >= SimTime::from_secs(20)
-                && gw.model_availability(chat) == ModelAvailability::Unloaded
-            {
-                gw.load_model(chat).unwrap();
-                swapped_in = true;
-            }
+        if swapped_out
+            && !swapped_in
+            && t >= SimTime::from_secs(20)
+            && gw.model_availability(chat) == ModelAvailability::Unloaded
+        {
+            gw.load_model(chat).unwrap();
+            swapped_in = true;
         }
-        assert!(
-            swapped_out && swapped_in,
-            "{workers} workers: swap must complete"
-        );
-        assert_eq!(gw.model_availability(chat), ModelAvailability::Available);
-        let (report, state) = gw.finish(SimDuration::from_secs(300));
-        assert!(state.ledger().check_invariants("final").is_empty());
-        assert_eq!(state.donated_bytes_outstanding(), 0, "ledger not settled");
-        let unloaded = state
-            .metrics
-            .reconfig_events
-            .iter()
-            .any(|(_, w)| w.starts_with("unload:"));
-        let loaded = state
-            .metrics
-            .reconfig_events
-            .iter()
-            .any(|(_, w)| w.starts_with("load:"));
-        assert!(unloaded && loaded, "the swap must be in the reconfig log");
-        format!("{:?}|{:?}", report, state.metrics.reconfig_events)
-    };
-
-    let one = run(1);
-    assert_eq!(one, run(2), "2 workers must match 1");
-    assert_eq!(one, run(4), "4 workers must match 1");
+    }
+    assert!(swapped_out && swapped_in, "swap must complete");
+    assert_eq!(gw.model_availability(chat), ModelAvailability::Available);
+    let (_, state) = gw.finish(SimDuration::from_secs(300));
+    assert!(state.ledger().check_invariants("final").is_empty());
+    assert_eq!(state.donated_bytes_outstanding(), 0, "ledger not settled");
+    let unloaded = state
+        .metrics
+        .reconfig_events
+        .iter()
+        .any(|(_, w)| w.starts_with("unload:"));
+    let loaded = state
+        .metrics
+        .reconfig_events
+        .iter()
+        .any(|(_, w)| w.starts_with("load:"));
+    assert!(unloaded && loaded, "the swap must be in the reconfig log");
 }

@@ -30,7 +30,7 @@ fn two_model_trace(rps_a: f64, rps_b: f64, mult: f64, seed: u64) -> Trace {
 fn check_invariants(state: &ClusterState, now: SimTime, violations: &mut Vec<String>) {
     // (1)+(2) Per instance and cluster-wide HBM accounting (params + KV +
     // donations + reserve ≤ HBM) — the shared `MemoryLedger` invariants,
-    // which the executors also `debug_assert!` at barriers.
+    // which the engine also `debug_assert!`s at monitor ticks.
     violations.extend(state.ledger().check_invariants(&now.to_string()));
     // (3) Every live group jointly holds a complete copy of its model, so
     // it never serves with missing (dropped, unrestored) parameters; a
