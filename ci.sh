@@ -3,11 +3,11 @@
 # structured as named stages:
 #
 #   fmt     cargo fmt --check
-#   build   release build, all targets
+#   build   release build, all targets, then the frozen benchmark
+#           (perfbench/, its own workspace): neither may print a warning
 #   test    cargo test across the workspace
-#   clippy  clippy with -D warnings
-#   lint    simlint determinism & unsafe-memory pass (D-*/U-* rules):
-#           zero unsuppressed diagnostics, report schema + budget gated
+#   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
+#           and the determinism lints (clippy.toml)
 #   smoke   fig18 (main + donation legs), fig17 smokes: schema validation,
 #           per-figure regression gates, and the wall-clock budget gate
 #   scenarios  the fig19-fig22 scenario matrix (diurnal, cold-start storm,
@@ -31,7 +31,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test clippy lint smoke scenarios gateway scale)
+ALL_STAGES=(fmt build test clippy smoke scenarios gateway scale)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -89,6 +89,18 @@ stage_fmt() {
 
 stage_build() {
     cargo build --release --workspace --all-targets --offline
+    echo "--- frozen benchmark build (path dependencies on the crates)"
+    local log
+    log=$(cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+        --target-dir target/perfbench 2>&1) || {
+        printf '%s\n' "$log"
+        return 1
+    }
+    printf '%s\n' "$log"
+    if grep -q 'warning:' <<<"$log"; then
+        echo "ci.sh: the perfbench build printed warnings" >&2
+        return 1
+    fi
 }
 
 stage_test() {
@@ -97,18 +109,6 @@ stage_test() {
 
 stage_clippy() {
     cargo clippy --workspace --all-targets --offline -- -D warnings
-}
-
-stage_lint() {
-    local lint_json=target/simlint.json
-    echo "--- simlint scan (determinism + unsafe-memory rules)"
-    cargo run --release --offline -q -p simlint -- --json "$lint_json"
-    echo "--- simlint report schema + cleanliness gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --simlint "$lint_json"
-    echo "--- simlint wall-clock budget gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json "$lint_json"
 }
 
 stage_smoke() {

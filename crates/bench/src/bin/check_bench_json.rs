@@ -17,14 +17,7 @@
 //!   to a `max_wall_clock_ms` ceiling (`{"budgets": {"fig": ms}}`);
 //!   every given bench document must name a budgeted figure and come in
 //!   under its ceiling, so bench-bin runtime regressions fail CI
-//!   instead of silently bloating tier-1;
-//! - `check_bench_json --simlint <simlint.json>` — validates the static
-//!   analyzer's report (`cargo run -p simlint` writes
-//!   `target/simlint.json`): the document must carry the simlint
-//!   contract (figure/tool `"simlint"`, `schema_version` 1, numeric
-//!   `wall_clock_ms` and `files_scanned`, per-rule counters for every
-//!   rule ID, a `diagnostics` array), be internally consistent, and be
-//!   clean — any unsuppressed diagnostic fails CI.
+//!   instead of silently bloating tier-1.
 //!
 //! The tolerance file pins, per system name:
 //! - `max_ttft_p99_s`: hard ceiling on cluster-wide p99 TTFT (seconds);
@@ -207,127 +200,6 @@ fn run_schema_mode(paths: &[String]) -> ExitCode {
     fail(&format!("{} schema violation(s)", violations.len()))
 }
 
-/// The rule IDs `target/simlint.json` must account for — kept in sync
-/// with `simlint::rules::ALL_RULES` (the simlint test suite pins the
-/// report shape; this gate pins that CI parses the same contract).
-const SIMLINT_RULES: &[&str] = &[
-    "D-MAP",
-    "D-TIME",
-    "D-RAND",
-    "D-CAST",
-    "U-FILE",
-    "U-SAFETY",
-    "LINT-PRAGMA",
-];
-
-/// Validates `target/simlint.json`: the report must carry the simlint
-/// contract (figure/tool/schema_version/wall_clock_ms/files_scanned/ok,
-/// per-rule counters for every known rule, a diagnostics array), be
-/// internally consistent (`ok` ⇔ zero fired ⇔ no diagnostics), and be
-/// clean (`ok: true`) — an unsuppressed diagnostic fails the gate.
-fn run_simlint_mode(paths: &[String]) -> ExitCode {
-    let [path] = paths else {
-        return fail("usage: check_bench_json --simlint <simlint.json>");
-    };
-    let doc = match load(path) {
-        Ok(d) => d,
-        Err(e) => return fail(&e),
-    };
-    let mut v: Vec<String> = Vec::new();
-    for (key, want) in [("figure", "simlint"), ("tool", "simlint")] {
-        if doc.get(key).and_then(Json::as_str) != Some(want) {
-            v.push(format!("{path}: `{key}` must be the string \"{want}\""));
-        }
-    }
-    if doc.get("schema_version").and_then(Json::as_f64) != Some(1.0) {
-        v.push(format!("{path}: `schema_version` must be 1"));
-    }
-    if doc.get("wall_clock_ms").and_then(Json::as_f64).is_none() {
-        v.push(format!("{path}: missing numeric `wall_clock_ms`"));
-    }
-    let files = doc.get("files_scanned").and_then(Json::as_f64);
-    if files.is_none_or(|f| f < 1.0) {
-        v.push(format!("{path}: `files_scanned` must be a positive number"));
-    }
-    let ok = doc.get("ok").and_then(Json::as_bool);
-    if ok.is_none() {
-        v.push(format!("{path}: missing boolean `ok`"));
-    }
-
-    let mut total_fired = 0.0;
-    match doc.get("rules").and_then(Json::as_arr) {
-        Some(rules) => {
-            for want in SIMLINT_RULES {
-                let Some(entry) = rules
-                    .iter()
-                    .find(|r| r.get("rule").and_then(Json::as_str) == Some(want))
-                else {
-                    v.push(format!("{path}: rules[] lacks an entry for `{want}`"));
-                    continue;
-                };
-                for key in ["fired", "suppressed", "allowlisted"] {
-                    match entry.get(key).and_then(Json::as_f64) {
-                        Some(n) if n >= 0.0 => {
-                            if key == "fired" {
-                                total_fired += n;
-                            }
-                        }
-                        _ => v.push(format!("{path}: rule `{want}` lacks numeric `{key}`")),
-                    }
-                }
-            }
-        }
-        None => v.push(format!("{path}: missing `rules` array")),
-    }
-
-    let mut diag_count = 0usize;
-    match doc.get("diagnostics").and_then(Json::as_arr) {
-        Some(diags) => {
-            diag_count = diags.len();
-            for (i, d) in diags.iter().enumerate() {
-                if d.get("rule").and_then(Json::as_str).is_none()
-                    || d.get("file").and_then(Json::as_str).is_none()
-                    || d.get("line").and_then(Json::as_f64).is_none()
-                    || d.get("message").and_then(Json::as_str).is_none()
-                {
-                    v.push(format!(
-                        "{path}: diagnostics[{i}] lacks rule/file/line/message"
-                    ));
-                }
-            }
-        }
-        None => v.push(format!("{path}: missing `diagnostics` array")),
-    }
-
-    // Internal consistency: the three clean-scan signals must agree.
-    if let Some(ok) = ok {
-        if ok != (diag_count == 0) || ok != (total_fired == 0.0) {
-            v.push(format!(
-                "{path}: inconsistent report: ok={ok}, {diag_count} diagnostics, \
-                 {total_fired:.0} fired"
-            ));
-        }
-    }
-
-    if !v.is_empty() {
-        for msg in &v {
-            eprintln!("check_bench_json: simlint: {msg}");
-        }
-        return fail(&format!("{} simlint schema violation(s)", v.len()));
-    }
-    if ok != Some(true) {
-        return fail(&format!(
-            "{path}: simlint found {diag_count} unsuppressed diagnostic(s) — \
-             run `cargo run -p simlint` for file:line details"
-        ));
-    }
-    println!(
-        "check_bench_json: PASS (simlint clean: {:.0} files, 0 unsuppressed diagnostics)",
-        files.unwrap_or(0.0)
-    );
-    ExitCode::SUCCESS
-}
-
 fn run_budget_mode(paths: &[String]) -> ExitCode {
     let [budget_path, bench_paths @ ..] = paths else {
         return fail("usage: check_bench_json --budget <budget.json> <bench.json>...");
@@ -382,13 +254,12 @@ fn main() -> ExitCode {
     match args.split_first() {
         Some((mode, rest)) if mode == "--schema" => return run_schema_mode(rest),
         Some((mode, rest)) if mode == "--budget" => return run_budget_mode(rest),
-        Some((mode, rest)) if mode == "--simlint" => return run_simlint_mode(rest),
         _ => {}
     }
     let [bench_path, tol_path] = args.as_slice() else {
         return fail(
             "usage: check_bench_json <bench.json> <tolerance.json> | --schema <bench.json>... \
-             | --budget <budget.json> <bench.json>... | --simlint <simlint.json>",
+             | --budget <budget.json> <bench.json>...",
         );
     };
     let bench = match load(bench_path) {

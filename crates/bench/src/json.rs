@@ -5,6 +5,10 @@
 //! consumes: objects, arrays, strings, finite numbers, booleans and null.
 //! Objects preserve insertion order so emitted files are deterministic.
 
+// Every cast on the path from raw samples to reported numbers rounds
+// silently, so each truncating one states its rationale in an `#[expect]`.
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use std::fmt;
 
 /// A JSON value.
@@ -47,14 +51,6 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -104,9 +100,13 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 1e15 {
-                    // simlint: allow(D-CAST) — exact: fract() == 0 and
-                    // |n| < 1e15 < 2^53, so the integer is represented.
-                    write!(f, "{}", *n as i64)
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "exact: fract() == 0 and |n| < 1e15 < 2^53, so the integer \
+                                  is represented"
+                    )]
+                    let int = *n as i64;
+                    write!(f, "{int}")
                 } else {
                     write!(f, "{n:.6}")
                 }
@@ -120,9 +120,7 @@ impl fmt::Display for Json {
                         '\n' => write!(f, "\\n")?,
                         '\t' => write!(f, "\\t")?,
                         '\r' => write!(f, "\\r")?,
-                        // simlint: allow(D-CAST) — char -> u32 is a
-                        // lossless widening of the scalar value.
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
                         c => write!(f, "{c}")?,
                     }
                 }

@@ -7,8 +7,6 @@
 //! to the simulated cluster's serving capacity (the paper does the same
 //! with TraceUpscaler).
 
-#![forbid(unsafe_code)]
-
 use cluster::{ClusterConfig, ModelId};
 use kunserve::serving::{Run, RunOutcome, SystemKind};
 use sim_core::{SimDuration, SimTime};

@@ -161,7 +161,7 @@ mod tests {
     fn all_tokens_preserved_per_request() {
         let work: Vec<SeqChunk> = (0..17).map(|i| chunk(i, 0, (i as u64 + 1) * 10)).collect();
         let mbs = token_count_form(&work, 4);
-        let mut per_req = std::collections::HashMap::new();
+        let mut per_req = std::collections::BTreeMap::new();
         for mb in &mbs {
             for c in &mb.chunks {
                 *per_req.entry(c.request.0).or_insert(0u64) += c.work.new_tokens;

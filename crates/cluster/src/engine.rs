@@ -612,18 +612,6 @@ impl<P: Policy> Engine<P> {
         let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
 
         let finish = start + makespan;
-        if std::env::var("KS_DEBUG_ITER").is_ok() && makespan > SimDuration::from_millis(100) {
-            let chunks = mbs.iter().flat_map(|m| m.chunks.iter());
-            let decodes = chunks.clone().filter(|c| c.work.new_tokens == 1).count();
-            let ptok: u64 = chunks
-                .filter(|c| c.work.new_tokens > 1)
-                .map(|c| c.work.new_tokens)
-                .sum();
-            eprintln!(
-                "[{}] big iter group{} stages={} mbs={} decodes={} prefill_tok={} makespan={} overhead={} bubble={:.2}",
-                self.now, group.0, stages, mbs.len(), decodes, ptok, makespan, overhead, bubble_frac
-            );
-        }
         let g = self.state.group_mut(group);
         g.iter_seq += 1;
         let seq = g.iter_seq;

@@ -22,6 +22,8 @@
 //! transparent [`Policy`] wrapper: the inner policy keeps making its normal
 //! decisions while the cluster churns underneath it.
 
+use std::collections::BTreeMap;
+
 use sim_core::SimTime;
 
 use crate::batch::{MicroBatch, SeqChunk};
@@ -181,12 +183,8 @@ impl FailureSchedule {
     /// already-dead instance is skipped), so overlapping rack/instance
     /// scripts are legal, just unusual.
     pub fn validate(&self) -> Result<(), ScheduleError> {
-        // simlint: allow(D-MAP) — audit: keyed lookup only, never
-        // iterated; events are replayed in sorted order.
-        use std::collections::HashMap;
         // Target key → the event that opened its current down-window.
-        // simlint: allow(D-MAP) — audit: see the `use` above.
-        let mut down: HashMap<(u8, u64), FailureEvent> = HashMap::new();
+        let mut down: BTreeMap<(u8, u64), FailureEvent> = BTreeMap::new();
         for ev in self.sorted_events() {
             let (key, opens) = match ev.kind {
                 FaultKind::RackDown(r) => ((0u8, r as u64), true),

@@ -231,7 +231,7 @@ fn best_split_tokens(w: ChunkWork, cost: &CostParams, want: f64) -> Option<u64> 
 mod tests {
     use super::*;
     use crate::request::RequestId;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn params() -> CostParams {
         CostParams::qwen14b_a800()
@@ -248,8 +248,8 @@ mod tests {
     }
 
     /// Sums each request's new tokens across all microbatches.
-    fn tokens_per_request(mbs: &[MicroBatch]) -> HashMap<usize, u64> {
-        let mut m = HashMap::new();
+    fn tokens_per_request(mbs: &[MicroBatch]) -> BTreeMap<usize, u64> {
+        let mut m = BTreeMap::new();
         for mb in mbs {
             for c in &mb.chunks {
                 *m.entry(c.request.0).or_insert(0) += c.work.new_tokens;
@@ -397,6 +397,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock complexity bound on the test itself, not simulated time"
+    )]
     fn recursion_is_logarithmic_in_tokens() {
         // 64K tokens at min 512 → at most ~128 leaves + interior: fast.
         let work = vec![chunk(0, 0, 65_536)];

@@ -15,6 +15,11 @@
 //! "each instance (containing multiple GPUs) can be viewed as a whole as a
 //! single logical GPU".
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "`dropped_at` is drained and sorted by layer/offset before any remap operation"
+)]
+
 use std::collections::HashMap;
 
 use modelcfg::{LayerRange, LayerSet, ModelConfig};

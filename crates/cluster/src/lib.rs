@@ -20,8 +20,6 @@
 //!                  └── monitor ◄──┴──────── metrics ◄──────────────┘
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod batch;
 pub mod config;
 pub mod engine;

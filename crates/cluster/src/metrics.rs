@@ -1,6 +1,10 @@
 //! Serving metrics: per-request latency records, cluster timelines and the
 //! aggregations the paper's figures report.
 
+// Every cast on the path from raw samples to reported numbers rounds
+// silently, so each truncating one states its rationale in an `#[expect]`.
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use sim_core::stats::{empirical_cdf, Percentiles, TimeSeries, WindowedRate};
 use sim_core::{SimDuration, SimTime};
 use workload::ModelId;
@@ -214,7 +218,6 @@ impl Metrics {
             .iter()
             .filter(|&&t| t >= from && t < to)
             .count();
-        // simlint: allow(D-CAST) — count of in-window events, lossless.
         n as u64
     }
 
@@ -259,8 +262,7 @@ impl Metrics {
             ttft_samples: ttft,
             tpot_samples: tpot,
             total_tokens: self.total_tokens,
-            // simlint: allow(D-CAST) — widening u32 -> u64, lossless.
-            preemptions: self.records.iter().map(|r| r.preemptions as u64).sum(),
+            preemptions: self.records.iter().map(|r| u64::from(r.preemptions)).sum(),
             donated_bytes_peak: self.donated_bytes_peak,
             prefix_saved_tokens: self.prefix_saved_tokens,
             prefix_unique_tokens: self.prefix_unique_tokens,

@@ -7,6 +7,12 @@
 //! these mechanisms too (admission, iteration completion), so the state is
 //! the single source of truth for memory accounting.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup; every iteration that feeds transfer or plan order collects and sorts \
+              first (e.g. merge-exchange `pairs.sort()`)"
+)]
+
 use std::collections::HashMap;
 
 use costmodel::{CostParams, GroundTruth, Profiler};

@@ -48,8 +48,6 @@
 //! assert_eq!(outcome.report.finished_requests, trace.len());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod baselines;
 pub mod lookahead;
 pub mod plan;

@@ -1012,6 +1012,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a wall-clock complexity bound on the test itself, not simulated time"
+    )]
     fn scales_to_large_clusters_quickly() {
         // O(N log N) claim: 10k groups plan in well under a second.
         let gs = groups(&vec![1u32; 10_000]);

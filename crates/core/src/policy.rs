@@ -1,6 +1,11 @@
 //! The KunServe policy: detection, drop, coordinated exchange, lookahead
 //! scheduling and dynamic restore (paper §3–§4).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-model/group tick counters: keyed lookup and order-free `retain` filtering only"
+)]
+
 use std::collections::HashSet;
 
 use cluster::{

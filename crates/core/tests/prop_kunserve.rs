@@ -6,7 +6,7 @@ use costmodel::{ChunkWork, CostParams};
 use kunserve::balance_microbatches;
 use kunserve::plan::{DropPlanner, PlanGroup};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -34,7 +34,7 @@ proptest! {
         prop_assert_eq!(plan.freed_bytes, eliminated as u64 * COPY);
 
         // Merged ids are distinct and drawn from the input.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for m in &plan.merges {
             prop_assert!(m.len() >= 2);
             for &g in m {
@@ -75,7 +75,7 @@ proptest! {
         prop_assert!(!mbs.is_empty());
 
         // Token conservation per request.
-        let mut got: HashMap<usize, u64> = HashMap::new();
+        let mut got: BTreeMap<usize, u64> = BTreeMap::new();
         for mb in &mbs {
             for c in &mb.chunks {
                 *got.entry(c.request.0).or_insert(0) += c.work.new_tokens;
@@ -86,7 +86,7 @@ proptest! {
         }
 
         // Fragments of one request appear in order with chained prefixes.
-        let mut next_prefix: HashMap<usize, u64> = HashMap::new();
+        let mut next_prefix: BTreeMap<usize, u64> = BTreeMap::new();
         for mb in &mbs {
             for c in &mb.chunks {
                 let entry = next_prefix

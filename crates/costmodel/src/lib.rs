@@ -26,8 +26,6 @@
 //! - [`fit`]: offline profiling + ordinary-least-squares fitting (§4.3
 //!   "determined through offline profiling ... least squares method").
 
-#![forbid(unsafe_code)]
-
 pub mod fit;
 pub mod ground_truth;
 pub mod model;

@@ -428,19 +428,13 @@ impl<C: Clock> Gateway<C> {
     fn deliver_stream_events(&mut self) {
         let at = self.now;
         for ix in 0..self.tracks.len() {
-            let Some(id) = self.tracks[ix].engine_id else {
-                continue;
-            };
             if self.tracks[ix].callback.is_none() || self.tracks[ix].streamed_done {
                 continue;
             }
-            let req = &self.session.state().requests[id.0];
-            let generated = req.generated;
-            let status = match req.state {
-                cluster::ReqState::Finished => RequestStatus::Finished,
-                cluster::ReqState::Dropped => RequestStatus::Cancelled,
-                _ => RequestStatus::Active,
-            };
+            let handle = RequestHandle(ix as u64);
+            let (generated, status) = self
+                .progress(handle)
+                .expect("every index below tracks.len() is a known handle");
             let track = &mut self.tracks[ix];
             let new_tokens = generated - track.streamed;
             let terminal = matches!(status, RequestStatus::Finished | RequestStatus::Cancelled);
@@ -450,7 +444,7 @@ impl<C: Clock> Gateway<C> {
             track.streamed = generated;
             track.streamed_done = terminal;
             let event = TokenEvent {
-                handle: RequestHandle(ix as u64),
+                handle,
                 new_tokens,
                 generated,
                 at,
@@ -560,6 +554,32 @@ mod tests {
         let (report, state) = g.finish(SimDuration::from_secs(30));
         assert_eq!(report.total_requests, 0, "withdrawn before injection");
         assert!(state.requests.is_empty());
+    }
+
+    #[test]
+    fn stream_callback_sees_an_inbox_cancel_once() {
+        let mut g = gw();
+        g.register_tenant("acme", "k1", Quota::UNLIMITED);
+        let h = g
+            .submit(
+                "k1",
+                SubmitSpec::new(ModelId::PRIMARY, SimTime::from_secs(5), 64, 8),
+            )
+            .unwrap();
+        let events = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink = events.clone();
+        g.stream(
+            h,
+            Box::new(move |ev: TokenEvent| sink.borrow_mut().push(ev)),
+        )
+        .unwrap();
+        g.cancel(h).unwrap();
+        g.pump_until(SimTime::from_secs(1));
+        g.pump_until(SimTime::from_secs(2));
+        let events = events.borrow();
+        assert_eq!(events.len(), 1, "exactly one terminal event: {events:?}");
+        assert_eq!(events[0].status, RequestStatus::Cancelled);
+        assert_eq!((events[0].new_tokens, events[0].generated), (0, 0));
     }
 
     #[test]

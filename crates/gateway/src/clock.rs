@@ -39,7 +39,10 @@ impl Clock for Virtual {
 /// simulation itself never reads it.
 #[derive(Debug)]
 pub struct Paced {
-    // simlint: allow(D-TIME)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pacing reads the host clock; the simulation never sees it"
+    )]
     start: Option<std::time::Instant>,
     speedup: f64,
 }
@@ -64,8 +67,11 @@ impl Paced {
 }
 
 impl Clock for Paced {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "pacing reads the host clock; the simulation never sees it"
+    )]
     fn pace(&mut self, now: SimTime) {
-        // simlint: allow(D-TIME)
         let start = *self.start.get_or_insert_with(std::time::Instant::now);
         let target = now.as_secs_f64() / self.speedup;
         let elapsed = start.elapsed().as_secs_f64();

@@ -47,8 +47,6 @@
 //! assert_eq!(report.finished_requests, 1);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 pub mod clock;
 pub mod tenant;

@@ -28,8 +28,6 @@
 //! assert_eq!(mgr.free(SeqKey(1)).unwrap(), 192);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod error;
 pub mod manager;
 pub mod prefix;

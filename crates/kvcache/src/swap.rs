@@ -5,6 +5,11 @@
 //! before they resume. The pool only tracks capacity; transfer *timing* is
 //! the business of the network/PCIe simulator.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "swapped-sequence staging: keyed lookup only"
+)]
+
 use std::collections::HashMap;
 
 use crate::error::KvError;

@@ -1,7 +1,7 @@
 //! Property tests for the paged block manager: no block is ever double
 //! allocated, accounting is exact, and resize preserves all invariants.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use kvcache::{BlockManager, KvError, SeqKey};
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ proptest! {
     fn accounting_is_exact(ops in proptest::collection::vec(op_strategy(), 1..150)) {
         let mut m = BlockManager::new(20, 64);
         // Shadow model: tokens per live sequence.
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
 
         for op in ops {
             match op {

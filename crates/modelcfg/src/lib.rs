@@ -22,8 +22,6 @@
 //! assert_eq!(m.kv_bytes_per_token(), 192 * 1024);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod config;
 pub mod partition;

@@ -33,8 +33,6 @@
 //! # let _ = job;
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod link;
 pub mod network;
 pub mod spec;

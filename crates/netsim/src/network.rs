@@ -1,6 +1,12 @@
 //! Cluster-wide network: directed inter-instance links plus per-node host
 //! (PCIe) links, with the coordinated-transfer chunking policy.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "iteration is order-insensitive reduction (min/sum/all); completion drain sorts link \
+              keys first"
+)]
+
 use std::collections::HashMap;
 
 use sim_core::{SimDuration, SimTime};

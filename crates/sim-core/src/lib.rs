@@ -21,8 +21,6 @@
 //! assert_eq!(q.pop().unwrap().1, "later");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod queue;
 pub mod stats;
 pub mod time;

@@ -5,6 +5,10 @@
 //! SLO-violation ratios (Figure 13). The types here implement exactly those
 //! aggregations.
 
+// Every cast on the path from raw samples to reported numbers rounds
+// silently, so each truncating one states its rationale in an `#[expect]`.
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 use crate::time::{SimDuration, SimTime};
 
 /// Percentile summary of a latency (or any scalar) sample set.
@@ -49,8 +53,12 @@ impl Percentiles {
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency samples must not be NaN"));
         let pick = |p: f64| -> f64 {
-            // simlint: allow(D-CAST) — nearest-rank percentile: ceil of a
-            // value in (0, len], then clamped; the round-up is the method.
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "nearest-rank percentile: ceil of a value in (0, len], then clamped; \
+                          the round-up is the method"
+            )]
             let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
             sorted[rank - 1]
         };
@@ -226,8 +234,12 @@ pub fn empirical_cdf(samples: &[f64], resolution: usize) -> Vec<(f64, f64)> {
     (1..=resolution)
         .map(|i| {
             let frac = i as f64 / resolution as f64;
-            // simlint: allow(D-CAST) — nearest-rank CDF sampling, same
-            // intentional ceil-then-clamp as `Percentiles::from_samples`.
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "nearest-rank CDF sampling, same intentional ceil-then-clamp as \
+                          `Percentiles::from_samples`"
+            )]
             let rank = ((frac * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
             (sorted[rank - 1], frac)
         })

@@ -1,5 +1,10 @@
 //! Page-granular physical HBM allocation (`cuMemCreate` analogue).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "physical-handle table: keyed lookup only"
+)]
+
 use std::collections::HashMap;
 
 use crate::error::GpuError;

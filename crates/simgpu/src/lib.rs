@@ -28,8 +28,6 @@
 //! assert_eq!(gpu.contiguous_extent(kv).unwrap(), 4 << 20);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod device;
 pub mod error;
 pub mod hbm;

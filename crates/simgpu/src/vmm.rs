@@ -7,6 +7,11 @@
 //! KunServe grows that prefix by mapping freed parameter memory at the tail
 //! (paper §4.1, Fig. 7).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "reservation lookup is keyed; offset-ordered iteration uses the inner BTreeMap"
+)]
+
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 

@@ -35,8 +35,6 @@
 //! abort and re-arrive with deterministic exponential backoff — the
 //! amplification mechanism behind the cascading-recovery storm.
 
-#![forbid(unsafe_code)]
-
 pub mod arrivals;
 pub mod dataset;
 pub mod diurnal;

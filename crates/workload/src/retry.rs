@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn jitter_differs_across_ids_and_seeds() {
         let p = RetryPolicy::default();
-        let spread: std::collections::HashSet<u64> =
+        let spread: std::collections::BTreeSet<u64> =
             (0..32u64).map(|id| p.backoff(id, 1).as_micros()).collect();
         assert!(
             spread.len() > 16,

@@ -39,8 +39,8 @@ proptest! {
         prop_assert!((ratio - factor).abs() < 0.25 * factor + 0.1,
             "count ratio {ratio:.2} vs factor {factor:.2}");
         // Upscaling introduces no new length values.
-        use std::collections::HashSet;
-        let lengths: HashSet<(u64, u64)> =
+        use std::collections::BTreeSet;
+        let lengths: BTreeSet<(u64, u64)> =
             base.requests.iter().map(|r| (r.input_tokens, r.output_tokens)).collect();
         for r in &up.requests {
             prop_assert!(lengths.contains(&(r.input_tokens, r.output_tokens)));

@@ -26,8 +26,6 @@
 //! assert_eq!(outcome.report.finished_requests, trace.len());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use cluster;
 pub use costmodel;
 pub use gateway;

@@ -5,70 +5,18 @@
 //! contract, including mid-donation: force-reclaimed loans must leave the
 //! elastic-HBM ledger balanced.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use bench::MultiScenario;
-use cluster::{ClusterConfig, ClusterState, FailureSchedule, GroupId, InstanceId, Policy};
+use cluster::{ClusterConfig, ClusterState, FailureSchedule, GroupId, InstanceId};
 use kunserve::serving::Run;
-use kunserve::{KunServeConfig, KunServePolicy};
 use kunserve_repro::prelude::*;
 
-/// KunServe plus scripted fault injection: kills an instance at a fixed
-/// simulated time (once), after the policy has had a chance to drop. The
-/// `killed` flag is shared so the test can assert the injection happened
-/// after [`Run`] has consumed the policy.
-struct FaultyKunServe {
-    inner: KunServePolicy,
-    kill_at: SimTime,
-    victim: InstanceId,
-    killed: Rc<Cell<bool>>,
-}
-
-impl Policy for FaultyKunServe {
-    fn name(&self) -> &'static str {
-        "KunServe+fault"
-    }
-
-    fn on_tick(&mut self, state: &mut ClusterState, now: SimTime) {
-        self.inner.on_tick(state, now);
-        if !self.killed.get() && now >= self.kill_at {
-            self.killed.set(true);
-            state.fail_instance(self.victim, now);
-        }
-    }
-
-    fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {
-        self.inner.on_admission_blocked(state, now, group);
-    }
-
-    fn on_decode_oom(
-        &mut self,
-        state: &mut ClusterState,
-        now: SimTime,
-        group: GroupId,
-        request: cluster::RequestId,
-    ) -> cluster::OomResolution {
-        self.inner.on_decode_oom(state, now, group, request)
-    }
-
-    fn form_microbatches(
-        &self,
-        state: &ClusterState,
-        group: GroupId,
-        work: &[cluster::SeqChunk],
-    ) -> Vec<cluster::MicroBatch> {
-        self.inner.form_microbatches(state, group, work)
-    }
-
-    fn on_transfer_done(
-        &mut self,
-        state: &mut ClusterState,
-        now: SimTime,
-        event: &cluster::TransferEvent,
-    ) {
-        self.inner.on_transfer_done(state, now, event);
-    }
+/// Whether an instance failure was recorded in the reconfig timeline.
+fn failure_recorded(state: &ClusterState) -> bool {
+    state
+        .metrics
+        .reconfig_events
+        .iter()
+        .any(|(_, w)| w.starts_with("failure"))
 }
 
 #[test]
@@ -83,30 +31,22 @@ fn instance_failure_mid_burst_loses_no_requests() {
         .build();
     let mut cfg = ClusterConfig::tiny_test(4);
     cfg.reserve_frac = 0.45;
-    let killed = Rc::new(Cell::new(false));
-    let policy = FaultyKunServe {
-        inner: KunServePolicy::new(KunServeConfig::default()),
-        kill_at: SimTime::from_secs(25),
-        victim: InstanceId(1),
-        killed: Rc::clone(&killed),
-    };
-    let out = Run::with_policy("KunServe+fault", Box::new(policy), cfg, &trace)
+    let schedule = FailureSchedule::new().instance_down(SimTime::from_secs(25), 1);
+    let out = Run::new(SystemKind::KunServe, cfg, &trace)
         .drain(SimDuration::from_secs(900))
+        .failures(&schedule)
         .execute();
 
-    assert!(killed.get(), "the fault must have been injected");
     assert_eq!(
         out.report.finished_requests,
         trace.len(),
         "no request may be lost to the failure"
     );
     let state = out.state;
-    let failure_logged = state
-        .metrics
-        .reconfig_events
-        .iter()
-        .any(|(_, w)| w.starts_with("failure"));
-    assert!(failure_logged, "the failure event must be recorded");
+    assert!(
+        failure_recorded(&state),
+        "the fault must have been injected and recorded"
+    );
     // Survivors hold full parameter copies and run as 1-instance groups.
     for g in state.alive_groups() {
         let grp = state.group(g);
@@ -126,22 +66,15 @@ fn failure_without_prior_drop_also_recovers() {
         .duration(SimDuration::from_secs(30))
         .seed(13)
         .build();
-    let killed = Rc::new(Cell::new(false));
-    let policy = FaultyKunServe {
-        inner: KunServePolicy::new(KunServeConfig::default()),
-        kill_at: SimTime::from_secs(10),
-        victim: InstanceId(0),
-        killed: Rc::clone(&killed),
-    };
-    let out = Run::with_policy(
-        "KunServe+fault",
-        Box::new(policy),
-        ClusterConfig::tiny_test(3),
-        &trace,
-    )
-    .drain(SimDuration::from_secs(600))
-    .execute();
-    assert!(killed.get(), "the fault must have been injected");
+    let schedule = FailureSchedule::new().instance_down(SimTime::from_secs(10), 0);
+    let out = Run::new(SystemKind::KunServe, ClusterConfig::tiny_test(3), &trace)
+        .drain(SimDuration::from_secs(600))
+        .failures(&schedule)
+        .execute();
+    assert!(
+        failure_recorded(&out.state),
+        "the fault must have been injected"
+    );
     assert_eq!(out.report.finished_requests, trace.len());
     let state = out.state;
     // Two survivors keep serving.
