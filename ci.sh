@@ -8,17 +8,22 @@
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
-#   smoke   fig18 (main + donation legs), fig17 smokes: schema validation,
-#           per-figure regression gates, and the wall-clock budget gate
-#   scenarios  the fig19-fig22 scenario matrix (diurnal, cold-start storm,
-#           shared prefix, failure storm) smokes: schema validation,
-#           per-figure fidelity gates (KunServe beats vLLM p99 on every
-#           leg, bounded prefix-recompute amplification), budget gate
+#   smoke   fig18_multi_model, fig18_donation and fig17 smokes: schema
+#           validation, per-figure regression gates, and the wall-clock
+#           budget gate
+#   scenarios  the fig19-fig23 scenario matrix (diurnal, cold-start storm,
+#           shared prefix, failure storm, cascading recovery) smokes:
+#           schema validation, per-figure fidelity gates (KunServe beats
+#           vLLM p99 on every leg, bounded prefix-recompute amplification),
+#           budget gate
 #   gateway the fig24 online-gateway closed-loop smoke: ledger audits
-#           asserted in-bin, then goodput/p99 tolerance and wall-clock
-#           budget gates on the emitted JSON
+#           asserted in the figure, then goodput/p99 tolerance and
+#           wall-clock budget gates on the emitted JSON
 #   scale   Cluster A fidelity lineup, serial vs. the parallel bench
-#           harness (byte-identity asserted in-bin, speedup gated)
+#           harness (byte-identity asserted in the figure, speedup gated)
+#
+# Every figure runs through the one scenario driver,
+# `cargo run -p bench --bin figs -- <figure> [--smoke] [--threads N] [--json PATH]`.
 #
 # Usage: ./ci.sh [stage...]   (no args = every stage, in the order above)
 #
@@ -116,16 +121,16 @@ stage_smoke() {
     local donation_json=target/bench-json/fig18_donation.json
     local fig17_json=target/bench-json/fig17_smoke.json
 
-    echo "--- fig18 multi-model smoke (main leg only: the donation gate runs its own leg)"
-    cargo run --release --offline -q -p bench --bin fig18_multi_model -- \
-        --smoke --legs main --json "$smoke_json"
+    echo "--- fig18 multi-model smoke"
+    cargo run --release --offline -q -p bench --bin figs -- fig18_multi_model \
+        --smoke --json "$smoke_json"
 
-    echo "--- fig18 donation-granularity ablation (donation leg only)"
-    cargo run --release --offline -q -p bench --bin fig18_multi_model -- \
-        --smoke --legs donation --donation-json "$donation_json"
+    echo "--- fig18 donation-granularity ablation smoke"
+    cargo run --release --offline -q -p bench --bin figs -- fig18_donation \
+        --smoke --json "$donation_json"
 
     echo "--- fig17 extreme-burst smoke"
-    cargo run --release --offline -q -p bench --bin fig17_extreme_burst -- \
+    cargo run --release --offline -q -p bench --bin figs -- fig17_extreme_burst \
         --smoke --json "$fig17_json"
 
     echo "--- bench-JSON schema validation"
@@ -156,7 +161,7 @@ stage_scenarios() {
         local json=target/bench-json/${fig}.json
         jsons+=("$json")
         echo "--- ${fig} smoke"
-        cargo run --release --offline -q -p bench --bin "$fig" -- \
+        cargo run --release --offline -q -p bench --bin figs -- "$fig" \
             --smoke --threads 2 --json "$json"
     done
 
@@ -178,7 +183,7 @@ stage_scenarios() {
 stage_gateway() {
     local json=target/bench-json/fig24_gateway.json
     echo "--- fig24 gateway closed-loop smoke"
-    cargo run --release --offline -q -p bench --bin fig24_gateway -- \
+    cargo run --release --offline -q -p bench --bin figs -- fig24_gateway \
         --smoke --json "$json"
     echo "--- bench-JSON schema validation"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
@@ -193,7 +198,7 @@ stage_gateway() {
 
 stage_scale() {
     local ps_json=target/bench-json/paper_scale_parallel.json
-    cargo run --release --offline -q -p bench --bin paper_scale_parallel -- \
+    cargo run --release --offline -q -p bench --bin figs -- paper_scale_parallel \
         --threads 4 --json "$ps_json"
     cargo run --release --offline -q -p bench --bin check_bench_json -- \
         --schema "$ps_json"

@@ -5,20 +5,16 @@
 //! drop 75 % (4-stage), drop 88 % (8-stage). More dropping ⇒ deeper
 //! pipelines ⇒ higher latency — the trade-off the drop planner minimizes.
 //!
-//! Run: `cargo run --release -p bench --bin fig05_drop_degrees`
+//! Run: `cargo run --release -p bench --bin figs -- fig05_drop_degrees`
 
-use bench::{
-    harness, json_out_path, ms, outcome_json_labeled, secs, with_exec_meta, write_json, Json,
-    Scenario,
-};
 use kunserve::serving::{Run, SystemKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
-    let base = Scenario::burstgpt_14b();
+use super::{lineup_doc, Opts};
+use crate::{harness, ms, outcome_json_labeled, secs, Json, Scenario};
+
+pub fn run(opts: &Opts) -> Json {
     // Moderate load with no bursts: isolate the parallelism cost.
-    let mut sc = base.clone();
+    let mut sc = Scenario::burstgpt_14b();
     sc.bursts.clear();
     sc.base_rps = 18.0;
     let trace = sc.trace();
@@ -33,16 +29,13 @@ fn main() {
         ("Drop 75% layers", 4),
         ("Drop 88% layers", 8),
     ];
-    let timer = std::time::Instant::now();
-    let outcomes = harness::run_indexed(threads, setups.len(), |i| {
+    let outcomes = harness::run_indexed(opts.threads, setups.len(), |i| {
         let mut cfg = sc.cfg.clone();
         cfg.initial_group_size = setups[i].1;
         Run::new(SystemKind::VllmDp, cfg, &trace)
             .drain(sc.drain)
             .execute()
     });
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
-    let mut cdfs = Vec::new();
     let mut sys_jsons = Vec::new();
     for ((label, _), out) in setups.iter().zip(&outcomes) {
         println!(
@@ -52,28 +45,16 @@ fn main() {
             ms(out.report.tpot.p50),
             ms(out.report.tpot.p99),
         );
-        cdfs.push((*label, out.report.ttft_cdf(20)));
         sys_jsons.push(outcome_json_labeled(&sc.cfg, out, label));
     }
     println!();
     println!("# TTFT CDFs (value_s, cum_frac)");
-    for (label, cdf) in cdfs {
+    for ((label, _), out) in setups.iter().zip(&outcomes) {
         println!("## {label}");
-        for (v, f) in cdf {
+        for (v, f) in out.report.ttft_cdf(20) {
             println!("{:.3},{:.2}", v, f);
         }
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig05_drop_degrees")),
-            ("scenario", Json::str(sc.name)),
-            ("systems", Json::Arr(sys_jsons)),
-        ]),
-        threads,
-        wall_ms,
-    );
-    let path = json_out_path("fig05_drop_degrees", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    lineup_doc("fig05_drop_degrees", sc.name, None, sys_jsons)
 }

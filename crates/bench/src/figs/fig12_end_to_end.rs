@@ -5,56 +5,36 @@
 //! the mean TTFT timeline (second column) and the throughput timeline
 //! (third column).
 //!
-//! Run: `cargo run --release -p bench --bin fig12_end_to_end`
-//!
-//! Alongside the CSV timelines, a machine-readable summary is written to
-//! `target/bench-json/fig12_end_to_end.json` (`--json PATH` overrides).
+//! Run: `cargo run --release -p bench --bin figs -- fig12_end_to_end`
 
-use bench::{
-    harness, json_out_path, outcome_json, print_series, secs, with_exec_meta, write_json, Json,
-    Scenario,
-};
 use sim_core::{SimDuration, SimTime};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
+use super::{print_events, Opts};
+use crate::{outcome_json, print_series, secs, Json, Scenario};
+
+pub fn run(opts: &Opts) -> Json {
     let window = SimDuration::from_secs(5);
     let mut scenario_jsons = Vec::new();
-    let timer = std::time::Instant::now();
     for sc in Scenario::paper_matrix() {
         let end = SimTime::ZERO + sc.duration + SimDuration::from_secs(60);
         println!("==== {} ====", sc.name);
         let mut sys_jsons = Vec::new();
-        for out in sc.run_lineup_parallel(threads) {
+        for out in sc.run_lineup_parallel(opts.threads) {
+            let m = &out.state.metrics;
             sys_jsons.push(outcome_json(&sc.cfg, &out));
             println!();
             println!("--- {} ---", out.name);
             // Column 1: memory timeline (capacity moves when KunServe drops).
-            let cap = out
-                .state
-                .metrics
-                .mem_capacity
-                .windowed_mean(SimTime::ZERO, end, window);
-            let demand = out
-                .state
-                .metrics
-                .mem_demand
-                .windowed_mean(SimTime::ZERO, end, window);
+            let cap = m.mem_capacity.windowed_mean(SimTime::ZERO, end, window);
+            let demand = m.mem_demand.windowed_mean(SimTime::ZERO, end, window);
             print_series("time_s,capacity_gb", &cap, 1e-9);
             print_series("time_s,kv_demand_gb", &demand, 1e-9);
-            for (t, what) in &out.state.metrics.reconfig_events {
-                println!("event,{:.1},{what}", t.as_secs_f64());
-            }
+            print_events(&out, &[""]);
             // Column 2: mean TTFT timeline.
-            let ttft = out
-                .state
-                .metrics
-                .ttft_series
-                .windowed_mean(SimTime::ZERO, end, window);
+            let ttft = m.ttft_series.windowed_mean(SimTime::ZERO, end, window);
             print_series("time_s,mean_ttft_s", &ttft, 1.0);
             // Column 3: throughput timeline.
-            let rates = out.state.metrics.tokens.rates(SimTime::ZERO, end, window);
+            let rates = m.tokens.rates(SimTime::ZERO, end, window);
             print_series("time_s,tokens_per_s", &rates, 1.0);
             println!(
                 "summary,finished={}/{},ttft_p50={},ttft_p99={},tpot_p50={},tpot_p99={},mean_tput={:.0}",
@@ -73,15 +53,8 @@ fn main() {
         ]));
         println!();
     }
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig12_end_to_end")),
-            ("scenarios", Json::Arr(scenario_jsons)),
-        ]),
-        threads,
-        timer.elapsed().as_secs_f64() * 1e3,
-    );
-    let path = json_out_path("fig12_end_to_end", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    Json::obj([
+        ("figure", Json::str("fig12_end_to_end")),
+        ("scenarios", Json::Arr(scenario_jsons)),
+    ])
 }

@@ -4,21 +4,16 @@
 //! Following §5.2, the SLO for scale `N` is `N ×` the P50 latency of the
 //! best baseline on that workload; chat uses scale 5, summarization 10.
 //!
-//! Run: `cargo run --release -p bench --bin fig13_latency_slo`
-//! Flags: `--threads N` (parallel lineup runs), `--json PATH`.
+//! Run: `cargo run --release -p bench --bin figs -- fig13_latency_slo`
 
-use bench::{
-    harness, json_out_path, ms, outcome_json, secs, with_exec_meta, write_json, Json, Scenario,
-};
+use super::Opts;
+use crate::{ms, outcome_json, secs, Json, Scenario};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
-    let timer = std::time::Instant::now();
+pub fn run(opts: &Opts) -> Json {
     let mut scenario_jsons = Vec::new();
     for sc in Scenario::paper_matrix() {
         println!("==== {} ====", sc.name);
-        let outcomes = sc.run_lineup_parallel(threads);
+        let outcomes = sc.run_lineup_parallel(opts.threads);
         scenario_jsons.push(Json::obj([
             ("scenario", Json::str(sc.name)),
             (
@@ -42,15 +37,10 @@ fn main() {
         }
 
         // Tail reduction headline: best baseline P99 / KunServe P99.
-        let kun = outcomes.last().expect("lineup is non-empty");
-        let best_baseline_p99 = outcomes[..outcomes.len() - 1]
-            .iter()
-            .map(|o| o.report.ttft.p99)
-            .fold(f64::MAX, f64::min);
-        let worst_baseline_p99 = outcomes[..outcomes.len() - 1]
-            .iter()
-            .map(|o| o.report.ttft.p99)
-            .fold(0.0, f64::max);
+        let (kun, baselines) = outcomes.split_last().expect("lineup is non-empty");
+        let baseline_p99s = baselines.iter().map(|o| o.report.ttft.p99);
+        let best_baseline_p99 = baseline_p99s.clone().fold(f64::MAX, f64::min);
+        let worst_baseline_p99 = baseline_p99s.fold(0.0, f64::max);
         println!();
         println!(
             "p99_ttft_reduction_vs_baselines,{:.1}x - {:.1}x",
@@ -59,11 +49,11 @@ fn main() {
         );
 
         // SLO violations: threshold = scale x best-baseline P50 (per paper).
-        let base_ttft_p50 = outcomes[..outcomes.len() - 1]
+        let base_ttft_p50 = baselines
             .iter()
             .map(|o| o.report.ttft.p50)
             .fold(f64::MAX, f64::min);
-        let base_tpot_p50 = outcomes[..outcomes.len() - 1]
+        let base_tpot_p50 = baselines
             .iter()
             .map(|o| o.report.tpot.p50)
             .fold(f64::MAX, f64::min);
@@ -88,15 +78,8 @@ fn main() {
         println!();
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig13_latency_slo")),
-            ("scenarios", Json::Arr(scenario_jsons)),
-        ]),
-        threads,
-        timer.elapsed().as_secs_f64() * 1e3,
-    );
-    let path = json_out_path("fig13_latency_slo", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    Json::obj([
+        ("figure", Json::str("fig13_latency_slo")),
+        ("scenarios", Json::Arr(scenario_jsons)),
+    ])
 }

@@ -6,23 +6,18 @@
 //! `+Lookahead` (cost-balanced microbatches). Also prints the pipeline
 //! bubble-time series (1 − GPU utilization during pipelined execution).
 //!
-//! Run: `cargo run --release -p bench --bin fig14_ablation`
-//! Flags: `--threads N` (parallel ablation runs), `--json PATH`.
+//! Run: `cargo run --release -p bench --bin figs -- fig14_ablation`
 
-use bench::{
-    harness, json_out_path, ms, outcome_json_labeled, print_series, secs, with_exec_meta,
-    write_json, Json, Scenario,
-};
-use kunserve::serving::Run;
 use kunserve::serving::SystemKind;
 use kunserve::KunServeConfig;
 use sim_core::{SimDuration, SimTime};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
+use super::{lineup_doc, mean, run_arms, Opts};
+use crate::{ms, outcome_json_labeled, print_series, secs, Json, Scenario};
+
+pub fn run(opts: &Opts) -> Json {
     let sc = Scenario::longbench_14b();
-    let systems: Vec<(&str, SystemKind)> = vec![
+    let systems = [
         ("vLLM (DP)", SystemKind::VllmDp),
         ("vLLM (PP)", SystemKind::VllmPp),
         (
@@ -43,16 +38,9 @@ fn main() {
     println!();
     println!("| Config | TTFT p50 | p90 | p99 | p999 (s) | TPOT p50 | p90 | p99 | p999 (ms) |");
     println!("|---|---|---|---|---|---|---|---|---|");
-    let timer = std::time::Instant::now();
-    let trace = sc.trace();
-    let outcomes = harness::run_indexed(threads, systems.len(), |i| {
-        Run::new(systems[i].1, sc.cfg.clone(), &trace)
-            .drain(sc.drain)
-            .execute()
-    });
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
+    let outcomes = run_arms(opts, &sc.cfg, &sc.trace(), sc.drain, None, &systems);
+    let end = SimTime::ZERO + sc.duration + SimDuration::from_secs(60);
     let mut sys_jsons = Vec::new();
-    let mut bubble_series = Vec::new();
     for ((label, _), out) in systems.iter().zip(&outcomes) {
         println!(
             "| {label} | {} | {} | {} | {} | {} | {} | {} | {} |",
@@ -65,25 +53,6 @@ fn main() {
             ms(out.report.tpot.p99),
             ms(out.report.tpot.p999),
         );
-        let end = SimTime::ZERO + sc.duration + SimDuration::from_secs(60);
-        let bubbles =
-            out.state
-                .metrics
-                .bubbles
-                .windowed_mean(SimTime::ZERO, end, SimDuration::from_secs(5));
-        let mean_bubble = if out.state.metrics.bubbles.is_empty() {
-            0.0
-        } else {
-            out.state
-                .metrics
-                .bubbles
-                .points()
-                .iter()
-                .map(|&(_, v)| v)
-                .sum::<f64>()
-                / out.state.metrics.bubbles.len() as f64
-        };
-        bubble_series.push((label, bubbles, mean_bubble));
         // JSON rows are labeled by ablation level (several share the
         // KunServe display name).
         sys_jsons.push(outcome_json_labeled(&sc.cfg, out, label));
@@ -91,21 +60,12 @@ fn main() {
 
     println!();
     println!("# Bubble time (%) during pipelined execution, 5 s windows");
-    for (label, series, mean) in bubble_series {
-        println!("## {label} (mean {:.1}%)", mean * 100.0);
+    for ((label, _), out) in systems.iter().zip(&outcomes) {
+        let bubbles = &out.state.metrics.bubbles;
+        println!("## {label} (mean {:.1}%)", mean(bubbles) * 100.0);
+        let series = bubbles.windowed_mean(SimTime::ZERO, end, SimDuration::from_secs(5));
         print_series("time_s,bubble_pct", &series, 100.0);
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig14_ablation")),
-            ("scenario", Json::str(sc.name)),
-            ("systems", Json::Arr(sys_jsons)),
-        ]),
-        threads,
-        wall_ms,
-    );
-    let path = json_out_path("fig14_ablation", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    lineup_doc("fig14_ablation", sc.name, None, sys_jsons)
 }

@@ -5,15 +5,14 @@
 //! on A800, for prefills without prefix (left panel) and chunks attending
 //! to a prefix (right panel).
 //!
-//! Run: `cargo run --release -p bench --bin fig15_cost_model`
+//! Run: `cargo run --release -p bench --bin figs -- fig15_cost_model`
 
-use bench::{harness, json_out_path, with_exec_meta, write_json, Json};
 use costmodel::{ChunkWork, GroundTruth, Profiler};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
-    let timer = std::time::Instant::now();
+use super::Opts;
+use crate::Json;
+
+pub fn run(_: &Opts) -> Json {
     let gt = GroundTruth::qwen14b_a800();
     let mut profiler = Profiler::new(gt.clone(), 42);
     let fitted = profiler.fit();
@@ -72,22 +71,15 @@ fn main() {
         "max_dev: ours {max_dev_ours2:.1}% vs w/o-attn {max_dev_base2:.1}% (paper: <5% vs up to 74%)"
     );
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig15_cost_model")),
-            (
-                "max_dev_ours_pct",
-                Json::Num(max_dev_ours.max(max_dev_ours2)),
-            ),
-            (
-                "max_dev_token_count_pct",
-                Json::Num(max_dev_base.max(max_dev_base2)),
-            ),
-        ]),
-        threads,
-        timer.elapsed().as_secs_f64() * 1e3,
-    );
-    let path = json_out_path("fig15_cost_model", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    Json::obj([
+        ("figure", Json::str("fig15_cost_model")),
+        (
+            "max_dev_ours_pct",
+            Json::Num(max_dev_ours.max(max_dev_ours2)),
+        ),
+        (
+            "max_dev_token_count_pct",
+            Json::Num(max_dev_base.max(max_dev_base2)),
+        ),
+    ])
 }

@@ -4,19 +4,15 @@
 //! through every peak, while KunServe's drop/restore tracks the tide and
 //! keeps the TTFT tail bounded across all cycles.
 //!
-//! Run: `cargo run --release -p bench --bin fig19_diurnal`
-//! Flags: `--smoke` (tiny cluster, seconds — the CI regression scenario),
-//!        `--threads N` (parallel system runs),
-//!        `--json PATH` (default `target/bench-json/fig19_diurnal.json`).
+//! Run: `cargo run --release -p bench --bin figs -- fig19_diurnal`
+//! (`--smoke`: the tiny-cluster CI scenario).
 
-use bench::{
-    harness, json_out_path, outcome_json, print_series, secs, with_exec_meta, write_json, Json,
-};
 use cluster::ClusterConfig;
-use kunserve::serving::Run;
-use kunserve::serving::SystemKind;
 use sim_core::{SimDuration, SimTime};
 use workload::{Dataset, DiurnalTraceBuilder};
+
+use super::{count_events, lineup_doc, print_arrival_rate, run_arms, Opts, VLLM_VS_KUNSERVE};
+use crate::{outcome_json, print_series, secs, with_fields, Json};
 
 struct Setup {
     name: &'static str,
@@ -62,11 +58,12 @@ fn full_setup() -> Setup {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = harness::threads_from_args(&args);
-    let setup = if smoke { smoke_setup() } else { full_setup() };
+pub fn run(opts: &Opts) -> Json {
+    let setup = if opts.smoke {
+        smoke_setup()
+    } else {
+        full_setup()
+    };
     let trace = setup.builder.build();
     println!(
         "# Figure 19: diurnal tide on {} ({} requests, {:.0} expected)",
@@ -75,47 +72,27 @@ fn main() {
         setup.builder.expected_requests()
     );
     println!();
-    println!("# Arrival rate (req/s, 5s windows)");
-    print_series(
-        "time_s,req_per_s",
-        &trace.rate_timeline(SimDuration::from_secs(5)),
-        1.0,
-    );
+    print_arrival_rate("Arrival rate", &trace, 5);
 
     let window = SimDuration::from_secs(5);
     let end = SimTime::ZERO + setup.builder.span() + SimDuration::from_secs(60);
-    let systems = [SystemKind::VllmDp, SystemKind::KunServe];
-    let timer = std::time::Instant::now();
-    let outcomes = harness::run_indexed(threads, systems.len(), |i| {
-        Run::new(systems[i], setup.cfg.clone(), &trace)
-            .drain(setup.drain)
-            .execute()
-    });
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
+    let outcomes = run_arms(
+        opts,
+        &setup.cfg,
+        &trace,
+        setup.drain,
+        None,
+        &VLLM_VS_KUNSERVE,
+    );
     let mut sys_jsons = Vec::new();
     for out in &outcomes {
+        let m = &out.state.metrics;
         println!();
         println!("## {}", out.name);
-        let ttft = out
-            .state
-            .metrics
-            .ttft_series
-            .windowed_mean(SimTime::ZERO, end, window);
+        let ttft = m.ttft_series.windowed_mean(SimTime::ZERO, end, window);
         print_series("time_s,mean_ttft_s", &ttft, 1.0);
-        let drops = out
-            .state
-            .metrics
-            .reconfig_events
-            .iter()
-            .filter(|(_, w)| w.starts_with("drop"))
-            .count();
-        let restores = out
-            .state
-            .metrics
-            .reconfig_events
-            .iter()
-            .filter(|(_, w)| w.starts_with("restore: split"))
-            .count();
+        let drops = count_events(out, "drop");
+        let restores = count_events(out, "restore: split");
         println!("drop_events,{drops}");
         println!("restore_events,{restores}");
         println!(
@@ -125,26 +102,15 @@ fn main() {
             secs(out.report.ttft.p50),
             secs(out.report.ttft.p99)
         );
-        let mut j = outcome_json(&setup.cfg, out);
-        if let Json::Obj(pairs) = &mut j {
-            pairs.push(("drop_events".into(), Json::Num(drops as f64)));
-            pairs.push(("restore_events".into(), Json::Num(restores as f64)));
-        }
-        sys_jsons.push(j);
+        sys_jsons.push(with_fields(
+            outcome_json(&setup.cfg, out),
+            [
+                ("drop_events", Json::Num(drops as f64)),
+                ("restore_events", Json::Num(restores as f64)),
+            ],
+        ));
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig19_diurnal")),
-            ("scenario", Json::str(setup.name)),
-            ("smoke", Json::Bool(smoke)),
-            ("requests", Json::Num(trace.len() as f64)),
-            ("systems", Json::Arr(sys_jsons)),
-        ]),
-        threads,
-        wall_ms,
-    );
-    let path = json_out_path("fig19_diurnal", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    let smoke = Some((opts.smoke, "requests", trace.len()));
+    lineup_doc("fig19_diurnal", setup.name, smoke, sys_jsons)
 }

@@ -5,20 +5,15 @@
 //! head model's parameter memory to the starved tail via cross-model KV
 //! donation and keeps the cluster-wide tail bounded.
 //!
-//! Run: `cargo run --release -p bench --bin fig20_coldstart_storm`
-//! Flags: `--smoke` (tiny cluster, seconds — the CI regression scenario),
-//!        `--threads N` (parallel system runs),
-//!        `--json PATH` (default
-//!        `target/bench-json/fig20_coldstart_storm.json`).
+//! Run: `cargo run --release -p bench --bin figs -- fig20_coldstart_storm`
+//! (`--smoke`: the tiny-cluster CI scenario).
 
-use bench::{
-    harness, json_out_path, outcome_json, print_series, secs, with_exec_meta, write_json, Json,
-};
 use cluster::ClusterConfig;
-use kunserve::serving::Run;
-use kunserve::serving::SystemKind;
 use sim_core::SimDuration;
 use workload::{Dataset, PopularityTraceBuilder};
+
+use super::{lineup_doc, print_arrival_rate, run_arms, Opts, VLLM_VS_KUNSERVE};
+use crate::{outcome_json, secs, Json};
 
 struct Setup {
     name: &'static str,
@@ -63,11 +58,12 @@ fn full_setup() -> Setup {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = harness::threads_from_args(&args);
-    let setup = if smoke { smoke_setup() } else { full_setup() };
+pub fn run(opts: &Opts) -> Json {
+    let setup = if opts.smoke {
+        smoke_setup()
+    } else {
+        full_setup()
+    };
     let trace = setup.builder.build();
     println!(
         "# Figure 20: cold-start storms on {} ({} requests, {:.0} expected)",
@@ -76,22 +72,16 @@ fn main() {
         setup.builder.expected_requests()
     );
     println!();
-    println!("# Arrival rate (req/s, 5s windows)");
-    print_series(
-        "time_s,req_per_s",
-        &trace.rate_timeline(SimDuration::from_secs(5)),
-        1.0,
-    );
+    print_arrival_rate("Arrival rate", &trace, 5);
 
-    let systems = [SystemKind::VllmDp, SystemKind::KunServe];
-    let timer = std::time::Instant::now();
-    let outcomes = harness::run_indexed(threads, systems.len(), |i| {
-        Run::new(systems[i], setup.cfg.clone(), &trace)
-            .drain(setup.drain)
-            .execute()
-    });
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
-    let mut sys_jsons = Vec::new();
+    let outcomes = run_arms(
+        opts,
+        &setup.cfg,
+        &trace,
+        setup.drain,
+        None,
+        &VLLM_VS_KUNSERVE,
+    );
     for out in &outcomes {
         println!();
         println!("## {}", out.name);
@@ -112,21 +102,12 @@ fn main() {
             secs(out.report.ttft.p50),
             secs(out.report.ttft.p99)
         );
-        sys_jsons.push(outcome_json(&setup.cfg, out));
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig20_coldstart_storm")),
-            ("scenario", Json::str(setup.name)),
-            ("smoke", Json::Bool(smoke)),
-            ("requests", Json::Num(trace.len() as f64)),
-            ("systems", Json::Arr(sys_jsons)),
-        ]),
-        threads,
-        wall_ms,
-    );
-    let path = json_out_path("fig20_coldstart_storm", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    let sys_jsons = outcomes
+        .iter()
+        .map(|o| outcome_json(&setup.cfg, o))
+        .collect();
+    let smoke = Some((opts.smoke, "requests", trace.len()));
+    lineup_doc("fig20_coldstart_storm", setup.name, smoke, sys_jsons)
 }

@@ -14,33 +14,25 @@
 //!   misses beget retries, goodput is strictly worse and the retry volume
 //!   keeps growing across the storm window.
 //!
-//! Run: `cargo run --release -p bench --bin fig23_cascading_recovery`
-//! Flags: `--smoke` (tiny cluster, seconds — the CI regression scenario),
-//!        `--threads N` (parallel system runs),
-//!        `--json PATH` (default
-//!        `target/bench-json/fig23_cascading_recovery.json`).
+//! Run: `cargo run --release -p bench --bin figs -- fig23_cascading_recovery`
+//! (`--smoke`: the tiny-cluster CI scenario).
 
-use bench::{
-    harness, json_out_path, outcome_json_labeled, print_series, secs, with_exec_meta, write_json,
-    Json,
-};
 use cluster::{ClusterConfig, FailureSchedule, RetryPolicy};
 use kunserve::policy::KunServeConfig;
-use kunserve::serving::Run;
 use kunserve::serving::SystemKind;
 use sim_core::{SimDuration, SimTime};
 use workload::{BurstTraceBuilder, Dataset, Deadline};
 
+use super::{lineup_doc, print_arrival_rate, print_events, run_arms, with_client_counters, Opts};
+use crate::{outcome_json_labeled, secs, Json};
+
 struct Setup {
     name: &'static str,
     cfg: ClusterConfig,
-    base_rps: f64,
-    duration: SimDuration,
-    burst: (SimTime, SimDuration, f64),
+    builder: BurstTraceBuilder,
     deadline: Deadline,
     outage: SimTime,
     recovery: SimTime,
-    seed: u64,
     drain: SimDuration,
 }
 
@@ -81,13 +73,14 @@ fn smoke_setup() -> Setup {
     Setup {
         name: "tiny cascading recovery",
         cfg,
-        base_rps: 90.0,
-        duration: SimDuration::from_secs(30),
-        burst: (SimTime::from_secs(6), SimDuration::from_secs(14), 3.0),
+        builder: BurstTraceBuilder::new(Dataset::BurstGpt)
+            .base_rps(90.0)
+            .duration(SimDuration::from_secs(30))
+            .burst(SimTime::from_secs(6), SimDuration::from_secs(14), 3.0)
+            .seed(23),
         deadline: Deadline::ttft(SimDuration::from_millis(1500)),
         outage: SimTime::from_secs(10),
         recovery: SimTime::from_secs(20),
-        seed: 23,
         drain: SimDuration::from_secs(900),
     }
 }
@@ -107,31 +100,25 @@ fn full_setup() -> Setup {
     Setup {
         name: "cascading recovery storm",
         cfg,
-        base_rps: 150.0,
-        duration: SimDuration::from_secs(60),
-        burst: (SimTime::from_secs(15), SimDuration::from_secs(25), 2.0),
+        builder: BurstTraceBuilder::new(Dataset::BurstGpt)
+            .base_rps(150.0)
+            .duration(SimDuration::from_secs(60))
+            .burst(SimTime::from_secs(15), SimDuration::from_secs(25), 2.0)
+            .seed(51),
         deadline: Deadline::ttft(SimDuration::from_secs(3)),
         outage: SimTime::from_secs(20),
         recovery: SimTime::from_secs(40),
-        seed: 51,
         drain: SimDuration::from_secs(900),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = harness::threads_from_args(&args);
-    let setup = if smoke { smoke_setup() } else { full_setup() };
-    let (b_start, b_len, b_mult) = setup.burst;
-    let trace = BurstTraceBuilder::new(Dataset::BurstGpt)
-        .base_rps(setup.base_rps)
-        .duration(setup.duration)
-        .burst(b_start, b_len, b_mult)
-        .seed(setup.seed)
-        .build()
-        .with_deadline(setup.deadline);
-    let schedule = setup.schedule();
+pub fn run(opts: &Opts) -> Json {
+    let setup = if opts.smoke {
+        smoke_setup()
+    } else {
+        full_setup()
+    };
+    let trace = setup.builder.build().with_deadline(setup.deadline);
     println!(
         "# Figure 23: cascading recovery on {} ({} requests, outage {}-{}s)",
         setup.name,
@@ -140,44 +127,37 @@ fn main() {
         setup.recovery.as_secs_f64()
     );
     println!();
-    println!("# Arrival rate (req/s, 5s windows)");
-    print_series(
-        "time_s,req_per_s",
-        &trace.rate_timeline(SimDuration::from_secs(5)),
-        1.0,
-    );
+    print_arrival_rate("Arrival rate", &trace, 5);
 
     // Two arms of one system: admission control on (the paper's
     // configuration) vs off (the ablation that spirals).
     let arms = [
-        ("KunServe", KunServeConfig::default()),
-        ("KunServe (no shed)", KunServeConfig::without_shedding()),
+        (
+            "KunServe",
+            SystemKind::KunServeWith(KunServeConfig::default()),
+        ),
+        (
+            "KunServe (no shed)",
+            SystemKind::KunServeWith(KunServeConfig::without_shedding()),
+        ),
     ];
     let (early, late) = setup.storm_windows();
-    let timer = std::time::Instant::now();
-    let outcomes = harness::run_indexed(threads, arms.len(), |i| {
-        Run::new(
-            SystemKind::KunServeWith(arms[i].1),
-            setup.cfg.clone(),
-            &trace,
-        )
-        .drain(setup.drain)
-        .failures(&schedule)
-        .execute()
-    });
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
+    let schedule = setup.schedule();
+    let outcomes = run_arms(
+        opts,
+        &setup.cfg,
+        &trace,
+        setup.drain,
+        Some(&schedule),
+        &arms,
+    );
     let mut sys_jsons = Vec::new();
-    for (i, out) in outcomes.iter().enumerate() {
-        let label = arms[i].0;
+    for ((label, _), out) in arms.iter().zip(&outcomes) {
         let retries_early = out.state.metrics.retries_in(early.0, early.1);
         let retries_late = out.state.metrics.retries_in(late.0, late.1);
         println!();
         println!("## {label}");
-        for (t, what) in &out.state.metrics.reconfig_events {
-            if what.starts_with("rack-") || what.starts_with("recovery") {
-                println!("event,{:.1},{what}", t.as_secs_f64());
-            }
-        }
+        print_events(out, &["rack-", "recovery"]);
         println!(
             "summary,finished={}/{},goodput={:.3},p99={}",
             out.report.finished_requests,
@@ -192,44 +172,14 @@ fn main() {
             out.report.shed_requests,
             out.report.abandoned_requests,
         );
-        let mut j = outcome_json_labeled(&setup.cfg, out, label);
-        if let Json::Obj(pairs) = &mut j {
-            pairs.push(("goodput_frac".into(), Json::Num(out.report.goodput_frac())));
-            pairs.push((
-                "goodput_requests".into(),
-                Json::Num(out.report.goodput_requests as f64),
-            ));
-            pairs.push((
-                "deadline_misses".into(),
-                Json::Num(out.report.deadline_misses as f64),
-            ));
-            pairs.push((
-                "shed_requests".into(),
-                Json::Num(out.report.shed_requests as f64),
-            ));
-            pairs.push((
-                "abandoned_requests".into(),
-                Json::Num(out.report.abandoned_requests as f64),
-            ));
-            pairs.push(("retries".into(), Json::Num(out.report.retries as f64)));
-            pairs.push(("retries_early".into(), Json::Num(retries_early as f64)));
-            pairs.push(("retries_late".into(), Json::Num(retries_late as f64)));
-        }
-        sys_jsons.push(j);
+        sys_jsons.push(with_client_counters(
+            outcome_json_labeled(&setup.cfg, out, label),
+            out,
+            retries_early,
+            retries_late,
+        ));
     }
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig23_cascading_recovery")),
-            ("scenario", Json::str(setup.name)),
-            ("smoke", Json::Bool(smoke)),
-            ("requests", Json::Num(trace.len() as f64)),
-            ("systems", Json::Arr(sys_jsons)),
-        ]),
-        threads,
-        wall_ms,
-    );
-    let path = json_out_path("fig23_cascading_recovery", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    let smoke = Some((opts.smoke, "requests", trace.len()));
+    lineup_doc("fig23_cascading_recovery", setup.name, smoke, sys_jsons)
 }

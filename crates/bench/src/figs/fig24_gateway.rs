@@ -1,10 +1,10 @@
 //! Regenerates Figure 24: the online serving gateway under closed-loop
 //! clients. Everything below the gateway is the deterministic simulator;
-//! this bin exercises the production face on top of it — API keys,
+//! this figure exercises the production face on top of it — API keys,
 //! per-tenant quotas, incremental token streams and first-class elastic
 //! model ops. The bridge keeps the simulation's central property: the
 //! submission program is a pure function of the setup, so every run of
-//! this bin reports byte-identically (`tests/gateway.rs` pins the same
+//! this figure reports byte-identically (`tests/gateway.rs` pins the same
 //! bridge to the batch `Run` builder).
 //!
 //! The scenario: three tenants drive closed-loop clients (one outstanding
@@ -21,11 +21,9 @@
 //! copy (ParamRestore) and chat traffic resumes. The elastic-HBM ledger
 //! is audited at every pump boundary.
 //!
-//! Run: `cargo run --release -p bench --bin fig24_gateway`
-//! Flags: `--smoke` (tiny cluster, seconds — the CI regression scenario),
-//!        `--json PATH` (default `target/bench-json/fig24_gateway.json`).
+//! Run: `cargo run --release -p bench --bin figs -- fig24_gateway`
+//! (`--smoke`: the tiny-cluster CI scenario).
 
-use bench::{json_out_path, outcome_json_labeled, secs, with_exec_meta, write_json, Json};
 use cluster::{ClusterConfig, ModelAvailability, ModelId};
 use gateway::{Gateway, GatewayError, Quota, RequestHandle, RequestStatus, SubmitSpec, Virtual};
 use kunserve::serving::{RunOutcome, SystemKind};
@@ -33,6 +31,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_core::{SimDuration, SimTime};
 use workload::{Dataset, Deadline, LengthSampler};
+
+use super::{lineup_doc, with_client_counters, Opts};
+use crate::{outcome_json_labeled, secs, with_fields, Json};
 
 struct Setup {
     name: &'static str,
@@ -102,10 +103,6 @@ struct Client {
     rng: SmallRng,
     sampler: LengthSampler,
     pending: Option<RequestHandle>,
-    finished: u64,
-    cancelled: u64,
-    quota_rejections: u64,
-    unavailable_rejections: u64,
     exhausted: bool,
 }
 
@@ -116,17 +113,19 @@ impl Client {
     }
 }
 
-struct DriveResult {
-    outcome: RunOutcome,
-    ledger_violations: Vec<String>,
+/// What the closed-loop clients saw, summed over all of them.
+#[derive(Default)]
+struct Tally {
     finished: u64,
     cancelled: u64,
     quota_rejections: u64,
     unavailable_rejections: u64,
 }
 
-/// Runs the closed-loop submission program through one gateway.
-fn drive(setup: &Setup, label: &str) -> DriveResult {
+/// Runs the closed-loop submission program through one gateway, asserting
+/// that every ledger audit passed.
+fn drive(setup: &Setup, label: &str) -> (RunOutcome, Tally) {
+    let mut tally = Tally::default();
     let mut gw = Gateway::new(SystemKind::KunServe, setup.cfg.clone(), Virtual);
     let mut clients = Vec::new();
     for (i, &(name, key, quota, model, n)) in setup.tenants.iter().enumerate() {
@@ -140,10 +139,6 @@ fn drive(setup: &Setup, label: &str) -> DriveResult {
                 ),
                 sampler: Dataset::BurstGpt.sampler(),
                 pending: None,
-                finished: 0,
-                cancelled: 0,
-                quota_rejections: 0,
-                unavailable_rejections: 0,
                 exhausted: false,
             });
         }
@@ -157,7 +152,7 @@ fn drive(setup: &Setup, label: &str) -> DriveResult {
     let mut now = SimTime::ZERO;
     // First submissions: staggered off the boundary grid by the think
     // stream, exactly like every follow-up.
-    submit_ready(&mut gw, &mut clients, setup, now);
+    submit_ready(&mut gw, &mut clients, &mut tally, setup, now);
     while now < end {
         now += step;
         gw.pump_until(now);
@@ -180,17 +175,17 @@ fn drive(setup: &Setup, label: &str) -> DriveResult {
             let Some(h) = c.pending else { continue };
             match gw.status(h).expect("submitted handle stays valid") {
                 RequestStatus::Finished => {
-                    c.finished += 1;
+                    tally.finished += 1;
                     c.pending = None;
                 }
                 RequestStatus::Cancelled => {
-                    c.cancelled += 1;
+                    tally.cancelled += 1;
                     c.pending = None;
                 }
                 RequestStatus::Pending | RequestStatus::Active => {}
             }
         }
-        submit_ready(&mut gw, &mut clients, setup, now);
+        submit_ready(&mut gw, &mut clients, &mut tally, setup, now);
     }
     assert!(unload_requested, "{label}: the unload must have fired");
     assert!(load_requested, "{label}: the reload must have fired");
@@ -201,20 +196,18 @@ fn drive(setup: &Setup, label: &str) -> DriveResult {
         ModelAvailability::Available,
         "{label}: the chat model must be back in service after the swap"
     );
+    assert!(
+        ledger_violations.is_empty(),
+        "{label}: ledger audit failed:\n{}",
+        ledger_violations.join("\n")
+    );
     let outcome = RunOutcome {
         name: label.to_string(),
         report,
         state,
         span: setup.duration + setup.drain,
     };
-    DriveResult {
-        outcome,
-        ledger_violations,
-        finished: clients.iter().map(|c| c.finished).sum(),
-        cancelled: clients.iter().map(|c| c.cancelled).sum(),
-        quota_rejections: clients.iter().map(|c| c.quota_rejections).sum(),
-        unavailable_rejections: clients.iter().map(|c| c.unavailable_rejections).sum(),
-    }
+    (outcome, tally)
 }
 
 /// Submits the next request of every idle client: arrival = now + an
@@ -225,6 +218,7 @@ fn drive(setup: &Setup, label: &str) -> DriveResult {
 fn submit_ready<C: gateway::Clock>(
     gw: &mut Gateway<C>,
     clients: &mut [Client],
+    tally: &mut Tally,
     setup: &Setup,
     now: SimTime,
 ) {
@@ -241,19 +235,21 @@ fn submit_ready<C: gateway::Clock>(
         match gw.submit(c.key, spec) {
             Ok(h) => c.pending = Some(h),
             Err(GatewayError::QuotaExhausted(_)) => {
-                c.quota_rejections += 1;
+                tally.quota_rejections += 1;
                 c.exhausted = true;
             }
-            Err(GatewayError::ModelUnavailable(_)) => c.unavailable_rejections += 1,
+            Err(GatewayError::ModelUnavailable(_)) => tally.unavailable_rejections += 1,
             Err(e) => panic!("unexpected gateway rejection: {e}"),
         }
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let setup = if smoke { smoke_setup() } else { full_setup() };
+pub fn run(opts: &Opts) -> Json {
+    let setup = if opts.smoke {
+        smoke_setup()
+    } else {
+        full_setup()
+    };
     let clients: usize = setup.tenants.iter().map(|t| t.4).sum();
     println!(
         "# Figure 24: {} ({} tenants, {} closed-loop clients, chat hot-swap {}-{}s)",
@@ -264,17 +260,8 @@ fn main() {
         setup.load_at.as_secs_f64()
     );
 
-    let timer = std::time::Instant::now();
-    let r = drive(&setup, "gateway (serial)");
-    let wall_ms = timer.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        r.ledger_violations.is_empty(),
-        "{}: ledger audit failed:\n{}",
-        r.outcome.name,
-        r.ledger_violations.join("\n")
-    );
-
-    let out = &r.outcome;
+    let (outcome, tally) = drive(&setup, "gateway (serial)");
+    let out = &outcome;
     println!();
     println!("## {}", out.name);
     println!(
@@ -286,65 +273,28 @@ fn main() {
     );
     println!(
         "gateway,client_finished={},client_cancelled={},quota_rejections={},unavailable_rejections={}",
-        r.finished, r.cancelled, r.quota_rejections, r.unavailable_rejections
+        tally.finished, tally.cancelled, tally.quota_rejections, tally.unavailable_rejections
     );
-    let mut j = outcome_json_labeled(&setup.cfg, out, &out.name);
-    if let Json::Obj(pairs) = &mut j {
-        pairs.push(("goodput_frac".into(), Json::Num(out.report.goodput_frac())));
-        pairs.push((
-            "goodput_requests".into(),
-            Json::Num(out.report.goodput_requests as f64),
-        ));
-        pairs.push((
-            "deadline_misses".into(),
-            Json::Num(out.report.deadline_misses as f64),
-        ));
-        pairs.push((
-            "shed_requests".into(),
-            Json::Num(out.report.shed_requests as f64),
-        ));
-        pairs.push((
-            "abandoned_requests".into(),
-            Json::Num(out.report.abandoned_requests as f64),
-        ));
-        pairs.push(("retries".into(), Json::Num(out.report.retries as f64)));
-        // The retry-window split, keyed to the hot-swap: before the
-        // unload vs from the unload to the end of the open window.
-        pairs.push((
-            "retries_early".into(),
-            Json::Num(out.state.metrics.retries_in(SimTime::ZERO, setup.unload_at) as f64),
-        ));
-        pairs.push((
-            "retries_late".into(),
-            Json::Num(
-                out.state
-                    .metrics
-                    .retries_in(setup.unload_at, SimTime::ZERO + setup.duration)
-                    as f64,
+    // The retry-window split, keyed to the hot-swap: before the unload vs
+    // from the unload to the end of the open window.
+    let metrics = &out.state.metrics;
+    let row = with_client_counters(
+        outcome_json_labeled(&setup.cfg, out, &out.name),
+        out,
+        metrics.retries_in(SimTime::ZERO, setup.unload_at),
+        metrics.retries_in(setup.unload_at, SimTime::ZERO + setup.duration),
+    );
+    let row = with_fields(
+        row,
+        [
+            ("quota_rejections", Json::Num(tally.quota_rejections as f64)),
+            (
+                "unavailable_rejections",
+                Json::Num(tally.unavailable_rejections as f64),
             ),
-        ));
-        pairs.push((
-            "quota_rejections".into(),
-            Json::Num(r.quota_rejections as f64),
-        ));
-        pairs.push((
-            "unavailable_rejections".into(),
-            Json::Num(r.unavailable_rejections as f64),
-        ));
-    }
-
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("fig24_gateway")),
-            ("scenario", Json::str(setup.name)),
-            ("smoke", Json::Bool(smoke)),
-            ("clients", Json::Num(clients as f64)),
-            ("systems", Json::Arr(vec![j])),
-        ]),
-        1,
-        wall_ms,
+        ],
     );
-    let path = json_out_path("fig24_gateway", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+
+    let smoke = Some((opts.smoke, "clients", clients));
+    lineup_doc("fig24_gateway", setup.name, smoke, vec![row])
 }

@@ -15,28 +15,34 @@
 //! (KunServe p99 < vLLM p99), completion floors, p99 ceilings, and — on
 //! hosts with enough cores — a minimum harness speedup.
 //!
-//! Run: `cargo run --release -p bench --bin paper_scale_parallel -- --threads 4`
+//! Run: `cargo run --release -p bench --bin figs -- paper_scale_parallel --threads 4`
 
-use bench::{
-    harness, json_out_path, outcome_json, secs, with_exec_meta, write_json, Json, Scenario,
-};
+use std::time::Instant;
+
 use kunserve::serving::{Run, SystemKind};
 
-/// Runs a timed pass twice and keeps the faster one (results are
-/// deterministic, so only the wall-clock differs).
-fn best_of_two<T>(mut f: impl FnMut() -> harness::Timed<T>) -> harness::Timed<T> {
-    let a = f();
-    let b = f();
-    if a.wall_ms <= b.wall_ms {
+use super::{lineup_doc, Opts};
+use crate::{harness, outcome_json, secs, with_fields, Json, Scenario};
+
+/// Runs `f` twice and keeps the faster pass with its wall-clock ms
+/// (results are deterministic, so only the wall-clock differs).
+fn best_of_two<T>(f: impl Fn() -> T) -> (T, f64) {
+    let timed = || {
+        let start = Instant::now();
+        let value = f();
+        (value, start.elapsed().as_secs_f64() * 1e3)
+    };
+    let a = timed();
+    let b = timed();
+    if a.1 <= b.1 {
         a
     } else {
         b
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = harness::threads_from_args(&args);
+pub fn run(opts: &Opts) -> Json {
+    let threads = opts.threads;
     let sc = Scenario::burstgpt_14b();
     println!("==== paper-scale parallel: {} ====", sc.name);
 
@@ -47,13 +53,13 @@ fn main() {
         .execute();
     // 1. Serial baseline; best of two passes so a co-tenant stealing CPU
     //    during one pass doesn't skew the recorded speedup either way.
-    let serial = best_of_two(|| harness::timed(|| sc.run_lineup_parallel(1)));
+    let (serial, serial_ms) = best_of_two(|| sc.run_lineup_parallel(1));
     // 2. Parallel harness, same best-of-two discipline.
-    let parallel = best_of_two(|| harness::timed(|| sc.run_lineup_parallel(threads)));
-    let speedup = serial.wall_ms / parallel.wall_ms.max(1e-6);
+    let (parallel, parallel_ms) = best_of_two(|| sc.run_lineup_parallel(threads));
+    let speedup = serial_ms / parallel_ms.max(1e-6);
 
     // Inter-run parallelism must not change any result.
-    for (a, b) in serial.value.iter().zip(&parallel.value) {
+    for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
             format!("{:?}", a.report),
             format!("{:?}", b.report),
@@ -65,7 +71,7 @@ fn main() {
     println!();
     println!("| System | finished | TTFT p50 (s) | TTFT p99 (s) | preemptions |");
     println!("|---|---|---|---|---|");
-    for out in &parallel.value {
+    for out in &parallel {
         println!(
             "| {} | {}/{} | {} | {} | {} |",
             out.name,
@@ -80,32 +86,20 @@ fn main() {
     println!();
     println!(
         "wall_clock: serial {:.0} ms, parallel {:.0} ms ({} threads, {} available) -> speedup {:.2}x",
-        serial.wall_ms,
-        parallel.wall_ms,
+        serial_ms,
+        parallel_ms,
         threads,
         harness::host_parallelism(),
         speedup,
     );
 
-    let sys_jsons: Vec<Json> = parallel
-        .value
-        .iter()
-        .map(|o| outcome_json(&sc.cfg, o))
-        .collect();
-
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("paper_scale_parallel")),
-            ("scenario", Json::str(sc.name)),
-            ("systems", Json::Arr(sys_jsons)),
-            ("wall_clock_ms_serial", Json::Num(serial.wall_ms)),
-            ("wall_clock_ms_parallel", Json::Num(parallel.wall_ms)),
+    let systems = parallel.iter().map(|o| outcome_json(&sc.cfg, o)).collect();
+    with_fields(
+        lineup_doc("paper_scale_parallel", sc.name, None, systems),
+        [
+            ("wall_clock_ms_serial", Json::Num(serial_ms)),
+            ("wall_clock_ms_parallel", Json::Num(parallel_ms)),
             ("speedup", Json::Num(speedup)),
-        ]),
-        threads,
-        serial.wall_ms + parallel.wall_ms,
-    );
-    let path = json_out_path("paper_scale_parallel", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+        ],
+    )
 }

@@ -1,13 +1,13 @@
 //! Regenerates paper Table 1: model parameter memory vs instance HBM.
 //!
-//! Run: `cargo run --release -p bench --bin table1_models`
+//! Run: `cargo run --release -p bench --bin figs -- table1_models`
 
-use bench::{harness, json_out_path, with_exec_meta, write_json, Json};
 use modelcfg::{catalog, GB};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let timer = std::time::Instant::now();
+use super::Opts;
+use crate::Json;
+
+pub fn run(_: &Opts) -> Json {
     println!("# Table 1: parameter memory share of instance HBM");
     println!();
     println!("| Model | Model size | #GPU/instance | Ratio (%) |");
@@ -35,15 +35,8 @@ fn main() {
         catalog::qwen2_5_14b().kv_bytes_per_token() / 1024
     );
 
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("table1_models")),
-            ("models", Json::Arr(rows)),
-        ]),
-        harness::threads_from_args(&args),
-        timer.elapsed().as_secs_f64() * 1e3,
-    );
-    let path = json_out_path("table1_models", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    Json::obj([
+        ("figure", Json::str("table1_models")),
+        ("models", Json::Arr(rows)),
+    ])
 }

@@ -1,13 +1,13 @@
 //! Regenerates paper Table 2: the simulated testbed clusters.
 //!
-//! Run: `cargo run --release -p bench --bin table2_testbed`
+//! Run: `cargo run --release -p bench --bin figs -- table2_testbed`
 
-use bench::{harness, json_out_path, with_exec_meta, write_json, Json};
 use cluster::Testbed;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let timer = std::time::Instant::now();
+use super::Opts;
+use crate::Json;
+
+pub fn run(_: &Opts) -> Json {
     println!("# Table 2: testbeds (simulated equivalents)");
     println!();
     println!("| | Cluster A | Cluster B |");
@@ -44,21 +44,11 @@ fn main() {
             ("gpu_tflops", Json::Num(t.gpu().tflops)),
         ])
     };
-    let doc = with_exec_meta(
-        Json::obj([
-            ("figure", Json::str("table2_testbed")),
-            (
-                "clusters",
-                Json::Arr(vec![
-                    cluster_json(Testbed::ClusterA),
-                    cluster_json(Testbed::ClusterB),
-                ]),
-            ),
-        ]),
-        harness::threads_from_args(&args),
-        timer.elapsed().as_secs_f64() * 1e3,
-    );
-    let path = json_out_path("table2_testbed", &args);
-    write_json(&path, &doc).expect("write JSON");
-    println!("json,{}", path.display());
+    Json::obj([
+        ("figure", Json::str("table2_testbed")),
+        (
+            "clusters",
+            Json::Arr(vec![cluster_json(a), cluster_json(b)]),
+        ),
+    ])
 }

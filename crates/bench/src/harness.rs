@@ -2,51 +2,20 @@
 //! simulation runs (scenarios × systems × seeds) across worker threads
 //! with deterministic result ordering.
 //!
-//! Every `fig*` binary runs several *independent* simulations (the five
-//! systems of a lineup, ablation levels, drop degrees). Each simulation is
+//! Most figures run several *independent* simulations (the five systems
+//! of a lineup, ablation levels, drop degrees). Each simulation is
 //! internally deterministic, so executing them concurrently and collecting
 //! results **by job index** yields byte-identical output at any thread
 //! count — the printing stays sequential, only the compute overlaps.
-//!
-//! Thread count resolution order: `--threads N` argument, then the
-//! `KS_BENCH_THREADS` environment variable, then the host's available
-//! parallelism.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// The host's available hardware parallelism (1 if unknown).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Default worker count: `KS_BENCH_THREADS` if set, else host parallelism.
-pub fn default_threads() -> usize {
-    if let Some(n) = std::env::var("KS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n >= 1 {
-            return n;
-        }
-    }
-    host_parallelism()
-}
-
-/// Resolves the worker count from `--threads N` in `args`, falling back to
-/// [`default_threads`].
-pub fn threads_from_args(args: &[String]) -> usize {
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    default_threads()
 }
 
 /// Runs `n` independent jobs on up to `threads` workers and returns their
@@ -83,25 +52,6 @@ where
         .collect()
 }
 
-/// A value with the wall-clock time it took to produce.
-#[derive(Debug)]
-pub struct Timed<T> {
-    /// The produced value.
-    pub value: T,
-    /// Wall-clock milliseconds spent.
-    pub wall_ms: f64,
-}
-
-/// Times a closure.
-pub fn timed<T>(f: impl FnOnce() -> T) -> Timed<T> {
-    let t0 = Instant::now();
-    let value = f();
-    Timed {
-        value,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,21 +69,5 @@ mod tests {
         assert!(run_indexed::<usize, _>(4, 0, |i| i).is_empty());
         // More threads than jobs clamps cleanly.
         assert_eq!(run_indexed(64, 3, |i| i + 1), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn threads_from_args_parses() {
-        let args = vec!["--threads".to_string(), "3".to_string()];
-        assert_eq!(threads_from_args(&args), 3);
-        // Malformed values fall back to the default.
-        let bad = vec!["--threads".to_string(), "zero".to_string()];
-        assert!(threads_from_args(&bad) >= 1);
-    }
-
-    #[test]
-    fn timed_measures_something() {
-        let t = timed(|| 42);
-        assert_eq!(t.value, 42);
-        assert!(t.wall_ms >= 0.0);
     }
 }

@@ -1,8 +1,9 @@
 //! Shared scenario definitions and output helpers for the benchmark
 //! harness that regenerates the paper's tables and figures.
 //!
-//! Every figure binary builds on [`Scenario`]: a workload × model × cluster
-//! combination calibrated like the paper's testbed (§5.1) — the KV pool is
+//! The figures live in the [`figs`] registry, run by the `figs` binary.
+//! Most build on [`Scenario`]: a workload × model × cluster combination
+//! calibrated like the paper's testbed (§5.1) — the KV pool is
 //! provisioned at ~2.1× the average demand, and the arrival rate is scaled
 //! to the simulated cluster's serving capacity (the paper does the same
 //! with TraceUpscaler).
@@ -12,6 +13,7 @@ use kunserve::serving::{Run, RunOutcome, SystemKind};
 use sim_core::{SimDuration, SimTime};
 use workload::{BurstTraceBuilder, Dataset, Trace};
 
+pub mod figs;
 pub mod harness;
 pub mod json;
 
@@ -132,27 +134,11 @@ impl Scenario {
         b.build()
     }
 
-    /// Runs one system on this scenario.
-    pub fn run(&self, kind: SystemKind) -> RunOutcome {
-        Run::new(kind, self.cfg.clone(), &self.trace())
-            .drain(self.drain)
-            .execute()
-    }
-
-    /// Runs the full five-system lineup.
-    pub fn run_lineup(&self) -> Vec<RunOutcome> {
-        SystemKind::paper_lineup()
-            .into_iter()
-            .map(|k| self.run(k))
-            .collect()
-    }
-
     /// Runs the five-system lineup on up to `threads` worker threads (one
     /// shared trace, one independent simulation per system), returning
-    /// outcomes in lineup order. Results are identical to
-    /// [`Scenario::run_lineup`] at any thread count — the systems'
-    /// simulations are mutually independent and individually
-    /// deterministic.
+    /// outcomes in lineup order. Results are identical at any thread
+    /// count — the systems' simulations are mutually independent and
+    /// individually deterministic.
     pub fn run_lineup_parallel(&self, threads: usize) -> Vec<RunOutcome> {
         let kinds = SystemKind::paper_lineup();
         let trace = self.trace();
@@ -358,15 +344,9 @@ impl MultiScenario {
         Trace::merge(&per_model)
     }
 
-    /// Runs one system on this scenario (building a fresh trace; use
-    /// [`MultiScenario::run_on`] to share one trace across systems).
+    /// Runs one system on this scenario.
     pub fn run(&self, kind: SystemKind) -> RunOutcome {
-        self.run_on(kind, &self.trace())
-    }
-
-    /// Runs one system on a prebuilt trace of this scenario.
-    pub fn run_on(&self, kind: SystemKind, trace: &Trace) -> RunOutcome {
-        Run::new(kind, self.cfg.clone(), trace)
+        Run::new(kind, self.cfg.clone(), &self.trace())
             .drain(self.drain)
             .execute()
     }
@@ -415,7 +395,7 @@ pub fn outcome_json(cfg: &ClusterConfig, out: &RunOutcome) -> Json {
 }
 
 /// Like [`outcome_json`], but with the `system` field overridden —
-/// for bins whose rows are configurations of one system (ablation
+/// for figures whose rows are configurations of one system (ablation
 /// levels, drop degrees) rather than distinct systems.
 pub fn outcome_json_labeled(cfg: &ClusterConfig, out: &RunOutcome, label: &str) -> Json {
     let mut j = outcome_json(cfg, out);
@@ -427,40 +407,37 @@ pub fn outcome_json_labeled(cfg: &ClusterConfig, out: &RunOutcome, label: &str) 
     j
 }
 
-/// Appends the executor metadata fields of the bench-JSON schema —
-/// `wall_clock_ms`, `threads` (workers used) and `threads_available`
-/// (host parallelism; speedup gates are meaningless below it) — to a
-/// figure document.
-pub fn with_exec_meta(doc: Json, threads: usize, wall_clock_ms: f64) -> Json {
-    match doc {
+/// The JSON object `obj` with `extra` fields appended (any other value
+/// passes through).
+pub(crate) fn with_fields(
+    obj: Json,
+    extra: impl IntoIterator<Item = (&'static str, Json)>,
+) -> Json {
+    match obj {
         Json::Obj(mut pairs) => {
-            pairs.push(("wall_clock_ms".into(), Json::Num(wall_clock_ms)));
-            pairs.push(("threads".into(), Json::Num(threads as f64)));
-            pairs.push((
-                "threads_available".into(),
-                Json::Num(harness::host_parallelism() as f64),
-            ));
+            pairs.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
             Json::Obj(pairs)
         }
         other => other,
     }
 }
 
-/// Resolves the output path for a figure's JSON: `--json PATH` from `args`
-/// if given, else the sibling default `target/bench-json/<figure>.json`.
-pub fn json_out_path(figure: &str, args: &[String]) -> std::path::PathBuf {
-    json_out_path_for("--json", figure, args)
-}
-
-/// [`json_out_path`] generalized over the flag name — for bins emitting
-/// more than one JSON document (e.g. fig18's `--donation-json`).
-pub fn json_out_path_for(flag: &str, figure: &str, args: &[String]) -> std::path::PathBuf {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if let Some(p) = args.get(i + 1) {
-            return std::path::PathBuf::from(p);
-        }
-    }
-    std::path::PathBuf::from(format!("target/bench-json/{figure}.json"))
+/// Appends the executor metadata fields of the bench-JSON schema —
+/// `wall_clock_ms`, `threads` (workers used) and `threads_available`
+/// (host parallelism; speedup gates are meaningless below it) — to a
+/// figure document.
+pub fn with_exec_meta(doc: Json, threads: usize, wall_clock_ms: f64) -> Json {
+    with_fields(
+        doc,
+        [
+            ("wall_clock_ms", Json::Num(wall_clock_ms)),
+            ("threads", Json::Num(threads as f64)),
+            (
+                "threads_available",
+                Json::Num(harness::host_parallelism() as f64),
+            ),
+        ],
+    )
 }
 
 /// Writes a figure's JSON document, creating parent directories.
@@ -469,11 +446,6 @@ pub fn write_json(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(path, format!("{doc}\n"))
-}
-
-/// Prints a markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 /// Formats seconds with sensible precision.
@@ -554,6 +526,5 @@ mod tests {
         assert_eq!(secs(1.234), "1.23");
         assert_eq!(secs(0.01234), "0.012");
         assert_eq!(ms(0.0123), "12.3");
-        assert_eq!(row(&["a".into(), "b".into()]), "| a | b |");
     }
 }

@@ -16,9 +16,11 @@
 //!   a bounded window ([`ClusterState::set_link_slowdown`]), stretching
 //!   every bulk transfer submitted inside it.
 //!
-//! Schedules are validated up front ([`FailureSchedule::validate`]) with a
-//! typed [`ScheduleError`] instead of silently accepting nonsense like an
-//! `up` without a matching `down`. The [`FailureInjector`] stays a
+//! Schedules are validated up front ([`FailureSchedule::validate`]) against
+//! the cluster they will run on, with a typed [`ScheduleError`] instead of
+//! silently accepting nonsense like an `up` without a matching `down` or a
+//! fault on an instance the cluster does not have. The [`FailureInjector`]
+//! stays a
 //! transparent [`Policy`] wrapper: the inner policy keeps making its normal
 //! decisions while the cluster churns underneath it.
 
@@ -27,6 +29,7 @@ use std::collections::BTreeMap;
 use sim_core::SimTime;
 
 use crate::batch::{MicroBatch, SeqChunk};
+use crate::config::ClusterConfig;
 use crate::former::MicrobatchFormerSpec;
 use crate::group::GroupId;
 use crate::instance::InstanceId;
@@ -65,9 +68,15 @@ pub struct FailureEvent {
 }
 
 /// A schedule that references a down-state that was never entered, enters
-/// one twice, or closes a window before (or at the instant) it opened.
+/// one twice, closes a window before (or at the instant) it opened, or
+/// names something the cluster does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleError {
+    /// The event names nothing in the cluster: an instance index at or
+    /// above [`ClusterConfig::total_instances`], a rack fault on an
+    /// unracked cluster (`rack_size == 0`), a rack with no instances, or a
+    /// link factor below 2.
+    NoSuchTarget(FailureEvent),
     /// A down/degrade event targets something that is already down.
     Duplicate(FailureEvent),
     /// An up/restore event has no earlier matching down/degrade.
@@ -85,6 +94,13 @@ pub enum ScheduleError {
 impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ScheduleError::NoSuchTarget(e) => {
+                write!(
+                    f,
+                    "fault names nothing in the cluster: {:?} at {}",
+                    e.kind, e.at
+                )
+            }
             ScheduleError::Duplicate(e) => {
                 write!(
                     f,
@@ -172,20 +188,35 @@ impl FailureSchedule {
         self.events.is_empty()
     }
 
-    /// Checks the schedule for the three classic scripting bugs —
-    /// double-down ([`ScheduleError::Duplicate`]), up-without-down
-    /// ([`ScheduleError::UpWithoutDown`]) and zero-width windows
-    /// ([`ScheduleError::OutOfOrder`]) — by replaying the sorted events
-    /// against per-target down-state.
+    /// Checks the schedule against `cfg` for a target the cluster does
+    /// not have ([`ScheduleError::NoSuchTarget`]) and for the three classic
+    /// scripting bugs — double-down ([`ScheduleError::Duplicate`]),
+    /// up-without-down ([`ScheduleError::UpWithoutDown`]) and zero-width
+    /// windows ([`ScheduleError::OutOfOrder`]) — by replaying the sorted
+    /// events against per-target down-state.
     ///
     /// A rack and one of its member instances are tracked as *independent*
     /// targets here: the injector handles the overlap at fire time (an
     /// already-dead instance is skipped), so overlapping rack/instance
     /// scripts are legal, just unusual.
-    pub fn validate(&self) -> Result<(), ScheduleError> {
+    pub fn validate(&self, cfg: &ClusterConfig) -> Result<(), ScheduleError> {
         // Target key → the event that opened its current down-window.
         let mut down: BTreeMap<(u8, u64), FailureEvent> = BTreeMap::new();
         for ev in self.sorted_events() {
+            let exists = match ev.kind {
+                // A rack exists when its first instance does.
+                FaultKind::RackDown(r) | FaultKind::RackUp(r) => {
+                    cfg.rack_size > 0
+                        && u64::from(r) * u64::from(cfg.rack_size)
+                            < u64::from(cfg.total_instances())
+                }
+                FaultKind::InstanceDown(i) | FaultKind::InstanceUp(i) => i < cfg.total_instances(),
+                FaultKind::LinkDegraded { factor } => factor >= 2,
+                FaultKind::LinkRestored => true,
+            };
+            if !exists {
+                return Err(ScheduleError::NoSuchTarget(ev));
+            }
             let (key, opens) = match ev.kind {
                 FaultKind::RackDown(r) => ((0u8, r as u64), true),
                 FaultKind::RackUp(r) => ((0u8, r as u64), false),
@@ -227,14 +258,15 @@ pub struct FailureInjector<P: Policy> {
 }
 
 impl<P: Policy> FailureInjector<P> {
-    /// Wraps `inner`, scripting the faults in `schedule`.
+    /// Wraps `inner`, scripting the faults in `schedule` against the
+    /// cluster `cfg` describes.
     ///
     /// # Panics
     ///
     /// Panics if the schedule fails [`FailureSchedule::validate`] — an
     /// invalid script is a bug at the call site, not a runtime condition.
-    pub fn new(inner: P, schedule: &FailureSchedule) -> Self {
-        schedule.validate().expect("invalid failure schedule");
+    pub fn new(inner: P, schedule: &FailureSchedule, cfg: &ClusterConfig) -> Self {
+        schedule.validate(cfg).expect("invalid failure schedule");
         FailureInjector {
             inner,
             pending: schedule.sorted_events(),
@@ -335,8 +367,14 @@ impl<P: Policy> Policy for FailureInjector<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ClusterConfig;
     use crate::policy::QueueingPolicy;
+
+    /// `tiny_test(n)` in racks of `rack_size` (0: unracked).
+    fn racked(n: u32, rack_size: u32) -> ClusterConfig {
+        let mut cfg = ClusterConfig::tiny_test(n);
+        cfg.rack_size = rack_size;
+        cfg
+    }
 
     #[test]
     fn schedule_sorts_and_counts() {
@@ -356,7 +394,8 @@ mod tests {
 
     #[test]
     fn validation_catches_scripting_bugs() {
-        // Well-formed matrix: down/up pairs plus a degraded window.
+        let cfg = racked(8, 2); // racks 0..=3, instances 0..=7
+                                // Well-formed matrix: down/up pairs plus a degraded window.
         let ok = FailureSchedule::new()
             .rack_down(SimTime::from_secs(10), 0)
             .rack_up(SimTime::from_secs(20), 0)
@@ -364,17 +403,20 @@ mod tests {
             .instance_up(SimTime::from_secs(14), 5)
             .link_degraded(SimTime::from_secs(11), 4)
             .link_restored(SimTime::from_secs(18));
-        assert_eq!(ok.validate(), Ok(()));
+        assert_eq!(ok.validate(&cfg), Ok(()));
 
         // Double-down on the same rack.
         let dup = FailureSchedule::new()
             .rack_down(SimTime::from_secs(10), 0)
             .rack_down(SimTime::from_secs(12), 0);
-        assert!(matches!(dup.validate(), Err(ScheduleError::Duplicate(_))));
+        assert!(matches!(
+            dup.validate(&cfg),
+            Err(ScheduleError::Duplicate(_))
+        ));
 
         // Recovery of a rack that never failed.
         let orphan = FailureSchedule::new().rack_up(SimTime::from_secs(5), 3);
-        let err = orphan.validate().unwrap_err();
+        let err = orphan.validate(&cfg).unwrap_err();
         assert!(matches!(err, ScheduleError::UpWithoutDown(_)));
         assert!(err.to_string().contains("recovery without outage"));
 
@@ -383,7 +425,7 @@ mod tests {
             .instance_down(SimTime::from_secs(7), 2)
             .instance_up(SimTime::from_secs(7), 2);
         assert!(matches!(
-            zero.validate(),
+            zero.validate(&cfg),
             Err(ScheduleError::OutOfOrder { .. })
         ));
 
@@ -392,16 +434,99 @@ mod tests {
             .rack_down(SimTime::from_secs(10), 0)
             .rack_up(SimTime::from_secs(20), 0)
             .rack_down(SimTime::from_secs(30), 0);
-        assert_eq!(reopen.validate(), Ok(()));
+        assert_eq!(reopen.validate(&cfg), Ok(()));
+    }
+
+    fn no_such_target(schedule: &FailureSchedule, cfg: &ClusterConfig) -> bool {
+        matches!(schedule.validate(cfg), Err(ScheduleError::NoSuchTarget(_)))
+    }
+
+    #[test]
+    fn validation_rejects_an_instance_outside_the_cluster() {
+        let cfg = racked(4, 0);
+        let at = SimTime::from_secs(5);
+        assert!(no_such_target(
+            &FailureSchedule::new().instance_down(at, 99),
+            &cfg
+        ));
+        assert!(no_such_target(
+            &FailureSchedule::new().instance_down(at, 4),
+            &cfg
+        ));
+        let err = FailureSchedule::new()
+            .instance_down(at, 3)
+            .instance_up(SimTime::from_secs(9), 4)
+            .validate(&cfg)
+            .unwrap_err();
+        assert!(err.to_string().contains("names nothing in the cluster"));
+        assert_eq!(
+            FailureSchedule::new().instance_down(at, 3).validate(&cfg),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_rack_fault_on_an_unracked_cluster() {
+        let cfg = racked(4, 0);
+        let at = SimTime::from_secs(5);
+        assert!(no_such_target(
+            &FailureSchedule::new().rack_down(at, 0),
+            &cfg
+        ));
+        assert!(no_such_target(
+            &FailureSchedule::new()
+                .rack_down(at, 0)
+                .rack_up(SimTime::from_secs(9), 0),
+            &cfg
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_a_rack_with_no_instances() {
+        let cfg = racked(4, 2); // racks 0 and 1
+        let at = SimTime::from_secs(5);
+        assert!(no_such_target(
+            &FailureSchedule::new().rack_down(at, 9),
+            &cfg
+        ));
+        assert!(no_such_target(
+            &FailureSchedule::new().rack_down(at, 2),
+            &cfg
+        ));
+        assert!(no_such_target(
+            &FailureSchedule::new().rack_down(at, u32::MAX),
+            &cfg
+        ));
+        assert_eq!(
+            FailureSchedule::new().rack_down(at, 1).validate(&cfg),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_link_factor_below_two() {
+        let cfg = racked(4, 0);
+        let at = SimTime::from_secs(5);
+        assert!(no_such_target(
+            &FailureSchedule::new().link_degraded(at, 0),
+            &cfg
+        ));
+        assert!(no_such_target(
+            &FailureSchedule::new().link_degraded(at, 1),
+            &cfg
+        ));
+        assert_eq!(
+            FailureSchedule::new().link_degraded(at, 2).validate(&cfg),
+            Ok(())
+        );
     }
 
     #[test]
     fn injector_fires_due_events_once() {
-        let mut cfg = ClusterConfig::tiny_test(4);
-        cfg.rack_size = 2; // instances {0,1} and {2,3}
-        let mut state = ClusterState::try_new(cfg).unwrap();
+        let cfg = racked(4, 2); // instances {0,1} and {2,3}
         let schedule = FailureSchedule::new().rack_down(SimTime::from_secs(5), 0);
-        let mut inj = FailureInjector::new(QueueingPolicy, &schedule);
+        let mut inj = FailureInjector::new(QueueingPolicy, &schedule, &cfg);
+        let mut state = ClusterState::try_new(cfg).unwrap();
         assert_eq!(inj.name(), "Queueing", "wrapper is transparent");
 
         inj.on_tick(&mut state, SimTime::from_secs(1));
@@ -420,15 +545,14 @@ mod tests {
 
     #[test]
     fn injector_replays_the_full_matrix() {
-        let mut cfg = ClusterConfig::tiny_test(4);
-        cfg.rack_size = 2;
-        let mut state = ClusterState::try_new(cfg).unwrap();
+        let cfg = racked(4, 2);
         let schedule = FailureSchedule::new()
             .rack_down(SimTime::from_secs(5), 0)
             .link_degraded(SimTime::from_secs(6), 8)
             .rack_up(SimTime::from_secs(10), 0)
             .link_restored(SimTime::from_secs(12));
-        let mut inj = FailureInjector::new(QueueingPolicy, &schedule);
+        let mut inj = FailureInjector::new(QueueingPolicy, &schedule, &cfg);
+        let mut state = ClusterState::try_new(cfg).unwrap();
 
         inj.on_tick(&mut state, SimTime::from_secs(5));
         assert_eq!(state.alive_groups().len(), 2);

@@ -233,7 +233,9 @@ impl<'a> Run<'a> {
             SystemSpec::Custom { name, policy } => (name, self.cfg, policy),
         };
         let policy = match self.failures {
-            Some(schedule) => Box::new(FailureInjector::new(policy, schedule)) as Box<dyn Policy>,
+            Some(schedule) => {
+                Box::new(FailureInjector::new(policy, schedule, &cfg)) as Box<dyn Policy>
+            }
             None => policy,
         };
         let mut engine = Engine::new(cfg, policy);

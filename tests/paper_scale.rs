@@ -66,7 +66,7 @@ fn qwen72b_tp4_cluster_b_serves_longbench() {
 /// completes, KunServe actually drops, and the paper's headline ordering
 /// (KunServe's TTFT tail beats data-parallel vLLM's) reproduces.
 fn assert_full_fidelity(sc: &Scenario) {
-    let outcomes = sc.run_lineup_parallel(bench::harness::default_threads());
+    let outcomes = sc.run_lineup_parallel(bench::harness::host_parallelism());
     for out in &outcomes {
         assert_eq!(
             out.report.finished_requests, out.report.total_requests,
