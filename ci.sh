@@ -5,6 +5,9 @@
 #   fmt     cargo fmt --check
 #   build   release build, all targets, then the frozen benchmark
 #           (perfbench/, its own workspace): neither may print a warning
+#   bench   one pass of each perfbench workload (burst_lineup,
+#           calm_prefix, gateway_zoo): echoes the behaviour digests and
+#           fails unless the run reports "correct": true with "failed": 0
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
@@ -36,7 +39,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test clippy smoke scenarios gateway scale)
+ALL_STAGES=(fmt build bench test clippy smoke scenarios gateway scale)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -106,6 +109,21 @@ stage_build() {
         echo "ci.sh: the perfbench build printed warnings" >&2
         return 1
     fi
+}
+
+stage_bench() {
+    local w out
+    for w in burst_lineup calm_prefix gateway_zoo; do
+        echo "--- perfbench ${w}"
+        out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+            --target-dir target/perfbench -- --workload "$w" --seconds 0)
+        grep '^digest' <<<"$out"
+        if ! grep -q '"correct": true' <<<"$out" || ! grep -q '"failed": 0,' <<<"$out"; then
+            printf '%s\n' "$out" >&2
+            echo "ci.sh: perfbench ${w} did not report a correct run without failures" >&2
+            return 1
+        fi
+    done
 }
 
 stage_test() {

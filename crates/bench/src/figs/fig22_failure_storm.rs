@@ -1,8 +1,9 @@
 //! Regenerates Figure 22: a failure storm — a whole rack (power/ToR
 //! failure domain) goes down mid-burst, taking every instance behind it.
-//! Both systems face the identical scripted storm through the
-//! policy-transparent `FailureInjector`; survivors restore full parameter
-//! copies and absorb the dead rack's requests. KunServe additionally keeps
+//! Both systems face the identical scripted storm, which the engine fires
+//! at monitor ticks (`Run::failures`) while each policy makes its own
+//! decisions; survivors restore full parameter copies and absorb the dead
+//! rack's requests. KunServe additionally keeps
 //! donating memory through the recovery, so its TTFT tail stays below
 //! vLLM's even while the cluster is degraded.
 //!

@@ -3,7 +3,11 @@
 //! Drives request arrivals, continuous-batching iterations (with chunked
 //! prefill and pipeline execution), network transfer completions and monitor
 //! ticks through one deterministic event queue. Policies are consulted at
-//! the decision points described in [`crate::policy`].
+//! the decision points described in [`crate::policy`]. Outside actions
+//! (faults, elastic model ops) are the engine's too: scheduled ones fire
+//! at monitor ticks, and in-flight model ops advance once per tick instant.
+
+use std::collections::VecDeque;
 
 use costmodel::ChunkWork;
 use sim_core::{EventQueue, SimDuration, SimTime};
@@ -11,6 +15,7 @@ use workload::{RequestSpec, Trace};
 
 use crate::batch::{MicroBatch, SeqChunk};
 use crate::config::ClusterConfig;
+use crate::failure::Action;
 use crate::group::{GroupId, IterationPlan};
 use crate::pipeline::{schedule, StageTiming};
 use crate::policy::Policy;
@@ -127,11 +132,11 @@ impl ParallelConfig {
 }
 
 /// The simulation engine: cluster state + policy + event queue.
-pub struct Engine<P: Policy> {
+pub struct Engine {
     /// The cluster being simulated.
     pub state: ClusterState,
     /// The serving policy under evaluation.
-    pub policy: P,
+    pub policy: Box<dyn Policy>,
     events: EventQueue<Event>,
     now: SimTime,
     finished: usize,
@@ -155,11 +160,16 @@ pub struct Engine<P: Policy> {
     last_arrival: SimTime,
     /// Cancellations deferred mid-iteration, retried at each monitor tick.
     pending_cancels: Vec<RequestId>,
+    /// Outside actions waiting for their monitor tick, sorted by time.
+    scheduled: VecDeque<(SimTime, Action)>,
+    /// Set by a monitor tick; cleared once every event at its instant has
+    /// run and the in-flight elastic model ops have advanced.
+    tick_unsettled: bool,
 }
 
-impl<P: Policy> Engine<P> {
+impl Engine {
     /// Creates an engine over a fresh cluster.
-    pub fn new(cfg: ClusterConfig, policy: P) -> Self {
+    pub fn new(cfg: ClusterConfig, policy: Box<dyn Policy>) -> Self {
         Engine {
             state: ClusterState::new(cfg),
             policy,
@@ -174,6 +184,8 @@ impl<P: Policy> Engine<P> {
             run_stop: None,
             last_arrival: SimTime::ZERO,
             pending_cancels: Vec::new(),
+            scheduled: VecDeque::new(),
+            tick_unsettled: false,
         }
     }
 
@@ -186,6 +198,22 @@ impl<P: Policy> Engine<P> {
     /// timelines, memory layout) for post-run analysis.
     pub fn into_state(self) -> ClusterState {
         self.state
+    }
+
+    /// Schedules `action` for the first monitor tick at or after `at`,
+    /// where it fires before the policy's `on_tick`. Actions due at the
+    /// same tick fire in the order they were scheduled.
+    pub fn schedule(&mut self, at: SimTime, action: Action) {
+        let ix = self.scheduled.partition_point(|&(t, _)| t <= at);
+        self.scheduled.insert(ix, (at, action));
+    }
+
+    /// Applies `action` now, between steps (see [`ClusterState::apply`]
+    /// for the return value). Work it makes possible, such as a fresh
+    /// group starting or a reload completing, is picked up by the next
+    /// event.
+    pub fn apply(&mut self, action: Action) -> bool {
+        self.state.apply(action, self.now)
     }
 
     /// Runs `trace` to completion (or until `drain` past the last arrival,
@@ -235,6 +263,9 @@ impl<P: Policy> Engine<P> {
     /// the pre-session loop: `run_observed` calls this with no limit.
     fn pump(&mut self, limit: Option<SimTime>, observer: &mut impl FnMut(&ClusterState, SimTime)) {
         while let Some(t) = self.events.peek_time() {
+            if t > self.now {
+                self.settle_tick();
+            }
             if !self.open && self.finished == self.total {
                 break;
             }
@@ -271,8 +302,20 @@ impl<P: Policy> Engine<P> {
                 break;
             }
         }
+        self.settle_tick();
         if let Some(l) = limit {
             self.now = self.now.max(l);
+        }
+    }
+
+    /// Ends a monitor-tick instant once every event at it has run: the
+    /// in-flight elastic model ops advance one step. Doing it here rather
+    /// than inside the tick keeps them behind same-instant events such as
+    /// a `NetPoll` pushed at the tick, and independent of how callers
+    /// chunk [`Engine::step_until`].
+    fn settle_tick(&mut self) {
+        if std::mem::take(&mut self.tick_unsettled) && self.state.has_model_ops() {
+            self.state.advance_model_ops(self.now);
         }
     }
 
@@ -408,7 +451,11 @@ impl<P: Policy> Engine<P> {
             assert!(v.is_empty(), "HBM ledger violated:\n{}", v.join("\n"));
         }
         self.retry_cancels();
+        while let Some((_, action)) = self.scheduled.pop_front_if(|(at, _)| *at <= now) {
+            self.state.apply(action, now);
+        }
         self.policy.on_tick(&mut self.state, now);
+        self.tick_unsettled = true;
         self.run_reconfigs();
         self.client_sweep(now);
         self.sweep_groups();
@@ -775,8 +822,12 @@ impl<P: Policy> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FaultKind;
     use crate::policy::QueueingPolicy;
-    use workload::{RequestSpec, Trace};
+    use crate::state::ModelAvailability;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use workload::{ModelId, RequestSpec, Trace};
 
     fn small_trace(n: usize, gap_ms: u64, input: u64, output: u64) -> Trace {
         Trace::new(
@@ -796,7 +847,7 @@ mod tests {
 
     #[test]
     fn single_request_completes_with_sane_latency() {
-        let mut eng = Engine::new(ClusterConfig::tiny_test(1), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
         let trace = small_trace(1, 0, 256, 16);
         let report = eng.run(&trace, SimDuration::from_secs(60));
         assert_eq!(report.finished_requests, 1);
@@ -807,7 +858,7 @@ mod tests {
 
     #[test]
     fn light_load_finishes_everything() {
-        let mut eng = Engine::new(ClusterConfig::tiny_test(2), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(2), Box::new(QueueingPolicy));
         let trace = small_trace(20, 400, 128, 12);
         let report = eng.run(&trace, SimDuration::from_secs(120));
         assert_eq!(report.finished_requests, 20);
@@ -818,7 +869,7 @@ mod tests {
 
     #[test]
     fn decode_tpot_is_iteration_scale() {
-        let mut eng = Engine::new(ClusterConfig::tiny_test(1), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
         let trace = small_trace(4, 200, 64, 50);
         let report = eng.run(&trace, SimDuration::from_secs(120));
         assert_eq!(report.finished_requests, 4);
@@ -834,7 +885,7 @@ mod tests {
     fn overload_causes_queuing_and_preemptions() {
         // Flood a single tiny instance: the queueing policy plus recompute
         // fallback must keep making progress, with visible TTFT tails.
-        let mut eng = Engine::new(ClusterConfig::tiny_test(1), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
         let trace = small_trace(80, 5, 1024, 512);
         let report = eng.run(&trace, SimDuration::from_secs(1200));
         assert_eq!(
@@ -857,7 +908,7 @@ mod tests {
     fn pipeline_group_executes_with_bubbles_tracked() {
         let mut cfg = ClusterConfig::tiny_test(2);
         cfg.initial_group_size = 2; // static PP pair (vLLM-PP shape)
-        let mut eng = Engine::new(cfg, QueueingPolicy);
+        let mut eng = Engine::new(cfg, Box::new(QueueingPolicy));
         let trace = small_trace(12, 150, 512, 8);
         let report = eng.run(&trace, SimDuration::from_secs(300));
         assert_eq!(report.finished_requests, 12);
@@ -869,7 +920,10 @@ mod tests {
 
     #[test]
     fn two_model_cluster_serves_both_and_isolates_dispatch() {
-        let mut eng = Engine::new(ClusterConfig::tiny_two_model(2, 2), QueueingPolicy);
+        let mut eng = Engine::new(
+            ClusterConfig::tiny_two_model(2, 2),
+            Box::new(QueueingPolicy),
+        );
         let mut reqs = Vec::new();
         for i in 0..24u64 {
             reqs.push(RequestSpec {
@@ -907,7 +961,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "references model")]
     fn trace_referencing_undeployed_model_panics() {
-        let mut eng = Engine::new(ClusterConfig::tiny_test(1), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
         let trace = Trace::new(vec![RequestSpec {
             id: 0,
             model: workload::ModelId(3),
@@ -923,7 +977,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let mut eng = Engine::new(ClusterConfig::tiny_test(2), QueueingPolicy);
+            let mut eng = Engine::new(ClusterConfig::tiny_test(2), Box::new(QueueingPolicy));
             let trace = small_trace(30, 50, 300, 20);
             let r = eng.run(&trace, SimDuration::from_secs(300));
             (r.finished_requests, r.ttft_samples.clone(), r.total_tokens)
@@ -953,11 +1007,11 @@ mod tests {
     fn incremental_session_matches_batch_run_byte_for_byte() {
         let trace = offgrid_trace(20);
         let drain = SimDuration::from_secs(120);
-        let mut batch = Engine::new(ClusterConfig::tiny_test(2), QueueingPolicy);
+        let mut batch = Engine::new(ClusterConfig::tiny_test(2), Box::new(QueueingPolicy));
         let batch_report = batch.run(&trace, drain);
 
         // The same arrivals injected interval by interval.
-        let mut eng = Engine::new(ClusterConfig::tiny_test(2), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(2), Box::new(QueueingPolicy));
         eng.begin_session();
         let interval = eng.state.cfg.monitor_interval;
         let mut boundary = SimTime::ZERO;
@@ -981,7 +1035,7 @@ mod tests {
 
     #[test]
     fn session_cancel_mid_decode_terminates_and_counts() {
-        let mut eng = Engine::new(ClusterConfig::tiny_test(1), QueueingPolicy);
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
         eng.begin_session();
         let spec = |arr: u64| RequestSpec {
             id: 0,
@@ -1010,6 +1064,150 @@ mod tests {
             eng.state.requests[survivor.0].state,
             ReqState::Finished,
             "cancel must not disturb the other stream"
+        );
+    }
+
+    /// `tiny_test(4)` in two racks: instances {0,1} and {2,3}.
+    fn two_racks() -> ClusterConfig {
+        let mut cfg = ClusterConfig::tiny_test(4);
+        cfg.rack_size = 2;
+        cfg
+    }
+
+    /// When each reconfig marker starting with `prefix` was recorded.
+    fn marked(eng: &Engine, prefix: &str) -> Vec<SimTime> {
+        let events = &eng.state.metrics.reconfig_events;
+        events
+            .iter()
+            .filter(|(_, what)| what.starts_with(prefix))
+            .map(|&(t, _)| t)
+            .collect()
+    }
+
+    #[test]
+    fn scheduled_fault_off_the_tick_grid_fires_once_at_the_next_tick() {
+        let mut eng = Engine::new(two_racks(), Box::new(QueueingPolicy));
+        let rack_down = Action::Fault(FaultKind::RackDown(0));
+        eng.schedule(SimTime::from_millis(5050), rack_down);
+        eng.begin_session();
+        eng.step_until(SimTime::from_millis(5050));
+        assert!(marked(&eng, "rack-failure").is_empty(), "not due yet");
+        assert_eq!(eng.state.alive_groups().len(), 4);
+        eng.step_until(SimTime::from_secs(9));
+        assert_eq!(
+            marked(&eng, "rack-failure"),
+            vec![SimTime::from_millis(5100)],
+            "fires once, at the first tick after its time"
+        );
+        assert_eq!(eng.state.alive_groups().len(), 2, "rack 0 gone");
+    }
+
+    /// Records the live group count the policy sees at every tick.
+    struct TickRecorder(Rc<RefCell<Vec<(SimTime, usize)>>>);
+
+    impl Policy for TickRecorder {
+        fn name(&self) -> &'static str {
+            "TickRecorder"
+        }
+
+        fn on_tick(&mut self, state: &mut ClusterState, now: SimTime) {
+            self.0.borrow_mut().push((now, state.alive_groups().len()));
+        }
+    }
+
+    #[test]
+    fn the_policy_sees_a_scheduled_fault_in_the_tick_it_fires() {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = Engine::new(two_racks(), Box::new(TickRecorder(seen.clone())));
+        eng.schedule(SimTime::from_secs(5), Action::Fault(FaultKind::RackDown(0)));
+        eng.begin_session();
+        eng.step_until(SimTime::from_secs(5));
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 51, "ticks at 0.0 s, 0.1 s, ..., 5.0 s");
+        assert_eq!(seen[49], (SimTime::from_millis(4900), 4));
+        assert_eq!(seen[50], (SimTime::from_secs(5), 2), "fault before on_tick");
+    }
+
+    #[test]
+    fn scheduled_fault_matrix_replays_in_time_order() {
+        let mut eng = Engine::new(two_racks(), Box::new(QueueingPolicy));
+        let at = SimTime::from_secs;
+        let matrix = [
+            (at(5), FaultKind::RackDown(0)),
+            (at(6), FaultKind::LinkDegraded { factor: 8 }),
+            (at(10), FaultKind::RackUp(0)),
+            (at(12), FaultKind::LinkRestored),
+        ];
+        // Scheduled out of order; the engine keeps them sorted.
+        for &(t, kind) in matrix.iter().rev() {
+            eng.schedule(t, Action::Fault(kind));
+        }
+        eng.begin_session();
+        eng.step_until(at(5));
+        assert_eq!(eng.state.alive_groups().len(), 2);
+        eng.step_until(at(6));
+        assert_eq!(eng.state.link_slowdown(), 8, "degraded window open");
+        eng.step_until(at(10));
+        assert_eq!(
+            eng.state.alive_groups().len(),
+            4,
+            "rack rejoined as fresh groups"
+        );
+        eng.step_until(at(12));
+        assert_eq!(eng.state.link_slowdown(), 1, "window closed");
+        assert_eq!(marked(&eng, "rack-failure"), vec![at(5)]);
+        assert_eq!(marked(&eng, "rack-recovery"), vec![at(10)]);
+    }
+
+    #[test]
+    fn batch_run_completes_a_scheduled_model_swap() {
+        let chat = ModelId(1);
+        let mut eng = Engine::new(
+            ClusterConfig::tiny_two_model(2, 2),
+            Box::new(QueueingPolicy),
+        );
+        eng.schedule(SimTime::from_secs(5), Action::Unload(chat));
+        eng.schedule(SimTime::from_secs(20), Action::Load(chat));
+        // The primary model serves for 40 s; the chat model's traffic
+        // ends before its unload, so the drain completes.
+        let trace = Trace::new(
+            (0..400u64)
+                .map(|i| RequestSpec {
+                    id: i,
+                    model: if i % 2 == 1 && i < 40 {
+                        chat
+                    } else {
+                        ModelId::PRIMARY
+                    },
+                    arrival: SimTime::from_millis(i * 100 + 37),
+                    input_tokens: 128,
+                    output_tokens: 12,
+                    prefix: None,
+                    deadline: None,
+                })
+                .collect(),
+        );
+        let mut violations = Vec::new();
+        let report = eng.run_observed(&trace, SimDuration::from_secs(120), |state, now| {
+            violations.extend(state.ledger().check_invariants(&now.to_string()));
+        });
+        assert!(violations.is_empty(), "{}", violations.join("\n"));
+        assert_eq!(report.finished_requests, trace.len());
+        for marker in [
+            "unload: draining m1",
+            "unload: parked m1",
+            "load: restoring m1",
+        ] {
+            assert_eq!(marked(&eng, marker).len(), 1, "{marker}");
+        }
+        let available = marked(&eng, "load: m1 available");
+        assert!(
+            available.len() == 1 && available[0] < SimTime::from_secs(40),
+            "the swap completes while the run is serving: {available:?}"
+        );
+        assert_eq!(
+            eng.state.model_availability(chat),
+            ModelAvailability::Available
         );
     }
 }

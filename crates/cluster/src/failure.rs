@@ -1,4 +1,4 @@
-//! Scripted fault injection: the transient fault matrix.
+//! Outside actions: scripted faults and elastic model operations.
 //!
 //! Real clusters lose whole *racks* at once — a PDU trip or a ToR switch
 //! takes down every instance behind it — but they also get them *back*:
@@ -18,23 +18,24 @@
 //!
 //! Schedules are validated up front ([`FailureSchedule::validate`]) against
 //! the cluster they will run on, with a typed [`ScheduleError`] instead of
-//! silently accepting nonsense like an `up` without a matching `down` or a
-//! fault on an instance the cluster does not have. The [`FailureInjector`]
-//! stays a
-//! transparent [`Policy`] wrapper: the inner policy keeps making its normal
-//! decisions while the cluster churns underneath it.
+//! silently accepting nonsense like an `up` without a matching `down`, a
+//! fault on an instance the cluster does not have, or an outage that
+//! leaves a model with no live instance.
+//!
+//! A fault is one kind of outside [`Action`]; an elastic unload or load
+//! of a model is the other. Every action reaches the cluster through
+//! [`ClusterState::apply`], and the engine owns when it happens
+//! ([`crate::Engine::schedule`], [`crate::Engine::apply`]). The serving
+//! policy keeps making its normal decisions while the cluster churns
+//! underneath it.
 
 use std::collections::BTreeMap;
 
 use sim_core::SimTime;
+use workload::ModelId;
 
-use crate::batch::{MicroBatch, SeqChunk};
 use crate::config::ClusterConfig;
-use crate::former::MicrobatchFormerSpec;
-use crate::group::GroupId;
 use crate::instance::InstanceId;
-use crate::policy::{OomResolution, Policy, TransferEvent};
-use crate::request::RequestId;
 use crate::state::ClusterState;
 
 /// What a scripted fault event does when it fires.
@@ -58,6 +59,89 @@ pub enum FaultKind {
     LinkRestored,
 }
 
+impl FaultKind {
+    /// Whether the fault names something in `cfg`: an instance below
+    /// [`ClusterConfig::total_instances`], a rack of a racked cluster that
+    /// holds an instance, or a link factor of at least 2.
+    fn names_target(self, cfg: &ClusterConfig) -> bool {
+        match self {
+            // A rack exists when its first instance does.
+            FaultKind::RackDown(r) | FaultKind::RackUp(r) => {
+                cfg.rack_size > 0
+                    && u64::from(r) * u64::from(cfg.rack_size) < u64::from(cfg.total_instances())
+            }
+            FaultKind::InstanceDown(i) | FaultKind::InstanceUp(i) => i < cfg.total_instances(),
+            FaultKind::LinkDegraded { factor } => factor >= 2,
+            FaultKind::LinkRestored => true,
+        }
+    }
+}
+
+/// Something done to the cluster from outside its serving policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// A fault or recovery from the fault matrix.
+    Fault(FaultKind),
+    /// Begin an elastic unload of the model
+    /// ([`ClusterState::request_unload_model`]).
+    Unload(ModelId),
+    /// Begin an elastic load of an unloaded model
+    /// ([`ClusterState::request_load_model`]).
+    Load(ModelId),
+}
+
+impl ClusterState {
+    /// Performs `action` at `now`: the one site through which faults and
+    /// elastic model operations reach the cluster.
+    ///
+    /// Returns `false` when the action did not take effect: the fault
+    /// names nothing in the cluster, every instance it would take down is
+    /// already dead, every instance it would bring back is already
+    /// serving, or the model operation is not applicable. A rack fault
+    /// records its timeline marker either way.
+    pub fn apply(&mut self, action: Action, now: SimTime) -> bool {
+        let fault = match action {
+            Action::Fault(kind) => kind,
+            Action::Unload(m) => return self.request_unload_model(m, now),
+            Action::Load(m) => return self.request_load_model(m, now),
+        };
+        if !fault.names_target(&self.cfg) {
+            return false;
+        }
+        let alive = |s: &Self, i: u32| s.group_alive(s.instance_group(InstanceId(i)));
+        match fault {
+            FaultKind::RackDown(r) => {
+                let any_alive = self
+                    .cfg
+                    .instances_in_rack(r)
+                    .into_iter()
+                    .any(|i| alive(self, i));
+                self.fail_rack(r, now);
+                any_alive
+            }
+            FaultKind::RackUp(r) => !self.recover_rack(r, now).is_empty(),
+            FaultKind::InstanceDown(i) => {
+                // Skip a victim already dead (e.g. its whole rack went
+                // first): overlapping scripts are legal.
+                let up = alive(self, i);
+                if up {
+                    self.fail_instance(InstanceId(i), now);
+                }
+                up
+            }
+            FaultKind::InstanceUp(i) => self.recover_instance(InstanceId(i), now).is_some(),
+            FaultKind::LinkDegraded { factor } => {
+                self.set_link_slowdown(factor, now);
+                true
+            }
+            FaultKind::LinkRestored => {
+                self.set_link_slowdown(1, now);
+                true
+            }
+        }
+    }
+}
+
 /// One scripted fault: `kind` fires at `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FailureEvent {
@@ -68,8 +152,8 @@ pub struct FailureEvent {
 }
 
 /// A schedule that references a down-state that was never entered, enters
-/// one twice, closes a window before (or at the instant) it opened, or
-/// names something the cluster does not have.
+/// one twice, closes a window before (or at the instant) it opened, names
+/// something the cluster does not have, or takes a model's last instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleError {
     /// The event names nothing in the cluster: an instance index at or
@@ -89,6 +173,11 @@ pub enum ScheduleError {
         /// The (too early) closing event.
         up: FailureEvent,
     },
+    /// After this event some model has no live instance left, which the
+    /// simulator cannot serve yet. The dark-model state planned in
+    /// ROADMAP.md replaces this error: arrivals for such a model would
+    /// wait until a recovery or a load brings capacity back.
+    DarkensModel(FailureEvent),
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -116,6 +205,11 @@ impl std::fmt::Display for ScheduleError {
                 "zero-width fault window: {:?} at {} closes {:?} opened at the same instant",
                 up.kind, up.at, down.kind
             ),
+            ScheduleError::DarkensModel(e) => write!(
+                f,
+                "fault leaves a model with no live instance: {:?} at {}",
+                e.kind, e.at
+            ),
         }
     }
 }
@@ -129,7 +223,7 @@ pub struct FailureSchedule {
 }
 
 impl FailureSchedule {
-    /// An empty schedule (injector becomes a pure pass-through).
+    /// An empty schedule: a run with it sees no faults.
     pub fn new() -> Self {
         FailureSchedule::default()
     }
@@ -189,41 +283,39 @@ impl FailureSchedule {
     }
 
     /// Checks the schedule against `cfg` for a target the cluster does
-    /// not have ([`ScheduleError::NoSuchTarget`]) and for the three classic
+    /// not have ([`ScheduleError::NoSuchTarget`]), for the three classic
     /// scripting bugs — double-down ([`ScheduleError::Duplicate`]),
     /// up-without-down ([`ScheduleError::UpWithoutDown`]) and zero-width
-    /// windows ([`ScheduleError::OutOfOrder`]) — by replaying the sorted
-    /// events against per-target down-state.
+    /// windows ([`ScheduleError::OutOfOrder`]) — and for an outage that
+    /// takes a model's last live instance ([`ScheduleError::DarkensModel`]),
+    /// by replaying the sorted events.
     ///
     /// A rack and one of its member instances are tracked as *independent*
-    /// targets here: the injector handles the overlap at fire time (an
-    /// already-dead instance is skipped), so overlapping rack/instance
-    /// scripts are legal, just unusual.
+    /// down-windows: [`ClusterState::apply`] skips an already-dead
+    /// instance, so overlapping rack/instance scripts are legal, just
+    /// unusual. Liveness is replayed the way such faults overlap when they
+    /// fire: a rack event sets every member of the rack, an instance event
+    /// sets one instance.
     pub fn validate(&self, cfg: &ClusterConfig) -> Result<(), ScheduleError> {
         // Target key → the event that opened its current down-window.
-        let mut down: BTreeMap<(u8, u64), FailureEvent> = BTreeMap::new();
+        let mut down: BTreeMap<(u8, u32), FailureEvent> = BTreeMap::new();
+        // Instances are laid out model by model.
+        let owner: Vec<ModelId> = cfg
+            .model_ids()
+            .flat_map(|m| std::iter::repeat_n(m, cfg.instances_of(m) as usize))
+            .collect();
+        let mut live = vec![true; owner.len()];
         for ev in self.sorted_events() {
-            let exists = match ev.kind {
-                // A rack exists when its first instance does.
-                FaultKind::RackDown(r) | FaultKind::RackUp(r) => {
-                    cfg.rack_size > 0
-                        && u64::from(r) * u64::from(cfg.rack_size)
-                            < u64::from(cfg.total_instances())
-                }
-                FaultKind::InstanceDown(i) | FaultKind::InstanceUp(i) => i < cfg.total_instances(),
-                FaultKind::LinkDegraded { factor } => factor >= 2,
-                FaultKind::LinkRestored => true,
-            };
-            if !exists {
+            if !ev.kind.names_target(cfg) {
                 return Err(ScheduleError::NoSuchTarget(ev));
             }
-            let (key, opens) = match ev.kind {
-                FaultKind::RackDown(r) => ((0u8, r as u64), true),
-                FaultKind::RackUp(r) => ((0u8, r as u64), false),
-                FaultKind::InstanceDown(i) => ((1u8, i as u64), true),
-                FaultKind::InstanceUp(i) => ((1u8, i as u64), false),
-                FaultKind::LinkDegraded { .. } => ((2u8, 0), true),
-                FaultKind::LinkRestored => ((2u8, 0), false),
+            let (key, opens, members) = match ev.kind {
+                FaultKind::RackDown(r) => ((0u8, r), true, cfg.instances_in_rack(r)),
+                FaultKind::RackUp(r) => ((0u8, r), false, cfg.instances_in_rack(r)),
+                FaultKind::InstanceDown(i) => ((1u8, i), true, vec![i]),
+                FaultKind::InstanceUp(i) => ((1u8, i), false, vec![i]),
+                FaultKind::LinkDegraded { .. } => ((2u8, 0), true, Vec::new()),
+                FaultKind::LinkRestored => ((2u8, 0), false, Vec::new()),
             };
             if opens {
                 if down.contains_key(&key) {
@@ -239,135 +331,21 @@ impl FailureSchedule {
                     Some(_) => {}
                 }
             }
+            for i in members {
+                live[i as usize] = !opens;
+            }
+            let serves = |m: ModelId| owner.iter().zip(&live).any(|(&o, &l)| o == m && l);
+            if !cfg.model_ids().all(serves) {
+                return Err(ScheduleError::DarkensModel(ev));
+            }
         }
         Ok(())
-    }
-}
-
-/// Wraps any [`Policy`] and fires due [`FailureSchedule`] events at the
-/// start of each monitor tick, before delegating to the inner policy.
-///
-/// The wrapper is transparent: `name()` reports the inner system's name so
-/// bench comparisons stay labelled by policy, not by harness.
-#[derive(Debug)]
-pub struct FailureInjector<P: Policy> {
-    inner: P,
-    pending: Vec<FailureEvent>,
-    next: usize,
-    fired: Vec<FailureEvent>,
-}
-
-impl<P: Policy> FailureInjector<P> {
-    /// Wraps `inner`, scripting the faults in `schedule` against the
-    /// cluster `cfg` describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule fails [`FailureSchedule::validate`] — an
-    /// invalid script is a bug at the call site, not a runtime condition.
-    pub fn new(inner: P, schedule: &FailureSchedule, cfg: &ClusterConfig) -> Self {
-        schedule.validate(cfg).expect("invalid failure schedule");
-        FailureInjector {
-            inner,
-            pending: schedule.sorted_events(),
-            next: 0,
-            fired: Vec::new(),
-        }
-    }
-
-    /// The events already injected.
-    pub fn fired(&self) -> &[FailureEvent] {
-        &self.fired
-    }
-
-    /// Consumes the wrapper, returning the inner policy.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
-    fn fire(ev: FailureEvent, state: &mut ClusterState, now: SimTime) {
-        match ev.kind {
-            FaultKind::RackDown(r) => {
-                state.fail_rack(r, now);
-            }
-            FaultKind::RackUp(r) => {
-                state.recover_rack(r, now);
-            }
-            FaultKind::InstanceDown(i) => {
-                // Skip a victim already dead (e.g. its whole rack went
-                // first): overlapping scripts are legal.
-                if state.group_alive(state.instance_group(InstanceId(i))) {
-                    state.fail_instance(InstanceId(i), now);
-                }
-            }
-            FaultKind::InstanceUp(i) => {
-                state.recover_instance(InstanceId(i), now);
-            }
-            FaultKind::LinkDegraded { factor } => {
-                state.set_link_slowdown(factor, now);
-            }
-            FaultKind::LinkRestored => {
-                state.set_link_slowdown(1, now);
-            }
-        }
-    }
-}
-
-impl<P: Policy> Policy for FailureInjector<P> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_tick(&mut self, state: &mut ClusterState, now: SimTime) {
-        while self.next < self.pending.len() && self.pending[self.next].at <= now {
-            let ev = self.pending[self.next];
-            self.next += 1;
-            Self::fire(ev, state, now);
-            self.fired.push(ev);
-        }
-        self.inner.on_tick(state, now);
-    }
-
-    fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {
-        self.inner.on_admission_blocked(state, now, group);
-    }
-
-    fn on_decode_oom(
-        &mut self,
-        state: &mut ClusterState,
-        now: SimTime,
-        group: GroupId,
-        request: RequestId,
-    ) -> OomResolution {
-        self.inner.on_decode_oom(state, now, group, request)
-    }
-
-    fn should_shed(&mut self, state: &ClusterState, now: SimTime, request: RequestId) -> bool {
-        self.inner.should_shed(state, now, request)
-    }
-
-    fn microbatch_former(&self) -> MicrobatchFormerSpec {
-        self.inner.microbatch_former()
-    }
-
-    fn form_microbatches(
-        &self,
-        state: &ClusterState,
-        group: GroupId,
-        work: &[SeqChunk],
-    ) -> Vec<MicroBatch> {
-        self.inner.form_microbatches(state, group, work)
-    }
-
-    fn on_transfer_done(&mut self, state: &mut ClusterState, now: SimTime, event: &TransferEvent) {
-        self.inner.on_transfer_done(state, now, event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::QueueingPolicy;
 
     /// `tiny_test(n)` in racks of `rack_size` (0: unracked).
     fn racked(n: u32, rack_size: u32) -> ClusterConfig {
@@ -522,50 +500,70 @@ mod tests {
     }
 
     #[test]
-    fn injector_fires_due_events_once() {
-        let cfg = racked(4, 2); // instances {0,1} and {2,3}
-        let schedule = FailureSchedule::new().rack_down(SimTime::from_secs(5), 0);
-        let mut inj = FailureInjector::new(QueueingPolicy, &schedule, &cfg);
-        let mut state = ClusterState::try_new(cfg).unwrap();
-        assert_eq!(inj.name(), "Queueing", "wrapper is transparent");
+    fn validation_rejects_a_schedule_that_darkens_a_model() {
+        let at = SimTime::from_secs;
+        let darkens = |s: FailureSchedule, cfg: &ClusterConfig| match s.validate(cfg) {
+            Err(ScheduleError::DarkensModel(ev)) => Some(ev),
+            _ => None,
+        };
+        let cfg = racked(4, 2); // racks {0,1} and {2,3}, one model
+        let both_racks = FailureSchedule::new()
+            .rack_down(at(5), 0)
+            .rack_down(at(6), 1);
+        let last = FailureEvent {
+            at: at(6),
+            kind: FaultKind::RackDown(1),
+        };
+        assert_eq!(darkens(both_racks.clone(), &cfg), Some(last));
+        let every_instance = (0..4).fold(FailureSchedule::new(), |s, i| s.instance_down(at(5), i));
+        assert!(darkens(every_instance, &cfg).is_some());
+        // A recovery after the second rack fails comes too late.
+        assert_eq!(darkens(both_racks.rack_up(at(8), 0), &cfg), Some(last));
+        // Rack 1 of a two-model cluster holds all of model 1.
+        let mut two = ClusterConfig::tiny_two_model(2, 2);
+        two.rack_size = 2;
+        let err = FailureSchedule::new().rack_down(at(5), 1).validate(&two);
+        assert!(matches!(err, Err(ScheduleError::DarkensModel(_))));
+        assert!(err.unwrap_err().to_string().contains("no live instance"));
 
-        inj.on_tick(&mut state, SimTime::from_secs(1));
-        assert!(inj.fired().is_empty(), "not due yet");
-        let before = state.alive_groups().len();
-        assert_eq!(before, 4);
-
-        inj.on_tick(&mut state, SimTime::from_secs(5));
-        assert_eq!(inj.fired().len(), 1);
-        assert_eq!(state.alive_groups().len(), 2, "rack 0 gone");
-
-        // A later tick does not re-fire the same event.
-        inj.on_tick(&mut state, SimTime::from_secs(9));
-        assert_eq!(inj.fired().len(), 1);
+        // Capacity that returns first keeps the model served.
+        let rolling = FailureSchedule::new()
+            .rack_down(at(5), 0)
+            .rack_up(at(6), 0)
+            .rack_down(at(7), 1);
+        assert_eq!(rolling.validate(&cfg), Ok(()));
+        let overlapping = FailureSchedule::new()
+            .rack_down(at(5), 0)
+            .instance_down(at(6), 1)
+            .rack_up(at(7), 0)
+            .rack_down(at(8), 1);
+        assert!(
+            darkens(overlapping, &cfg).is_none(),
+            "a rack up revives its dead members"
+        );
     }
 
     #[test]
-    fn injector_replays_the_full_matrix() {
-        let cfg = racked(4, 2);
-        let schedule = FailureSchedule::new()
-            .rack_down(SimTime::from_secs(5), 0)
-            .link_degraded(SimTime::from_secs(6), 8)
-            .rack_up(SimTime::from_secs(10), 0)
-            .link_restored(SimTime::from_secs(12));
-        let mut inj = FailureInjector::new(QueueingPolicy, &schedule, &cfg);
-        let mut state = ClusterState::try_new(cfg).unwrap();
+    fn apply_reports_whether_the_action_took_effect() {
+        let mut state = ClusterState::new(racked(4, 2));
+        let now = SimTime::from_secs(1);
+        let down = |i| Action::Fault(FaultKind::InstanceDown(i));
+        assert!(state.apply(down(0), now));
+        assert!(!state.apply(down(0), now), "instance 0 is already dead");
+        assert!(!state.apply(down(9), now), "no instance 9");
+        assert!(state.apply(Action::Fault(FaultKind::RackDown(0)), now));
+        assert!(!state.apply(Action::Fault(FaultKind::RackDown(0)), now));
+        assert!(state.apply(Action::Fault(FaultKind::RackUp(0)), now));
+        assert!(!state.apply(Action::Fault(FaultKind::InstanceUp(1)), now));
 
-        inj.on_tick(&mut state, SimTime::from_secs(5));
-        assert_eq!(state.alive_groups().len(), 2);
-        inj.on_tick(&mut state, SimTime::from_secs(6));
-        assert_eq!(state.link_slowdown(), 8, "degraded window open");
-        inj.on_tick(&mut state, SimTime::from_secs(10));
-        assert_eq!(
-            state.alive_groups().len(),
-            4,
-            "rack rejoined as fresh groups"
+        let m = ModelId::PRIMARY;
+        assert!(!state.apply(Action::Load(m), now), "not unloaded");
+        assert!(state.apply(Action::Unload(m), now));
+        assert!(!state.apply(Action::Unload(m), now), "already in flight");
+        assert!(!state.apply(Action::Load(m), now), "draining, not unloaded");
+        assert!(
+            !state.apply(Action::Unload(ModelId(3)), now),
+            "not deployed"
         );
-        inj.on_tick(&mut state, SimTime::from_secs(12));
-        assert_eq!(state.link_slowdown(), 1, "window closed");
-        assert_eq!(inj.fired().len(), 4);
     }
 }

@@ -12,7 +12,8 @@
 //! group merge/split with parameter remapping and KVCache exchange
 //! (KunServe). A [`policy::Policy`] implementation decides *when* to invoke
 //! them; the [`engine::Engine`] drives arrivals, iterations, transfers and
-//! monitor ticks through a deterministic event queue.
+//! monitor ticks through a deterministic event queue, and applies outside
+//! [`failure::Action`]s (faults, elastic model ops) at one site.
 //!
 //! ```text
 //!    trace ──► dispatcher ──► group queues ──► batch former ──► pipeline
@@ -37,7 +38,7 @@ pub mod state;
 pub use batch::{token_count_form, MicroBatch, SeqChunk};
 pub use config::{ClusterConfig, ConfigError, ModelDeployment, Testbed};
 pub use engine::{Engine, ParallelConfig};
-pub use failure::{FailureEvent, FailureInjector, FailureSchedule, FaultKind, ScheduleError};
+pub use failure::{Action, FailureEvent, FailureSchedule, FaultKind, ScheduleError};
 pub use former::{balance_microbatches, MicrobatchFormerSpec};
 pub use group::{ExecGroup, GroupId};
 pub use instance::{Instance, InstanceId};

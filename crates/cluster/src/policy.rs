@@ -206,48 +206,3 @@ impl Policy for QueueingPolicy {
         "Queueing"
     }
 }
-
-impl<P: Policy + ?Sized> Policy for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn on_tick(&mut self, state: &mut ClusterState, now: SimTime) {
-        (**self).on_tick(state, now)
-    }
-
-    fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {
-        (**self).on_admission_blocked(state, now, group)
-    }
-
-    fn on_decode_oom(
-        &mut self,
-        state: &mut ClusterState,
-        now: SimTime,
-        group: GroupId,
-        request: RequestId,
-    ) -> OomResolution {
-        (**self).on_decode_oom(state, now, group, request)
-    }
-
-    fn should_shed(&mut self, state: &ClusterState, now: SimTime, request: RequestId) -> bool {
-        (**self).should_shed(state, now, request)
-    }
-
-    fn microbatch_former(&self) -> MicrobatchFormerSpec {
-        (**self).microbatch_former()
-    }
-
-    fn form_microbatches(
-        &self,
-        state: &ClusterState,
-        group: GroupId,
-        work: &[SeqChunk],
-    ) -> Vec<MicroBatch> {
-        (**self).form_microbatches(state, group, work)
-    }
-
-    fn on_transfer_done(&mut self, state: &mut ClusterState, now: SimTime, event: &TransferEvent) {
-        (**self).on_transfer_done(state, now, event)
-    }
-}

@@ -203,7 +203,7 @@ pub struct ClusterState {
     pub pending_overhead: HashMap<GroupId, SimDuration>,
     transfer_batches: HashMap<u64, TransferBatch>,
     next_batch: u64,
-    /// In-flight elastic model load/unload operations (gateway-driven).
+    /// In-flight elastic model load/unload operations ([`crate::Action`]s).
     model_ops: Vec<ModelOp>,
 }
 
@@ -773,18 +773,15 @@ impl ClusterState {
     /// Requests a merge: the groups freeze (finish their current iteration,
     /// start no new one) and the merge executes once all are idle.
     pub fn request_merge(&mut self, groups: Vec<GroupId>) {
-        self.request_merge_granting(groups, Vec::new());
+        self.request_merge_ranged(groups, Vec::new(), None);
     }
 
     /// Requests a merge whose freed parameter memory is (partly) **donated**
     /// to other models' KV pools: each `(borrower, bytes)` grant is
     /// credited to the borrower model's most-loaded group when the merge
     /// executes, instead of growing this model's own capacity.
-    pub fn request_merge_granting(&mut self, groups: Vec<GroupId>, grants: Vec<(ModelId, u64)>) {
-        self.request_merge_ranged(groups, grants, None);
-    }
-
-    /// Requests a **layer-granular** merge: only the duplicates of
+    ///
+    /// The merge is **layer-granular**: only the duplicates of
     /// `drop_range` (`None` = all layers) are dropped, sized by the
     /// planner to the borrower's actual deficit. Layers outside the range
     /// stay replicated on every member, so the group restores them
@@ -818,8 +815,8 @@ impl ClusterState {
     /// Requests a split (restore): the group freezes and splits once idle.
     ///
     /// Idempotent: a split already pending for `group` is not queued twice,
-    /// so the restore path tolerates both the policy and the gateway's
-    /// elastic-load machinery reacting to the same `ParamRestoreReady`.
+    /// so the restore path tolerates both the policy and the elastic-load
+    /// machinery reacting to the same `ParamRestoreReady`.
     pub fn request_split(&mut self, group: GroupId) {
         if self
             .pending_reconfigs
@@ -2253,7 +2250,7 @@ impl ClusterState {
     }
 
     // ------------------------------------------------------------------
-    // Elastic model load/unload (gateway-driven hot-swap).
+    // Elastic model load/unload (hot-swap through `Action::{Unload, Load}`).
     // ------------------------------------------------------------------
 
     /// Client-visible availability of `m` under any in-flight elastic
@@ -2342,8 +2339,8 @@ impl ClusterState {
 
     /// One monitor-tick step of every in-flight elastic model operation.
     /// Deterministic: operations advance in request order based only on
-    /// simulated state. Call at tick boundaries (gated by
-    /// [`Self::has_model_ops`]).
+    /// simulated state. The engine calls it once per tick instant, after
+    /// every event at that instant (gated by [`Self::has_model_ops`]).
     pub fn advance_model_ops(&mut self, now: SimTime) {
         let mut i = 0;
         while i < self.model_ops.len() {

@@ -7,8 +7,8 @@
 //! configured identically (the precondition for byte-identical bridging).
 
 use cluster::{
-    CancelOutcome, ClusterConfig, ClusterState, Engine, FailureInjector, FailureSchedule,
-    ParallelConfig, Policy, RequestId, RunReport,
+    Action, CancelOutcome, ClusterConfig, ClusterState, Engine, FailureSchedule, ParallelConfig,
+    Policy, RequestId, RunReport,
 };
 use sim_core::{SimDuration, SimTime};
 use workload::{RequestSpec, Trace};
@@ -132,10 +132,10 @@ enum SystemSpec {
 /// assert_eq!(out.report.finished_requests, trace.len());
 /// ```
 ///
-/// - [`Run::failures`] wraps the policy in a [`FailureInjector`] firing a
-///   scripted fault storm at monitor ticks (requires `cfg.rack_size > 0`).
-/// - [`Run::policy`] swaps in a custom [`Policy`] (experiments outside the
-///   paper lineup); the outcome keeps the label passed here.
+/// - [`Run::with_policy`] starts from a caller-supplied [`Policy`] instead
+///   of a [`SystemKind`] (experiments outside the paper lineup).
+/// - [`Run::failures`] scripts a fault storm: the engine fires each event
+///   at the first monitor tick at or after its time.
 /// - [`Run::execute_observed`] threads a per-event observer through, for
 ///   invariant-checking tests.
 pub struct Run<'a> {
@@ -143,7 +143,7 @@ pub struct Run<'a> {
     cfg: ClusterConfig,
     trace: &'a Trace,
     drain: SimDuration,
-    failures: Option<&'a FailureSchedule>,
+    actions: Vec<(SimTime, Action)>,
 }
 
 impl<'a> Run<'a> {
@@ -155,7 +155,7 @@ impl<'a> Run<'a> {
             cfg,
             trace,
             drain: SimDuration::from_secs(600),
-            failures: None,
+            actions: Vec::new(),
         }
     }
 
@@ -176,7 +176,7 @@ impl<'a> Run<'a> {
             cfg,
             trace,
             drain: SimDuration::from_secs(600),
-            failures: None,
+            actions: Vec::new(),
         }
     }
 
@@ -194,24 +194,27 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Injects the correlated rack failures in `schedule`: the policy is
-    /// wrapped in a [`FailureInjector`] that fires every due
-    /// [`FailureSchedule`] event at monitor ticks before delegating, so
-    /// each system faces the same scripted storm while making its own
-    /// recovery decisions.
-    pub fn failures(mut self, schedule: &'a FailureSchedule) -> Self {
-        self.failures = Some(schedule);
-        self
-    }
-
-    /// Replaces the [`SystemKind`] policy with a caller-supplied one;
-    /// `name` labels the outcome. No [`SystemKind::adjust_config`]
-    /// adjustment is applied — the config runs as given.
-    pub fn policy(mut self, name: impl Into<String>, policy: Box<dyn Policy>) -> Self {
-        self.system = SystemSpec::Custom {
-            name: name.into(),
-            policy,
-        };
+    /// Scripts the faults in `schedule`, replacing any earlier schedule:
+    /// the engine fires every event at the first monitor tick at or after
+    /// its time, just before the policy's `on_tick`, so each system faces
+    /// the same storm while making its own recovery decisions. Instance
+    /// and link faults also run on an unracked cluster; rack faults need
+    /// `cfg.rack_size > 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule fails [`FailureSchedule::validate`] against
+    /// the run's cluster: an invalid script is a bug at the call site, not
+    /// a runtime condition.
+    pub fn failures(mut self, schedule: &FailureSchedule) -> Self {
+        schedule
+            .validate(&self.cfg)
+            .expect("invalid failure schedule");
+        self.actions = schedule
+            .sorted_events()
+            .into_iter()
+            .map(|ev| (ev.at, Action::Fault(ev.kind)))
+            .collect();
         self
     }
 
@@ -232,13 +235,10 @@ impl<'a> Run<'a> {
             ),
             SystemSpec::Custom { name, policy } => (name, self.cfg, policy),
         };
-        let policy = match self.failures {
-            Some(schedule) => {
-                Box::new(FailureInjector::new(policy, schedule, &cfg)) as Box<dyn Policy>
-            }
-            None => policy,
-        };
         let mut engine = Engine::new(cfg, policy);
+        for (at, action) in self.actions {
+            engine.schedule(at, action);
+        }
         let report = engine.run_observed(self.trace, self.drain, observer);
         RunOutcome {
             name,
@@ -257,7 +257,7 @@ impl<'a> Run<'a> {
 /// Only this module constructs engines; everything outside reaches the
 /// core through [`Run`] or a `ServingSession`.
 pub struct ServingSession {
-    engine: Engine<Box<dyn Policy>>,
+    engine: Engine,
 }
 
 impl ServingSession {
@@ -297,11 +297,12 @@ impl ServingSession {
         &self.engine.state
     }
 
-    /// Runs `f` against the cluster state between steps — the hook for
-    /// elastic model load/unload operations.
-    pub fn mutate(&mut self, f: impl FnOnce(&mut ClusterState, SimTime)) {
-        let now = self.engine.now();
-        f(&mut self.engine.state, now)
+    /// Applies an outside action (a fault, an elastic unload or load) at
+    /// [`ServingSession::now`]; `false` means it did not take effect (see
+    /// [`ClusterState::apply`]). In-flight model ops then advance at every
+    /// monitor-tick instant the session steps through.
+    pub fn apply(&mut self, action: Action) -> bool {
+        self.engine.apply(action)
     }
 
     /// Closes the session: no further injections, runs until the backlog
@@ -316,6 +317,7 @@ impl ServingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::{ModelAvailability, ModelId};
     use sim_core::SimTime;
     use workload::{BurstTraceBuilder, Dataset};
 
@@ -503,6 +505,61 @@ mod tests {
         assert!(
             !pp.state.metrics.bubbles.is_empty(),
             "PP execution must record pipeline bubbles"
+        );
+    }
+
+    /// A session on `tiny_two_model(2, 2)` that unloads the chat model at
+    /// 5 s and loads it back at 20 s, stepping in `chunk`s that stop
+    /// exactly at both instants. Returns the report and reconfig timeline.
+    fn swap_session(chunk: SimDuration) -> String {
+        let chat = ModelId(1);
+        let mut session =
+            ServingSession::open(SystemKind::KunServe, ClusterConfig::tiny_two_model(2, 2));
+        // The primary model serves for 30 s; chat traffic ends at 4 s.
+        for i in 0..300u64 {
+            let model = if i % 3 == 0 && i < 40 {
+                chat
+            } else {
+                ModelId::PRIMARY
+            };
+            session.inject(RequestSpec {
+                id: i,
+                model,
+                arrival: SimTime::from_millis(i * 100 + 41),
+                input_tokens: 160,
+                output_tokens: 16,
+                prefix: None,
+                deadline: None,
+            });
+        }
+        let stops = [
+            (SimTime::from_secs(5), Some(Action::Unload(chat))),
+            (SimTime::from_secs(20), Some(Action::Load(chat))),
+            (SimTime::from_secs(60), None),
+        ];
+        let mut t = SimTime::ZERO;
+        for (stop, action) in stops {
+            while t < stop {
+                t = (t + chunk).min(stop);
+                session.step_until(t);
+            }
+            if let Some(action) = action {
+                assert!(session.apply(action), "{action:?} at {t}");
+            }
+        }
+        let (report, state) = session.end(SimDuration::from_secs(60));
+        assert_eq!(state.model_availability(chat), ModelAvailability::Available);
+        let events = &state.metrics.reconfig_events;
+        assert!(events.iter().any(|(_, e)| e == "load: m1 available"));
+        format!("{report:?}|{events:?}")
+    }
+
+    #[test]
+    fn model_ops_advance_independently_of_step_chunking() {
+        assert_eq!(
+            swap_session(SimDuration::from_millis(100)),
+            swap_session(SimDuration::from_millis(130)),
+            "model ops must advance at tick instants, not at step boundaries"
         );
     }
 }

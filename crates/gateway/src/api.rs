@@ -1,6 +1,6 @@
 //! The gateway proper: submit / stream / cancel / elastic model ops.
 
-use cluster::{ClusterConfig, ClusterState, ModelAvailability};
+use cluster::{Action, ClusterConfig, ClusterState, ModelAvailability};
 use kunserve::serving::{ServingSession, SystemKind};
 use sim_core::{SimDuration, SimTime};
 use workload::{Deadline, ModelId, RequestSpec, SharedPrefix};
@@ -138,11 +138,12 @@ struct Track {
 /// Time advances only through [`Gateway::pump_until`] (or
 /// [`Gateway::finish`]), in monitor-interval boundaries. At each boundary
 /// the gateway injects every due submission (in arrival order), steps the
-/// engine session, advances any elastic model operation, fires streaming
-/// callbacks, and lets the [`Clock`] pace the loop. Because injection and
-/// stepping happen only at tick boundaries, a session reproduces the batch
-/// run of the same submissions exactly: byte-identical reports, paced or
-/// virtual.
+/// engine session, fires streaming callbacks, and lets the [`Clock`] pace
+/// the loop. Elastic model operations are actions the gateway applies
+/// between boundaries; the engine advances them at every tick instant.
+/// Because injection and stepping happen only at tick boundaries, a
+/// session reproduces the batch run of the same submissions exactly:
+/// byte-identical reports, paced or virtual.
 pub struct Gateway<C: Clock> {
     session: ServingSession,
     clock: C,
@@ -361,32 +362,21 @@ impl<C: Clock> Gateway<C> {
     /// Begins an elastic **unload** of `m` (KunServe drop as a first-class
     /// operation): new submissions are refused, in-flight requests drain,
     /// the model's groups merge, and the freed duplicate parameter bytes
-    /// become lendable KV in the [`cluster::MemoryLedger`]. Progress is
-    /// driven by subsequent pumps.
+    /// become lendable KV in the [`cluster::MemoryLedger`]. The engine
+    /// advances it at each tick instant of subsequent pumps.
     pub fn unload_model(&mut self, m: ModelId) -> Result<(), GatewayError> {
-        let mut ok = false;
-        self.session
-            .mutate(|state, now| ok = state.request_unload_model(m, now));
-        if ok {
-            Ok(())
-        } else {
-            Err(GatewayError::ModelOpRejected(m))
-        }
+        let ok = self.session.apply(Action::Unload(m));
+        ok.then_some(()).ok_or(GatewayError::ModelOpRejected(m))
     }
 
     /// Begins an elastic **load** of a previously unloaded `m`
     /// (ParamRestore-style): parameters stream back from the parked copy,
     /// the group splits, and the model returns to `Available` once
-    /// restore completes. Progress is driven by subsequent pumps.
+    /// restore completes. The engine advances it at each tick instant of
+    /// subsequent pumps.
     pub fn load_model(&mut self, m: ModelId) -> Result<(), GatewayError> {
-        let mut ok = false;
-        self.session
-            .mutate(|state, now| ok = state.request_load_model(m, now));
-        if ok {
-            Ok(())
-        } else {
-            Err(GatewayError::ModelOpRejected(m))
-        }
+        let ok = self.session.apply(Action::Load(m));
+        ok.then_some(()).ok_or(GatewayError::ModelOpRejected(m))
     }
 
     /// Convenience probe: the serving availability of `m`.
@@ -396,8 +386,8 @@ impl<C: Clock> Gateway<C> {
 
     /// Advances simulated time boundary-by-boundary until the last
     /// monitor-tick boundary at or before `until`, injecting due
-    /// submissions, progressing elastic model ops, firing streaming
-    /// callbacks and pacing via the [`Clock`].
+    /// submissions, firing streaming callbacks and pacing via the
+    /// [`Clock`].
     pub fn pump_until(&mut self, until: SimTime) {
         loop {
             let next = self.now + self.interval;
@@ -415,10 +405,6 @@ impl<C: Clock> Gateway<C> {
             }
             self.session.step_until(next);
             self.now = next;
-            if self.state().has_model_ops() {
-                self.session
-                    .mutate(|state, now| state.advance_model_ops(now));
-            }
             self.deliver_stream_events();
             self.clock.pace(next);
         }

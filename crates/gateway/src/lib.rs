@@ -17,12 +17,15 @@
 //!   drains and merges a model's groups, freeing duplicate parameter
 //!   bytes as lendable KV in the [`cluster::MemoryLedger`]; load streams
 //!   the parked copy back (ParamRestore) and splits the group again.
+//!   Each is a [`cluster::Action`] applied through the session; the
+//!   engine advances it at every monitor-tick instant.
 //! - **The virtual-time ↔ wall-clock bridge** ([`Clock`], [`Virtual`],
 //!   [`Paced`]): pacing only delays boundary processing, never feeds back
 //!   into the simulation, so a real-time demo and an as-fast-as-possible
 //!   CI run of the same submissions produce byte-identical reports — and
 //!   the same report as a batch [`kunserve::serving::Run`] of those
-//!   arrivals, as long as none lands exactly on a monitor tick.
+//!   arrivals, as long as none lands exactly on a monitor tick. The
+//!   gateway only injects and steps; the engine steps model ops.
 //!
 //! The gateway owns a [`kunserve::serving::ServingSession`]; it never
 //! constructs engines itself, keeping `core::serving` the single engine

@@ -50,5 +50,5 @@ pub use diurnal::DiurnalTraceBuilder;
 pub use popularity::PopularityTraceBuilder;
 pub use prefix::SharedPrefixTraceBuilder;
 pub use retry::RetryPolicy;
-pub use source::{ArrivalSource, OpenLoopSource, TraceSource};
+pub use source::OpenLoopSource;
 pub use trace::{extreme_burst, Deadline, ModelId, RequestSpec, SharedPrefix, Trace};

@@ -39,9 +39,7 @@ pub use workload;
 
 /// One-line imports for examples and tests.
 pub mod prelude {
-    pub use cluster::{
-        ClusterConfig, Engine, FailureInjector, FailureSchedule, Policy, RunReport, Testbed,
-    };
+    pub use cluster::{Action, ClusterConfig, Engine, FailureSchedule, Policy, RunReport, Testbed};
     pub use kunserve::serving::{Run, RunOutcome, ServingSession, SystemKind};
     pub use kunserve::{KunServeConfig, KunServePolicy};
     pub use sim_core::{SimDuration, SimTime};

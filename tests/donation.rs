@@ -217,7 +217,7 @@ fn reclaimed_loan_restores_exactly_the_lent_layers() {
         .filter(|&g| state.group(g).model == ModelId(0))
         .take(2)
         .collect();
-    state.request_merge_granting(m0_groups, vec![(ModelId(1), u64::MAX / 2)]);
+    state.request_merge_ranged(m0_groups, vec![(ModelId(1), u64::MAX / 2)], None);
     let created = state.execute_ready_reconfigs(now);
     assert_eq!(created.len(), 1, "merge must execute");
     let lender_group = created[0];
@@ -286,7 +286,7 @@ fn cluster_with_live_donation(
         .filter(|&g| state.group(g).model == ModelId(0))
         .take(2)
         .collect();
-    state.request_merge_granting(m0_groups, vec![(ModelId(1), u64::MAX / 2)]);
+    state.request_merge_ranged(m0_groups, vec![(ModelId(1), u64::MAX / 2)], None);
     let created = state.execute_ready_reconfigs(SimTime::ZERO);
     assert_eq!(created.len(), 1, "merge must execute");
     let lender_group = created[0];
