@@ -6,8 +6,9 @@
 #   build   release build, all targets, then the frozen benchmark
 #           (perfbench/, its own workspace): neither may print a warning
 #   bench   one pass of each perfbench workload (burst_lineup,
-#           calm_prefix, gateway_zoo): echoes the behaviour digests and
-#           fails unless the run reports "correct": true with "failed": 0
+#           calm_prefix, gateway_zoo): echoes the behaviour digests, fails
+#           unless they equal PINNED_DIGESTS below and the run reports
+#           "correct": true with "failed": 0
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
@@ -111,8 +112,22 @@ stage_build() {
     fi
 }
 
+# The behaviour fingerprint: every `digest <system> <hex>` line perfbench
+# prints at each workload's default seed, prefixed with the workload. A
+# change that moves behaviour on purpose (such as a new pipeline model)
+# updates this list and says why in CHANGES.md.
+PINNED_DIGESTS='burst_lineup vLLM (DP) b91fba762df11a93
+burst_lineup vLLM (PP) 7fefc6ed5a5b3252
+burst_lineup InferCept f74d1a86053d9d60
+burst_lineup Llumnix a6ac48c450f5287c
+burst_lineup KunServe 21e4d96e651f2976
+calm_prefix KunServe 09868ce82b27c2ed
+calm_prefix vLLM (DP) 09868ce82b27c2ed
+gateway_zoo KunServe 37260d67ae19a029
+gateway_zoo vLLM (DP) c1413c5f23353fff'
+
 stage_bench() {
-    local w out
+    local w out printed=()
     for w in burst_lineup calm_prefix gateway_zoo; do
         echo "--- perfbench ${w}"
         out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
@@ -123,7 +138,17 @@ stage_bench() {
             echo "ci.sh: perfbench ${w} did not report a correct run without failures" >&2
             return 1
         fi
+        mapfile -t -O "${#printed[@]}" printed < <(
+            grep '^digest' <<<"$out" | sed "s/^digest /${w} /; s/ finished=.*//")
     done
+    local got
+    got=$(printf '%s\n' "${printed[@]}")
+    if [ "$got" != "$PINNED_DIGESTS" ]; then
+        printf -- '--- pinned digests\n%s\n--- printed digests\n%s\n' \
+            "$PINNED_DIGESTS" "$got" >&2
+        echo "ci.sh: the behaviour digests moved from the pinned list" >&2
+        return 1
+    fi
 }
 
 stage_test() {

@@ -53,14 +53,18 @@ fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
     }
 }
 
-/// Collects one iteration's work for a group: a decode chunk per running
-/// decode request plus budget-bounded prefill chunks in arrival order.
+/// Collects one iteration's work for a group into `work`: a decode chunk
+/// per running decode request plus budget-bounded prefill chunks in
+/// arrival order. Each request appears at most once. `prefills` is
+/// scratch space.
 fn collect_work(
     g: &crate::group::ExecGroup,
     reqs: &[Request],
     cfg: &ClusterConfig,
     skipped: &[RequestId],
-) -> Vec<SeqChunk> {
+    work: &mut Vec<SeqChunk>,
+    prefills: &mut Vec<RequestId>,
+) {
     let rounds = decode_tokens_per_iter(g.stages(), cfg);
     let stages = g.stages() as u64;
     let budget = if stages == 1 {
@@ -70,9 +74,9 @@ fn collect_work(
         // dense as a single-stage batch.
         cfg.token_budget * stages * cfg.microbatches_per_stage as u64
     };
-    let mut work = Vec::with_capacity(g.running.len());
+    work.clear();
+    prefills.clear();
     let mut used = 0u64;
-    let mut prefills: Vec<RequestId> = Vec::new();
     for &r in &g.running {
         if skipped.contains(&r) {
             continue; // no KV slot this iteration (swap in flight)
@@ -97,8 +101,10 @@ fn collect_work(
             prefills.push(r);
         }
     }
-    prefills.sort_by_key(|&r| (reqs[r.0].spec.arrival, r));
-    for r in prefills {
+    // The id breaks ties, so the unstable sort gives the stable order
+    // without a stable sort's scratch buffer.
+    prefills.sort_unstable_by_key(|&r| (reqs[r.0].spec.arrival, r));
+    for &r in prefills.iter() {
         if used >= budget {
             break;
         }
@@ -116,7 +122,6 @@ fn collect_work(
         });
         used += chunk;
     }
-    work
 }
 
 /// Kept for the benchmark, which still names it; the engine is serial,
@@ -149,6 +154,13 @@ pub struct Engine {
     groups_buf: Vec<GroupId>,
     /// Reused scratch buffer for decode-growth reservation.
     decodes_buf: Vec<RequestId>,
+    /// Reused iteration buffers: the collected chunks, the prefill
+    /// candidates behind them, and the chunk works handed to sampling.
+    work_buf: Vec<SeqChunk>,
+    prefills_buf: Vec<RequestId>,
+    works_buf: Vec<ChunkWork>,
+    /// A finished iteration's `IterationPlan::work`, reused by the next.
+    plan_buf: Vec<(RequestId, u64)>,
     /// Set while an interactive session ([`Engine::begin_session`]) is
     /// accepting injections: the monitor-tick chain stays armed through
     /// lulls and the pump never stops on `finished == total`.
@@ -180,6 +192,10 @@ impl Engine {
             net_poll_at: None,
             groups_buf: Vec::new(),
             decodes_buf: Vec::new(),
+            work_buf: Vec::new(),
+            prefills_buf: Vec::new(),
+            works_buf: Vec::new(),
+            plan_buf: Vec::new(),
             open: false,
             run_stop: None,
             last_arrival: SimTime::ZERO,
@@ -209,11 +225,14 @@ impl Engine {
     }
 
     /// Applies `action` now, between steps (see [`ClusterState::apply`]
-    /// for the return value). Work it makes possible, such as a fresh
-    /// group starting or a reload completing, is picked up by the next
-    /// event.
+    /// for the return value). A transfer the action submits, such as a
+    /// recovery's parameter reload, is polled when it completes, as for a
+    /// scheduled action; other work it makes possible, such as a fresh
+    /// group starting, is picked up by the next event.
     pub fn apply(&mut self, action: Action) -> bool {
-        self.state.apply(action, self.now)
+        let applied = self.state.apply(action, self.now);
+        self.schedule_net_poll();
+        applied
     }
 
     /// Runs `trace` to completion (or until `drain` past the last arrival,
@@ -583,24 +602,81 @@ impl Engine {
             return; // an OOM handler requested a reconfiguration
         }
 
-        let work = collect_work(
+        collect_work(
             self.state.group(group),
             &self.state.requests[..],
             &self.state.cfg,
             &skipped,
+            &mut self.work_buf,
+            &mut self.prefills_buf,
         );
-        if work.is_empty() {
+        if self.work_buf.is_empty() {
             return;
         }
 
-        let stages = self.state.group(group).stages();
-        let mbs: Vec<MicroBatch> = if stages == 1 {
-            // Single-stage groups execute the whole collection as one
-            // batch; move the chunks instead of cloning them.
-            vec![MicroBatch { chunks: work }]
+        let mut plan = std::mem::take(&mut self.plan_buf);
+        plan.clear();
+        let (start, makespan, bubble_frac) = if self.state.group(group).stages() == 1 {
+            self.plan_single_stage(group, &mut plan)
         } else {
-            self.policy.form_microbatches(&self.state, group, &work)
+            self.plan_pipelined(group, &mut plan)
         };
+        let new_tokens: u64 = plan.iter().map(|&(_, t)| t).sum();
+
+        let finish = start + makespan;
+        let g = self.state.group_mut(group);
+        g.iter_seq += 1;
+        let seq = g.iter_seq;
+        g.busy_until = Some(finish);
+        g.current_iter = Some(IterationPlan {
+            work: plan,
+            started: self.now,
+            duration: finish - self.now,
+            bubble_frac,
+            new_tokens,
+        });
+        self.events.push(finish, Event::GroupDone { group, seq });
+    }
+
+    /// Times a single-stage iteration over the collected chunks and fills
+    /// `plan` with them. Returns `(start, makespan, bubble_frac)`.
+    fn plan_single_stage(
+        &mut self,
+        group: GroupId,
+        plan: &mut Vec<(RequestId, u64)>,
+    ) -> (SimTime, SimDuration, f64) {
+        let g = self.state.group(group);
+        let (model, frac) = (g.model, g.stage_fracs[0]);
+        self.works_buf.clear();
+        self.works_buf.extend(self.work_buf.iter().map(|c| c.work));
+        let makespan = self.state.ground_truths[model.0 as usize].sample(
+            &self.works_buf,
+            frac,
+            &mut self.state.rng,
+        );
+        let start = self.now + self.state.take_overhead(group);
+        plan.extend(self.work_buf.iter().map(|c| (c.request, c.work.new_tokens)));
+        debug_assert!(
+            plan.iter()
+                .enumerate()
+                .all(|(i, &(r, _))| plan[..i].iter().all(|&(q, _)| q != r)),
+            "collect_work emits each request at most once"
+        );
+        (start, makespan, 0.0)
+    }
+
+    /// Forms microbatches from the collected chunks, samples every
+    /// (microbatch, stage) time, schedules the pipeline and fills `plan`
+    /// with per-request token progress. Returns `(start, makespan,
+    /// bubble_frac)`.
+    fn plan_pipelined(
+        &mut self,
+        group: GroupId,
+        plan: &mut Vec<(RequestId, u64)>,
+    ) -> (SimTime, SimDuration, f64) {
+        let mbs: Vec<MicroBatch> =
+            self.policy
+                .form_microbatches(&self.state, group, &self.work_buf);
         debug_assert!(!mbs.is_empty(), "non-empty work forms microbatches");
 
         // Sample execution times per (microbatch, stage) from the serving
@@ -626,51 +702,31 @@ impl Engine {
 
         let overhead = self.state.take_overhead(group);
         let start = self.now + overhead;
-        let (makespan, bubble_frac) = if stages == 1 {
-            (timing.times[0][0], 0.0)
-        } else {
-            let members = self.state.group(group).members.clone();
-            let act_per_token = self.state.cfg.model_cfg(model).activation_bytes_per_token();
-            let mb_tokens: Vec<u64> = mbs.iter().map(|m| m.new_tokens()).collect();
-            let network = &mut self.state.network;
-            let sched = schedule(start, &timing, |mb, boundary, send| {
-                let bytes = (mb_tokens[mb] * act_per_token).max(1);
-                network.interactive(
-                    send,
-                    netsim::NodeId(members[boundary].0),
-                    netsim::NodeId(members[boundary + 1].0),
-                    bytes,
-                )
-            });
-            (sched.makespan, sched.bubble_frac())
-        };
+        let members = self.state.group(group).members.clone();
+        let act_per_token = self.state.cfg.model_cfg(model).activation_bytes_per_token();
+        let mb_tokens: Vec<u64> = mbs.iter().map(|m| m.new_tokens()).collect();
+        let network = &mut self.state.network;
+        let sched = schedule(start, &timing, |mb, boundary, send| {
+            let bytes = (mb_tokens[mb] * act_per_token).max(1);
+            network.interactive(
+                send,
+                netsim::NodeId(members[boundary].0),
+                netsim::NodeId(members[boundary + 1].0),
+                bytes,
+            )
+        });
 
         // Aggregate per-request token progress from the final microbatches
         // (a former may split one request's chunk across microbatches).
-        let mut per_req: Vec<(RequestId, u64)> = Vec::new();
         for mb in &mbs {
             for c in &mb.chunks {
-                match per_req.iter_mut().find(|(r, _)| *r == c.request) {
+                match plan.iter_mut().find(|(r, _)| *r == c.request) {
                     Some((_, t)) => *t += c.work.new_tokens,
-                    None => per_req.push((c.request, c.work.new_tokens)),
+                    None => plan.push((c.request, c.work.new_tokens)),
                 }
             }
         }
-        let new_tokens: u64 = per_req.iter().map(|&(_, t)| t).sum();
-
-        let finish = start + makespan;
-        let g = self.state.group_mut(group);
-        g.iter_seq += 1;
-        let seq = g.iter_seq;
-        g.busy_until = Some(finish);
-        g.current_iter = Some(IterationPlan {
-            work: per_req,
-            started: self.now,
-            duration: finish - self.now,
-            bubble_frac,
-            new_tokens,
-        });
-        self.events.push(finish, Event::GroupDone { group, seq });
+        (start, sched.makespan, sched.bubble_frac())
     }
 
     /// Admits queued requests while blocks allow; consults the policy once
@@ -757,7 +813,8 @@ impl Engine {
     }
 
     /// Applies a finished iteration: token progress, first-token metrics,
-    /// completions and block releases.
+    /// completions and block releases. The plan's `work` Vec is kept for
+    /// the next iteration to fill.
     fn complete_iteration(&mut self, group: GroupId) {
         let plan = {
             let g = self.state.group_mut(group);
@@ -774,7 +831,7 @@ impl Engine {
             self.state.metrics.bubbles.push(now, plan.bubble_frac);
         }
         let mut emitted = 0u64;
-        for (r, ntok) in plan.work {
+        for &(r, ntok) in &plan.work {
             let req = &self.state.requests[r.0];
             if req.state != ReqState::Running || req.group != group {
                 continue; // preempted / migrated mid-iteration
@@ -816,6 +873,7 @@ impl Engine {
         if emitted > 0 {
             self.state.metrics.on_tokens(now, emitted);
         }
+        self.plan_buf = plan.work;
     }
 }
 
@@ -823,7 +881,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::failure::FaultKind;
-    use crate::policy::QueueingPolicy;
+    use crate::policy::{QueueingPolicy, TransferEvent};
     use crate::state::ModelAvailability;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1126,6 +1184,58 @@ mod tests {
         assert_eq!(seen.len(), 51, "ticks at 0.0 s, 0.1 s, ..., 5.0 s");
         assert_eq!(seen[49], (SimTime::from_millis(4900), 4));
         assert_eq!(seen[50], (SimTime::from_secs(5), 2), "fault before on_tick");
+    }
+
+    /// Records when each recovered group's parameter reload landed.
+    struct ThawRecorder(Rc<RefCell<Vec<SimTime>>>);
+
+    impl Policy for ThawRecorder {
+        fn name(&self) -> &'static str {
+            "ThawRecorder"
+        }
+
+        fn on_transfer_done(&mut self, _: &mut ClusterState, now: SimTime, event: &TransferEvent) {
+            if matches!(event, TransferEvent::RecoveryReady { .. }) {
+                self.0.borrow_mut().push(now);
+            }
+        }
+    }
+
+    /// Instance 1 of an idle `tiny_test(2)` goes down at 1 s and comes
+    /// back at 2 s, through `Engine::apply` between steps or through
+    /// `Engine::schedule`; returns when its group thawed.
+    fn thaw_times(applied: bool) -> Vec<SimTime> {
+        let thawed = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = Engine::new(
+            ClusterConfig::tiny_test(2),
+            Box::new(ThawRecorder(thawed.clone())),
+        );
+        let down = Action::Fault(FaultKind::InstanceDown(1));
+        let up = Action::Fault(FaultKind::InstanceUp(1));
+        if !applied {
+            eng.schedule(SimTime::from_secs(1), down);
+            eng.schedule(SimTime::from_secs(2), up);
+        }
+        eng.begin_session();
+        if applied {
+            eng.step_until(SimTime::from_secs(1));
+            assert!(eng.apply(down));
+            eng.step_until(SimTime::from_secs(2));
+            assert!(eng.apply(up));
+        }
+        eng.step_until(SimTime::from_secs(3));
+        thawed.take()
+    }
+
+    #[test]
+    fn an_applied_recovery_thaws_when_its_reload_lands() {
+        let scheduled = thaw_times(false);
+        assert_eq!(scheduled.len(), 1, "one recovery: {scheduled:?}");
+        assert!(
+            scheduled[0] < SimTime::from_millis(2100),
+            "the reload lands before the next tick: {scheduled:?}"
+        );
+        assert_eq!(thaw_times(true), scheduled, "applied and scheduled agree");
     }
 
     #[test]

@@ -68,6 +68,8 @@ pub struct ExecGroup {
     /// Set while a reconfiguration (merge/split) is pending: the group
     /// finishes its current iteration but starts no new one.
     pub frozen: bool,
+    /// Extra delay the next iteration must absorb (VMM remaps).
+    pub pending_overhead: SimDuration,
 }
 
 impl ExecGroup {
@@ -95,6 +97,7 @@ impl ExecGroup {
             iter_seq: 0,
             current_iter: None,
             frozen: false,
+            pending_overhead: SimDuration::ZERO,
         }
     }
 

@@ -199,8 +199,6 @@ pub struct ClusterState {
     pub prefix: PrefixLedger,
     /// Deterministic RNG for execution-time noise.
     pub rng: SmallRng,
-    /// Extra delay the next iteration of a group must absorb (VMM remaps).
-    pub pending_overhead: HashMap<GroupId, SimDuration>,
     transfer_batches: HashMap<u64, TransferBatch>,
     next_batch: u64,
     /// In-flight elastic model load/unload operations ([`crate::Action`]s).
@@ -303,7 +301,6 @@ impl ClusterState {
             donations: Vec::new(),
             prefix: PrefixLedger::new(),
             rng,
-            pending_overhead: HashMap::new(),
             transfer_batches: HashMap::new(),
             next_batch: 0,
             model_ops: Vec::new(),
@@ -1055,11 +1052,7 @@ impl ClusterState {
                 self.regrow_lender_capacity(d.lender_group, d.lender);
                 if restore_ops > 0 && self.group_alive(d.lender_group) {
                     let overhead = simgpu::timing::remap_cost(restore_ops, restore_ops);
-                    let slot = self
-                        .pending_overhead
-                        .entry(d.lender_group)
-                        .or_insert(SimDuration::ZERO);
-                    *slot += overhead;
+                    self.group_mut(d.lender_group).pending_overhead += overhead;
                 }
                 self.metrics.on_reconfig(
                     now,
@@ -1560,7 +1553,7 @@ impl ClusterState {
 
         // Charge the VMM remap as start-up overhead for the new group.
         let overhead = simgpu::timing::remap_cost(ops, ops);
-        self.pending_overhead.insert(slot, overhead);
+        self.group_mut(slot).pending_overhead = overhead;
         let donated_note = if executed_grants > 0 {
             format!(" donated={executed_grants}B")
         } else {
@@ -1821,7 +1814,7 @@ impl ClusterState {
 
         let overhead = simgpu::timing::remap_cost(ops, ops) / new_ids.len() as u64;
         for &id in &new_ids {
-            self.pending_overhead.insert(id, overhead);
+            self.group_mut(id).pending_overhead = overhead;
         }
         self.metrics.on_reconfig(
             now,
@@ -1954,8 +1947,7 @@ impl ClusterState {
 
         let overhead = simgpu::timing::remap_cost(ops, ops);
         for &id in &new_ids {
-            self.pending_overhead
-                .insert(id, overhead / new_ids.len().max(1) as u64);
+            self.group_mut(id).pending_overhead = overhead / new_ids.len().max(1) as u64;
         }
         self.metrics.on_reconfig(
             now,
@@ -2531,9 +2523,7 @@ impl ClusterState {
 
     /// Takes (and clears) the pending start-up overhead of a group.
     pub fn take_overhead(&mut self, group: GroupId) -> SimDuration {
-        self.pending_overhead
-            .remove(&group)
-            .unwrap_or(SimDuration::ZERO)
+        std::mem::take(&mut self.group_mut(group).pending_overhead)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The gateway proper: submit / stream / cancel / elastic model ops.
 
+use std::collections::VecDeque;
+
 use cluster::{Action, ClusterConfig, ClusterState, ModelAvailability};
 use kunserve::serving::{ServingSession, SystemKind};
 use sim_core::{SimDuration, SimTime};
@@ -152,7 +154,10 @@ pub struct Gateway<C: Clock> {
     tenants: Vec<Tenant>,
     tracks: Vec<Track>,
     /// Handles not yet injected, kept sorted by (arrival, handle).
-    inbox: Vec<u64>,
+    inbox: VecDeque<u64>,
+    /// Handles with a callback that has not seen its terminal event yet,
+    /// ascending.
+    streaming: Vec<u64>,
 }
 
 impl<C: Clock> Gateway<C> {
@@ -170,7 +175,8 @@ impl<C: Clock> Gateway<C> {
             now: SimTime::ZERO,
             tenants: Vec::new(),
             tracks: Vec::new(),
-            inbox: Vec::new(),
+            inbox: VecDeque::new(),
+            streaming: Vec::new(),
         }
     }
 
@@ -281,6 +287,11 @@ impl<C: Clock> Gateway<C> {
             .get_mut(handle.0 as usize)
             .ok_or(GatewayError::UnknownRequest)?;
         track.callback = Some(callback);
+        if !track.streamed_done {
+            if let Err(ix) = self.streaming.binary_search(&handle.0) {
+                self.streaming.insert(ix, handle.0);
+            }
+        }
         Ok(())
     }
 
@@ -395,12 +406,12 @@ impl<C: Clock> Gateway<C> {
                 break;
             }
             // Inject everything due by the boundary, in arrival order.
-            while let Some(&h) = self.inbox.first() {
+            while let Some(&h) = self.inbox.front() {
                 let track = &mut self.tracks[h as usize];
                 if track.spec.arrival > next {
                     break;
                 }
-                self.inbox.remove(0);
+                self.inbox.pop_front();
                 track.engine_id = Some(self.session.inject(track.spec));
             }
             self.session.step_until(next);
@@ -410,22 +421,20 @@ impl<C: Clock> Gateway<C> {
         }
     }
 
-    /// Runs streaming callbacks for every tracked request with progress.
+    /// Runs streaming callbacks, in ascending handle order, for every
+    /// streamed request with progress; a handle leaves the list once its
+    /// terminal event is delivered.
     fn deliver_stream_events(&mut self) {
         let at = self.now;
-        for ix in 0..self.tracks.len() {
-            if self.tracks[ix].callback.is_none() || self.tracks[ix].streamed_done {
-                continue;
-            }
-            let handle = RequestHandle(ix as u64);
-            let (generated, status) = self
-                .progress(handle)
-                .expect("every index below tracks.len() is a known handle");
-            let track = &mut self.tracks[ix];
+        let mut streaming = std::mem::take(&mut self.streaming);
+        streaming.retain(|&h| {
+            let handle = RequestHandle(h);
+            let (generated, status) = self.progress(handle).expect("streamed handles are known");
+            let track = &mut self.tracks[h as usize];
             let new_tokens = generated - track.streamed;
             let terminal = matches!(status, RequestStatus::Finished | RequestStatus::Cancelled);
             if new_tokens == 0 && !terminal {
-                continue;
+                return true;
             }
             track.streamed = generated;
             track.streamed_done = terminal;
@@ -439,7 +448,9 @@ impl<C: Clock> Gateway<C> {
             if let Some(cb) = track.callback.as_mut() {
                 cb(event);
             }
-        }
+            !terminal
+        });
+        self.streaming = streaming;
     }
 
     /// Closes the gateway: remaining inbox submissions are injected, the

@@ -4,10 +4,12 @@
 //! slots (the paper tunes 64 tokens/block, §5.1). This crate implements the
 //! block manager the serving engine allocates from:
 //!
-//! - [`BlockManager`]: free-list allocator with per-sequence block tables,
-//!   prompt allocation, per-token decode growth, and **live resizing** — the
-//!   capacity grows when KunServe remaps dropped parameter memory into the
-//!   KVCache region and shrinks again on restore.
+//! - [`BlockManager`]: block accounting with prompt allocation, per-token
+//!   decode growth, and **live resizing** — the capacity grows when
+//!   KunServe remaps dropped parameter memory into the KVCache region and
+//!   shrinks again on restore. Blocks are fungible, so a sequence's block
+//!   table is its token count: it holds `ceil(tokens / block_tokens)`
+//!   blocks, and no caller ever needs to know which.
 //! - [`HostSwapPool`]: host-DRAM staging area used by the swap baseline
 //!   (InferCept) and by fault-tolerant parameter restoration.
 //! - [`PrefixLedger`]: shared-prompt prefix residency accounting — a
@@ -34,7 +36,7 @@ pub mod prefix;
 pub mod swap;
 
 pub use error::KvError;
-pub use manager::{BlockId, BlockManager, ExtentTag, Loan, SeqKey};
+pub use manager::{BlockManager, ExtentTag, Loan, SeqKey};
 pub use prefix::{PrefixLedger, PrefixOutcome};
 pub use swap::HostSwapPool;
 

@@ -1,31 +1,16 @@
 //! The paged block manager.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "per-sequence tables: keyed lookup; `seqs()` sorts before returning; sums are \
-              order-insensitive"
-)]
-
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use crate::error::KvError;
 use crate::Result;
-
-/// Identifier of one KVCache block (a fixed number of token slots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId(pub u32);
 
 /// Opaque key identifying a sequence in the block manager.
 ///
 /// The serving layer maps its request/sequence ids onto these keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeqKey(pub u64);
-
-#[derive(Debug, Clone)]
-struct BlockTable {
-    blocks: Vec<BlockId>,
-    tokens: u64,
-}
 
 /// One cross-model loan's identity: the lending model plus the contiguous
 /// layer range of its parameters whose dropped bytes back the extent.
@@ -73,8 +58,7 @@ pub enum ExtentTag {
     Borrowed(Loan),
 }
 
-/// A paged KVCache allocator with per-sequence block tables over a
-/// **segmented** capacity.
+/// A paged KVCache allocator over a **segmented** capacity.
 ///
 /// Capacity is measured in blocks of `block_tokens` token slots and is the
 /// sum of tagged *extents* (see [`ExtentTag`]). Extents can be grown and
@@ -84,16 +68,22 @@ pub enum ExtentTag {
 /// themselves are fungible — the segmentation is an accounting layer, so a
 /// reclaim needs free *headroom*, which callers create by draining usage
 /// from the borrowed share first.
+///
+/// Because blocks are fungible, a sequence's block table is just its token
+/// count: the sequence holds exactly [`BlockManager::blocks_for`] of it,
+/// and nothing ever asks *which* blocks.
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     /// Tagged capacity extents; the total capacity is their sum. At most
     /// one extent per tag (grows merge into the existing extent).
     extents: Vec<(ExtentTag, u32)>,
     block_tokens: u32,
-    next_free: u32,
-    recycled: Vec<BlockId>,
-    tables: HashMap<SeqKey, BlockTable>,
+    /// Tokens stored per live sequence.
+    tables: BTreeMap<SeqKey, u64>,
+    /// Blocks held across all sequences.
     used: u32,
+    /// Tokens stored across all sequences.
+    used_tokens: u64,
 }
 
 impl BlockManager {
@@ -108,10 +98,9 @@ impl BlockManager {
         BlockManager {
             extents: vec![(ExtentTag::Native, capacity)],
             block_tokens,
-            next_free: 0,
-            recycled: Vec::new(),
-            tables: HashMap::new(),
+            tables: BTreeMap::new(),
             used: 0,
+            used_tokens: 0,
         }
     }
 
@@ -250,15 +239,15 @@ impl BlockManager {
 
     /// Tokens currently stored across all sequences.
     pub fn used_tokens(&self) -> u64 {
-        self.tables.values().map(|t| t.tokens).sum()
+        self.used_tokens
     }
 
     /// Internal fragmentation: allocated slots minus stored tokens.
     pub fn fragmentation_tokens(&self) -> u64 {
-        self.used as u64 * self.block_tokens as u64 - self.used_tokens()
+        self.used as u64 * self.block_tokens as u64 - self.used_tokens
     }
 
-    /// Number of sequences with live block tables.
+    /// Number of live sequences.
     pub fn num_seqs(&self) -> usize {
         self.tables.len()
     }
@@ -274,42 +263,35 @@ impl BlockManager {
         self.blocks_for(tokens) <= self.free_blocks()
     }
 
-    /// Returns `true` if the sequence has a block table.
+    /// Returns `true` if the sequence is live.
     pub fn contains(&self, seq: SeqKey) -> bool {
         self.tables.contains_key(&seq)
     }
 
     /// Tokens stored for `seq`.
     pub fn tokens_of(&self, seq: SeqKey) -> Result<u64> {
-        self.tables
-            .get(&seq)
-            .map(|t| t.tokens)
-            .ok_or(KvError::UnknownSeq)
+        self.tables.get(&seq).copied().ok_or(KvError::UnknownSeq)
     }
 
     /// Blocks held by `seq`.
     pub fn blocks_of(&self, seq: SeqKey) -> Result<u32> {
-        self.tables
-            .get(&seq)
-            .map(|t| t.blocks.len() as u32)
-            .ok_or(KvError::UnknownSeq)
+        self.tokens_of(seq).map(|t| self.blocks_for(t))
     }
 
-    /// Allocates a fresh block table holding `tokens` tokens (prompt
+    /// Allocates a fresh sequence holding `tokens` tokens (prompt
     /// admission).
     pub fn allocate(&mut self, seq: SeqKey, tokens: u64) -> Result<()> {
-        if self.tables.contains_key(&seq) {
-            return Err(KvError::AlreadyAllocated);
-        }
         let needed = self.blocks_for(tokens);
-        if needed > self.free_blocks() {
-            return Err(KvError::OutOfBlocks {
-                needed,
-                free: self.free_blocks(),
-            });
+        let free = self.free_blocks();
+        let Entry::Vacant(slot) = self.tables.entry(seq) else {
+            return Err(KvError::AlreadyAllocated);
+        };
+        if needed > free {
+            return Err(KvError::OutOfBlocks { needed, free });
         }
-        let blocks = (0..needed).map(|_| self.take_block()).collect();
-        self.tables.insert(seq, BlockTable { blocks, tokens });
+        slot.insert(tokens);
+        self.used += needed;
+        self.used_tokens += tokens;
         Ok(())
     }
 
@@ -318,34 +300,33 @@ impl BlockManager {
     ///
     /// On [`KvError::OutOfBlocks`] the sequence is unchanged.
     pub fn append_tokens(&mut self, seq: SeqKey, n: u64) -> Result<u32> {
-        let table = self.tables.get(&seq).ok_or(KvError::UnknownSeq)?;
-        let new_total = table.tokens + n;
-        let needed_total = new_total.div_ceil(self.block_tokens as u64) as u32;
-        let have = table.blocks.len() as u32;
-        let extra = needed_total.saturating_sub(have);
-        if extra > self.free_blocks() {
+        let block_tokens = self.block_tokens as u64;
+        let free = self.free_blocks();
+        let tokens = self.tables.get_mut(&seq).ok_or(KvError::UnknownSeq)?;
+        let new_total = *tokens + n;
+        let extra = (new_total.div_ceil(block_tokens) - tokens.div_ceil(block_tokens)) as u32;
+        if extra > free {
             return Err(KvError::OutOfBlocks {
                 needed: extra,
-                free: self.free_blocks(),
+                free,
             });
         }
-        let new_blocks: Vec<BlockId> = (0..extra).map(|_| self.take_block()).collect();
-        let table = self.tables.get_mut(&seq).expect("checked above");
-        table.blocks.extend(new_blocks);
-        table.tokens = new_total;
+        *tokens = new_total;
+        self.used += extra;
+        self.used_tokens += n;
         Ok(extra)
     }
 
     /// Frees a sequence's blocks, returning the tokens it held.
     pub fn free(&mut self, seq: SeqKey) -> Result<u64> {
-        let table = self.tables.remove(&seq).ok_or(KvError::UnknownSeq)?;
-        self.used -= table.blocks.len() as u32;
-        self.recycled.extend(table.blocks);
-        Ok(table.tokens)
+        let tokens = self.tables.remove(&seq).ok_or(KvError::UnknownSeq)?;
+        self.used -= self.blocks_for(tokens);
+        self.used_tokens -= tokens;
+        Ok(tokens)
     }
 
-    /// Registers an externally created table of `tokens` tokens (used when a
-    /// sequence arrives by migration or KVCache exchange).
+    /// Registers an externally created sequence of `tokens` tokens (used
+    /// when a sequence arrives by migration or KVCache exchange).
     pub fn adopt(&mut self, seq: SeqKey, tokens: u64) -> Result<()> {
         self.allocate(seq, tokens)
     }
@@ -383,26 +364,9 @@ impl BlockManager {
         Ok(())
     }
 
-    /// All sequence keys with live tables, ascending by key.
-    ///
-    /// Sorted so callers can iterate directly without re-introducing hash
-    /// order into anything observable (the audit behind this file's
-    /// `clippy::disallowed_types` exemption).
+    /// All live sequence keys, ascending by key.
     pub fn seqs(&self) -> Vec<SeqKey> {
-        let mut keys: Vec<SeqKey> = self.tables.keys().copied().collect();
-        keys.sort();
-        keys
-    }
-
-    fn take_block(&mut self) -> BlockId {
-        self.used += 1;
-        if let Some(b) = self.recycled.pop() {
-            b
-        } else {
-            let b = BlockId(self.next_free);
-            self.next_free += 1;
-            b
-        }
+        self.tables.keys().copied().collect()
     }
 }
 
@@ -600,11 +564,9 @@ mod tests {
     #[test]
     fn seqs_lists_live_tables() {
         let mut m = BlockManager::new(10, 64);
-        m.allocate(SeqKey(1), 10).expect("a");
         m.allocate(SeqKey(2), 10).expect("b");
-        let mut s = m.seqs();
-        s.sort();
-        assert_eq!(s, vec![SeqKey(1), SeqKey(2)]);
+        m.allocate(SeqKey(1), 10).expect("a");
+        assert_eq!(m.seqs(), vec![SeqKey(1), SeqKey(2)]);
         assert_eq!(m.num_seqs(), 2);
     }
 }

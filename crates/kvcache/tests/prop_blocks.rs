@@ -1,5 +1,5 @@
-//! Property tests for the paged block manager: no block is ever double
-//! allocated, accounting is exact, and resize preserves all invariants.
+//! Property tests for the paged block manager: per-sequence and total
+//! accounting is exact, and resize preserves all invariants.
 
 use std::collections::BTreeMap;
 
@@ -89,6 +89,15 @@ proptest! {
             let expected_blocks: u32 =
                 model.values().map(|&t| t.div_ceil(64) as u32).sum();
             prop_assert_eq!(m.used_blocks(), expected_blocks);
+            // The live sequences are the model's, in ascending key order,
+            // each holding its tokens in exactly ceil(tokens / 64) blocks.
+            let live: Vec<SeqKey> = model.keys().map(|&s| SeqKey(s)).collect();
+            prop_assert_eq!(m.seqs(), live);
+            for (&seq, &tokens) in &model {
+                prop_assert_eq!(m.tokens_of(SeqKey(seq)), Ok(tokens));
+                let held = m.blocks_of(SeqKey(seq)).expect("live sequence");
+                prop_assert_eq!(held, m.blocks_for(tokens));
+            }
             // Used never exceeds capacity.
             prop_assert!(m.used_blocks() <= m.capacity_blocks());
             // Fragmentation is bounded by one block per sequence.
