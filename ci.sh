@@ -6,9 +6,10 @@
 #   build   release build, all targets, then the frozen benchmark
 #           (perfbench/, its own workspace): neither may print a warning
 #   bench   one pass of each perfbench workload (burst_lineup,
-#           calm_prefix, gateway_zoo): echoes the behaviour digests, fails
-#           unless they equal PINNED_DIGESTS below and the run reports
-#           "correct": true with "failed": 0
+#           calm_prefix, gateway_zoo) and a second burst_lineup pass at
+#           seed 7: echoes the behaviour digests, fails unless they equal
+#           PINNED_DIGESTS and PINNED_DIGESTS_SEED7 below and every run
+#           reports "correct": true with "failed": 0
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
@@ -115,7 +116,7 @@ stage_build() {
 # The behaviour fingerprint: every `digest <system> <hex>` line perfbench
 # prints at each workload's default seed, prefixed with the workload. A
 # change that moves behaviour on purpose (such as a new pipeline model)
-# updates this list and says why in CHANGES.md.
+# updates these lists and says why in CHANGES.md.
 PINNED_DIGESTS='burst_lineup vLLM (DP) b91fba762df11a93
 burst_lineup vLLM (PP) 7fefc6ed5a5b3252
 burst_lineup InferCept f74d1a86053d9d60
@@ -126,16 +127,32 @@ calm_prefix vLLM (DP) 09868ce82b27c2ed
 gateway_zoo KunServe 37260d67ae19a029
 gateway_zoo vLLM (DP) c1413c5f23353fff'
 
-stage_bench() {
+# burst_lineup is the only workload with pipelined groups (vLLM (PP) from
+# the start, KunServe after a drop); a second trace fingerprints them.
+PINNED_DIGESTS_SEED7='burst_lineup vLLM (DP) ce1476e18ced16d2
+burst_lineup vLLM (PP) 1bb83cce48429cad
+burst_lineup InferCept 21dfc9b4e6dbe43d
+burst_lineup Llumnix 025f87cffd1e2d22
+burst_lineup KunServe e105030c5e944d1f'
+
+# check_digests <pinned> <seed, or empty for the default> <workload>...:
+# one `--seconds 0` perfbench pass per workload; fails unless every run
+# reports "correct": true with "failed": 0 and the printed digest lines,
+# prefixed with their workload, equal <pinned>.
+check_digests() {
+    local pinned=$1 seed=$2
+    shift 2
+    local extra=() label=""
+    [ -z "$seed" ] || { extra=(--seed "$seed"); label=" --seed $seed"; }
     local w out printed=()
-    for w in burst_lineup calm_prefix gateway_zoo; do
-        echo "--- perfbench ${w}"
+    for w in "$@"; do
+        echo "--- perfbench ${w}${label}"
         out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
-            --target-dir target/perfbench -- --workload "$w" --seconds 0)
+            --target-dir target/perfbench -- --workload "$w" --seconds 0 "${extra[@]}")
         grep '^digest' <<<"$out"
         if ! grep -q '"correct": true' <<<"$out" || ! grep -q '"failed": 0,' <<<"$out"; then
             printf '%s\n' "$out" >&2
-            echo "ci.sh: perfbench ${w} did not report a correct run without failures" >&2
+            echo "ci.sh: perfbench ${w}${label} did not report a correct run without failures" >&2
             return 1
         fi
         mapfile -t -O "${#printed[@]}" printed < <(
@@ -143,12 +160,17 @@ stage_bench() {
     done
     local got
     got=$(printf '%s\n' "${printed[@]}")
-    if [ "$got" != "$PINNED_DIGESTS" ]; then
+    if [ "$got" != "$pinned" ]; then
         printf -- '--- pinned digests\n%s\n--- printed digests\n%s\n' \
-            "$PINNED_DIGESTS" "$got" >&2
-        echo "ci.sh: the behaviour digests moved from the pinned list" >&2
+            "$pinned" "$got" >&2
+        echo "ci.sh: the behaviour digests${label} moved from the pinned list" >&2
         return 1
     fi
+}
+
+stage_bench() {
+    check_digests "$PINNED_DIGESTS" "" burst_lineup calm_prefix gateway_zoo
+    check_digests "$PINNED_DIGESTS_SEED7" 7 burst_lineup
 }
 
 stage_test() {

@@ -144,17 +144,22 @@ fn bench_network(c: &mut Criterion) {
 }
 
 fn bench_pipeline_schedule(c: &mut Criterion) {
-    use cluster::pipeline::{schedule_fixed_transfer, StageTiming};
+    use cluster::pipeline::{schedule, PipelineSchedule, StageTiming};
     let timing = StageTiming {
-        times: vec![vec![SimDuration::from_millis(10); 4]; 16],
+        times: vec![SimDuration::from_millis(10); 16 * 4],
+        stages: 4,
     };
+    let delay = SimDuration::from_micros(50);
+    let mut sched = PipelineSchedule::default();
     c.bench_function("pipeline_schedule_16x4", |b| {
         b.iter(|| {
-            schedule_fixed_transfer(
+            schedule(
                 SimTime::ZERO,
                 black_box(&timing),
-                SimDuration::from_micros(50),
-            )
+                &mut sched,
+                |_, _, send| send + delay,
+            );
+            sched.makespan
         })
     });
 }

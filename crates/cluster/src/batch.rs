@@ -51,9 +51,9 @@ impl MicroBatch {
 /// Requests are packed *in arrival order* into microbatches of equal token
 /// budget (`ceil(total / num_microbatches)`); a chunk straddling the budget
 /// boundary is split, with the latter fragment carrying the former as
-/// prefix. The result is token-balanced but — because attention cost is
-/// quadratic in context — not cost-balanced, which is exactly the
-/// inefficiency §4.3 identifies.
+/// prefix, so read in order the microbatches replay `work`. The result is
+/// token-balanced but — because attention cost is quadratic in context —
+/// not cost-balanced, which is exactly the inefficiency §4.3 identifies.
 pub fn token_count_form(work: &[SeqChunk], num_microbatches: usize) -> Vec<MicroBatch> {
     assert!(num_microbatches > 0, "need at least one microbatch");
     let total: u64 = work.iter().map(|c| c.work.new_tokens).sum();
@@ -64,10 +64,16 @@ pub fn token_count_form(work: &[SeqChunk], num_microbatches: usize) -> Vec<Micro
     let mut mbs: Vec<MicroBatch> = Vec::with_capacity(num_microbatches);
     let mut current = MicroBatch::default();
     let mut room = budget;
-    for chunk in work {
+    for (i, chunk) in work.iter().enumerate() {
         let mut rest = chunk.work;
         let mut request = chunk.request;
         loop {
+            if current.is_empty() {
+                // A microbatch opens with a full budget: size it once.
+                current
+                    .chunks
+                    .reserve_exact(microbatch_len(rest.new_tokens, &work[i + 1..], room));
+            }
             if rest.new_tokens <= room {
                 room -= rest.new_tokens;
                 current.chunks.push(SeqChunk {
@@ -107,6 +113,22 @@ pub fn token_count_form(work: &[SeqChunk], num_microbatches: usize) -> Vec<Micro
     }
     mbs.retain(|mb| !mb.is_empty());
     mbs
+}
+
+/// The number of chunks [`token_count_form`] puts in a microbatch with
+/// `room` tokens that opens on a chunk with `first` tokens left, followed
+/// by `rest`: chunks join while the microbatch has room.
+fn microbatch_len(first: u64, rest: &[SeqChunk], room: u64) -> usize {
+    let mut used = first;
+    let mut len = 1;
+    for c in rest {
+        if used >= room {
+            break;
+        }
+        used += c.work.new_tokens;
+        len += 1;
+    }
+    len
 }
 
 #[cfg(test)]

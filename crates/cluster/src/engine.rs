@@ -17,7 +17,7 @@ use crate::batch::{MicroBatch, SeqChunk};
 use crate::config::ClusterConfig;
 use crate::failure::Action;
 use crate::group::{GroupId, IterationPlan};
-use crate::pipeline::{schedule, StageTiming};
+use crate::pipeline::{schedule, PipelineSchedule, StageTiming};
 use crate::policy::Policy;
 use crate::request::{ReqState, Request, RequestId};
 use crate::state::{CancelOutcome, ClusterState};
@@ -124,6 +124,34 @@ fn collect_work(
     }
 }
 
+/// Whether `mbs`, read in order with adjacent fragments of one request
+/// merged, is `work`: the same requests in the same order, the same new
+/// tokens, and each fragment's prefix continuing the one before.
+/// [`Policy::form_microbatches`] promises this; linear in the chunks.
+fn replays(mbs: &[MicroBatch], work: &[SeqChunk]) -> bool {
+    let mut frags = mbs.iter().flat_map(|mb| &mb.chunks);
+    for w in work {
+        let (mut prefix, mut left) = (w.work.prefix_tokens, w.work.new_tokens);
+        loop {
+            let Some(f) = frags.next() else {
+                return false;
+            };
+            let continues = f.request == w.request
+                && f.work.prefix_tokens == prefix
+                && f.work.new_tokens <= left;
+            if !continues {
+                return false;
+            }
+            prefix += f.work.new_tokens;
+            left -= f.work.new_tokens;
+            if left == 0 {
+                break;
+            }
+        }
+    }
+    frags.next().is_none()
+}
+
 /// Kept for the benchmark, which still names it; the engine is serial,
 /// so this carries nothing.
 #[derive(Debug, Clone, Copy)]
@@ -161,6 +189,14 @@ pub struct Engine {
     works_buf: Vec<ChunkWork>,
     /// A finished iteration's `IterationPlan::work`, reused by the next.
     plan_buf: Vec<(RequestId, u64)>,
+    /// Reused pipelined-iteration buffers: the group's stage fractions and
+    /// member nodes, each microbatch's new tokens, the sampled times and
+    /// the schedule.
+    fracs_buf: Vec<f64>,
+    members_buf: Vec<netsim::NodeId>,
+    mb_tokens_buf: Vec<u64>,
+    timing: StageTiming,
+    sched: PipelineSchedule,
     /// Set while an interactive session ([`Engine::begin_session`]) is
     /// accepting injections: the monitor-tick chain stays armed through
     /// lulls and the pump never stops on `finished == total`.
@@ -196,6 +232,11 @@ impl Engine {
             prefills_buf: Vec::new(),
             works_buf: Vec::new(),
             plan_buf: Vec::new(),
+            fracs_buf: Vec::new(),
+            members_buf: Vec::new(),
+            mb_tokens_buf: Vec::new(),
+            timing: StageTiming::default(),
+            sched: PipelineSchedule::default(),
             open: false,
             run_stop: None,
             last_arrival: SimTime::ZERO,
@@ -668,7 +709,8 @@ impl Engine {
     /// Forms microbatches from the collected chunks, samples every
     /// (microbatch, stage) time, schedules the pipeline and fills `plan`
     /// with per-request token progress. Returns `(start, makespan,
-    /// bubble_frac)`.
+    /// bubble_frac)`. Linear in the collected chunks; nothing allocates
+    /// but the former's microbatches.
     fn plan_pipelined(
         &mut self,
         group: GroupId,
@@ -678,55 +720,62 @@ impl Engine {
             self.policy
                 .form_microbatches(&self.state, group, &self.work_buf);
         debug_assert!(!mbs.is_empty(), "non-empty work forms microbatches");
+        debug_assert!(
+            replays(&mbs, &self.work_buf),
+            "microbatches replay the collected work in order"
+        );
+
+        let g = self.state.group(group);
+        let model = g.model;
+        self.fracs_buf.clear();
+        self.fracs_buf.extend_from_slice(&g.stage_fracs);
+        self.members_buf.clear();
+        self.members_buf
+            .extend(g.members.iter().map(|m| netsim::NodeId(m.0)));
 
         // Sample execution times per (microbatch, stage) from the serving
         // model's ground truth.
-        let model = self.state.group(group).model;
-        let fracs = self.state.group(group).stage_fracs.clone();
-        let mut times = Vec::with_capacity(mbs.len());
+        let truth = &self.state.ground_truths[model.0 as usize];
+        self.timing.times.clear();
+        self.timing.stages = self.fracs_buf.len();
+        self.mb_tokens_buf.clear();
         for mb in &mbs {
-            let works = mb.works();
-            let row: Vec<SimDuration> = fracs
-                .iter()
-                .map(|&f| {
-                    self.state.ground_truths[model.0 as usize].sample(
-                        &works,
-                        f,
-                        &mut self.state.rng,
-                    )
-                })
-                .collect();
-            times.push(row);
+            self.works_buf.clear();
+            self.works_buf.extend(mb.chunks.iter().map(|c| c.work));
+            truth.sample_stages(
+                &self.works_buf,
+                &self.fracs_buf,
+                &mut self.state.rng,
+                &mut self.timing.times,
+            );
+            self.mb_tokens_buf.push(mb.new_tokens());
         }
-        let timing = StageTiming { times };
 
         let overhead = self.state.take_overhead(group);
         let start = self.now + overhead;
-        let members = self.state.group(group).members.clone();
         let act_per_token = self.state.cfg.model_cfg(model).activation_bytes_per_token();
-        let mb_tokens: Vec<u64> = mbs.iter().map(|m| m.new_tokens()).collect();
-        let network = &mut self.state.network;
-        let sched = schedule(start, &timing, |mb, boundary, send| {
-            let bytes = (mb_tokens[mb] * act_per_token).max(1);
-            network.interactive(
-                send,
-                netsim::NodeId(members[boundary].0),
-                netsim::NodeId(members[boundary + 1].0),
-                bytes,
-            )
-        });
+        let members = &self.members_buf;
+        schedule(
+            start,
+            &self.timing,
+            &mut self.sched,
+            |mb, boundary, send| {
+                let bytes = (self.mb_tokens_buf[mb] * act_per_token).max(1);
+                self.state.network.interactive(
+                    send,
+                    members[boundary],
+                    members[boundary + 1],
+                    bytes,
+                )
+            },
+        );
 
-        // Aggregate per-request token progress from the final microbatches
-        // (a former may split one request's chunk across microbatches).
-        for mb in &mbs {
-            for c in &mb.chunks {
-                match plan.iter_mut().find(|(r, _)| *r == c.request) {
-                    Some((_, t)) => *t += c.work.new_tokens,
-                    None => plan.push((c.request, c.work.new_tokens)),
-                }
-            }
-        }
-        (start, sched.makespan, sched.bubble_frac())
+        // The formers replay the collected work in order, splitting a
+        // request's chunk only into adjacent fragments, and `collect_work`
+        // emits each request once: per-request progress is the collected
+        // work itself.
+        plan.extend(self.work_buf.iter().map(|c| (c.request, c.work.new_tokens)));
+        (start, self.sched.makespan, self.sched.bubble_frac())
     }
 
     /// Admits queued requests while blocks allow; consults the policy once

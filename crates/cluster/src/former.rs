@@ -66,9 +66,10 @@ impl MicrobatchFormerSpec {
 /// Splits `work` into cost-balanced microbatches.
 ///
 /// The result is ordered (earlier microbatches enter the pipeline first)
-/// and preserves every request's total tokens exactly; a request chunk that
-/// straddles a split boundary is divided, with the latter part's
-/// `prefix_tokens` extended by the former part.
+/// and replays `work` in order: read one after another, with adjacent
+/// fragments of a request merged, the microbatches' chunks are `work`. A
+/// request chunk that straddles a split boundary is divided, with the
+/// latter part's `prefix_tokens` extended by the former part.
 ///
 /// `min_tokens` is the halt threshold of Fig. 11 line 4: batches at or
 /// below it are not split further (chunking tiny batches wastes GPU
@@ -81,33 +82,40 @@ pub fn balance_microbatches(
     if work.is_empty() {
         return Vec::new();
     }
-    let all = MicroBatch {
-        chunks: work.to_vec(),
-    };
     // Translate the MIN token threshold into a cost threshold: MIN implies
     // a target microbatch count `m = total/MIN`, and recursion halts once a
     // batch's cost falls to the per-leaf share. A cost-based halt treats
     // decode-heavy batches correctly (many one-token chunks are cheap in
     // tokens but expensive in time) and is immune to the degenerate case
     // where the per-batch fixed cost γ exceeds a leaf's variable cost.
-    let total_tokens = all.new_tokens();
+    let total_tokens: u64 = work.iter().map(|c| c.work.new_tokens).sum();
     let m = (total_tokens / min_tokens.max(1)).max(1) as f64;
-    let total_cost = batch_cost(&all, cost);
+    let total_cost = batch_cost(work, cost);
     let leaf_share = (total_cost + (m - 1.0) * cost.lambda_us) / m;
     let cost_halt = (leaf_share * 1.1).max(2.2 * cost.gamma_us);
     let mut out = Vec::new();
-    balance_rec(all, cost, cost_halt, &mut out);
+    balance_rec(work.to_vec(), total_cost, cost, cost_halt, &mut out);
     out
 }
 
-fn batch_cost(b: &MicroBatch, cost: &CostParams) -> f64 {
-    cost.batch_cost_us(&b.works())
+fn batch_cost(chunks: &[SeqChunk], cost: &CostParams) -> f64 {
+    cost.batch_cost_us_of(chunks.iter().map(|c| c.work))
 }
 
-fn balance_rec(b: MicroBatch, cost: &CostParams, cost_halt: f64, out: &mut Vec<MicroBatch>) {
-    if batch_cost(&b, cost) <= cost_halt || b.chunks.len() + splittable_tokens(&b) <= 1 {
-        if !b.is_empty() {
-            out.push(b);
+/// Bisects `chunks`, whose cost is `price`, until every leaf is cheap
+/// enough, appending the leaves to `out` in order. Every node is priced
+/// once; a split's left side keeps its parent's allocation and its right
+/// side takes one.
+fn balance_rec(
+    mut chunks: Vec<SeqChunk>,
+    price: f64,
+    cost: &CostParams,
+    cost_halt: f64,
+    out: &mut Vec<MicroBatch>,
+) {
+    if price <= cost_halt || chunks.len() + splittable_tokens(&chunks) <= 1 {
+        if !chunks.is_empty() {
+            out.push(MicroBatch { chunks });
         }
         return;
     }
@@ -115,24 +123,43 @@ fn balance_rec(b: MicroBatch, cost: &CostParams, cost_halt: f64, out: &mut Vec<M
     // halves sum to `cost(b) + λ` (one chunk loses its dedup), so an even
     // split targets half of that — without the +λ the right side would be
     // systematically heavier by γ and leaf sizes would decay geometrically.
-    let target = 0.5 * (batch_cost(&b, cost) + cost.lambda_us);
-    let (left, right) = split_at_cost(&b, cost, target);
-    if left.is_empty() || right.is_empty() {
+    let target = 0.5 * (price + cost.lambda_us);
+    let (at, fragment) = split_at_cost(&chunks, cost, target);
+    if fragment.is_none() && (at == 0 || at == chunks.len()) {
         // Could not bisect (e.g. a single atomic decode chunk dominates).
-        out.push(b);
+        out.push(MicroBatch { chunks });
         return;
     }
-    balance_rec(left, cost, cost_halt, out);
-    balance_rec(right, cost, cost_halt, out);
+    let mut right = chunks.split_off(at);
+    if let Some(t) = fragment {
+        let straddling = right[0];
+        chunks.push(SeqChunk {
+            request: straddling.request,
+            work: ChunkWork {
+                prefix_tokens: straddling.work.prefix_tokens,
+                new_tokens: t,
+            },
+        });
+        right[0].work = ChunkWork {
+            prefix_tokens: straddling.work.prefix_tokens + t,
+            new_tokens: straddling.work.new_tokens - t,
+        };
+    }
+    let (left_price, right_price) = (batch_cost(&chunks, cost), batch_cost(&right, cost));
+    balance_rec(chunks, left_price, cost, cost_halt, out);
+    balance_rec(right, right_price, cost, cost_halt, out);
 }
 
-fn splittable_tokens(b: &MicroBatch) -> usize {
-    b.chunks.iter().filter(|c| c.work.new_tokens > 1).count()
+fn splittable_tokens(chunks: &[SeqChunk]) -> usize {
+    chunks.iter().filter(|c| c.work.new_tokens > 1).count()
 }
 
-/// Splits a batch into two parts where the left part's cost approximates
-/// `target`. The straddling chunk is divided by binary search on its token
-/// count; the right fragment carries the left fragment as prefix.
+/// Finds where to split `chunks` so the left part's cost approximates
+/// `target`. Returns `(at, fragment)`: the left part is `chunks[..at]`,
+/// plus, for `Some(t)`, the first `t` tokens of the straddling chunk
+/// `chunks[at]`, whose rest opens the right part carrying those `t` as
+/// prefix. The fragment size comes from a binary search on the token
+/// count.
 ///
 /// Costs are accumulated with the Eq. 3 batch semantics — every chunk after
 /// the first contributes its *marginal* cost `chunk_cost − λ` — so the
@@ -140,63 +167,27 @@ fn splittable_tokens(b: &MicroBatch) -> usize {
 /// deduplicated batch cost. Mixing raw and deduplicated costs here would
 /// push the boundary to the first few chunks and degenerate the recursion
 /// into slivers.
-fn split_at_cost(b: &MicroBatch, cost: &CostParams, target: f64) -> (MicroBatch, MicroBatch) {
-    let mut left = MicroBatch::default();
-    let mut right = MicroBatch::default();
+fn split_at_cost(chunks: &[SeqChunk], cost: &CostParams, target: f64) -> (usize, Option<u64>) {
     let mut acc = 0.0;
-    let mut boundary_done = false;
-    for chunk in &b.chunks {
-        if boundary_done {
-            right.chunks.push(*chunk);
-            continue;
-        }
-        let dedup = if left.chunks.is_empty() {
-            0.0
-        } else {
-            cost.lambda_us
-        };
+    for (i, chunk) in chunks.iter().enumerate() {
+        let dedup = if i == 0 { 0.0 } else { cost.lambda_us };
         let c_cost = cost.chunk_cost_us(chunk.work) - dedup;
         if acc + c_cost <= target {
             acc += c_cost;
-            left.chunks.push(*chunk);
             continue;
         }
-        // This chunk straddles the boundary; the fragment joining `left`
-        // pays the same marginal (deduplicated) cost, so the raw fragment
-        // cost target is `want_marginal + dedup`.
+        // This chunk straddles the boundary; the fragment joining the left
+        // part pays the same marginal (deduplicated) cost, so the raw
+        // fragment cost target is `want_marginal + dedup`.
         let want_marginal = target - acc;
-        let split = best_split_tokens(chunk.work, cost, want_marginal + dedup);
-        match split {
-            Some(t) => {
-                let first = ChunkWork {
-                    prefix_tokens: chunk.work.prefix_tokens,
-                    new_tokens: t,
-                };
-                let second = ChunkWork {
-                    prefix_tokens: chunk.work.prefix_tokens + t,
-                    new_tokens: chunk.work.new_tokens - t,
-                };
-                left.chunks.push(SeqChunk {
-                    request: chunk.request,
-                    work: first,
-                });
-                right.chunks.push(SeqChunk {
-                    request: chunk.request,
-                    work: second,
-                });
-            }
-            None => {
-                // Atomic chunk: put it on whichever side is cheaper overall.
-                if want_marginal > c_cost / 2.0 {
-                    left.chunks.push(*chunk);
-                } else {
-                    right.chunks.push(*chunk);
-                }
-            }
-        }
-        boundary_done = true;
+        return match best_split_tokens(chunk.work, cost, want_marginal + dedup) {
+            Some(t) => (i, Some(t)),
+            // Atomic chunk: put it on whichever side is cheaper overall.
+            None if want_marginal > c_cost / 2.0 => (i + 1, None),
+            None => (i, None),
+        };
     }
-    (left, right)
+    (chunks.len(), None)
 }
 
 /// Finds the token count `t ∈ [1, c)` whose left-fragment cost best
@@ -362,17 +353,20 @@ mod tests {
         work.push(chunk(9, 8192, 512));
         let stages = 2;
         let eval = |mbs: &[MicroBatch]| {
-            let times: Vec<Vec<SimDuration>> = mbs
+            let times: Vec<SimDuration> = mbs
                 .iter()
-                .map(|mb| {
+                .flat_map(|mb| {
                     let t = SimDuration::from_secs_f64(
                         p.batch_cost_us(&mb.works()) / 1e6 / stages as f64,
                     );
-                    vec![t; stages]
+                    std::iter::repeat_n(t, stages)
                 })
                 .collect();
-            let sched =
-                schedule_fixed_transfer(SimTime::ZERO, &StageTiming { times }, SimDuration::ZERO);
+            let sched = schedule_fixed_transfer(
+                SimTime::ZERO,
+                &StageTiming { times, stages },
+                SimDuration::ZERO,
+            );
             sched.bubble_frac()
         };
 

@@ -15,43 +15,50 @@
 
 use sim_core::{SimDuration, SimTime};
 
-/// Per-microbatch, per-stage execution times: `times[mb][stage]`.
-#[derive(Debug, Clone)]
+/// Per-microbatch, per-stage execution times, row-major: microbatch
+/// `mb` takes `times[mb * stages + stage]` on `stage`.
+#[derive(Debug, Clone, Default)]
 pub struct StageTiming {
-    /// Execution time of each microbatch on each stage.
-    pub times: Vec<Vec<SimDuration>>,
+    /// Execution time of each microbatch on each stage, one row of
+    /// `stages` entries per microbatch.
+    pub times: Vec<SimDuration>,
+    /// Number of stages (the row length).
+    pub stages: usize,
 }
 
 impl StageTiming {
     /// Number of microbatches.
     pub fn microbatches(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Number of stages.
-    pub fn stages(&self) -> usize {
-        self.times.first().map_or(0, |row| row.len())
+        self.times.len().checked_div(self.stages).unwrap_or(0)
     }
 }
 
-/// The computed schedule of one pipelined iteration.
-#[derive(Debug, Clone)]
+/// The computed schedule of one pipelined iteration. [`schedule`] fills
+/// it in place, so a caller that keeps one reuses its per-stage buffers.
+#[derive(Debug, Clone, Default)]
 pub struct PipelineSchedule {
     /// Time the last microbatch leaves the last stage, relative to start.
     pub makespan: SimDuration,
     /// Per-stage busy time.
     pub stage_busy: Vec<SimDuration>,
-    /// Per-stage span (first start to last finish).
-    pub stage_span: Vec<SimDuration>,
-    /// Finish time of each microbatch on each stage (absolute).
-    pub finish: Vec<Vec<SimTime>>,
+    /// Per-stage first start (absolute).
+    pub stage_start: Vec<SimTime>,
+    /// Finish time of the last microbatch on each stage (absolute).
+    pub finish: Vec<SimTime>,
 }
 
 impl PipelineSchedule {
+    /// Stage `stage`'s span: its first start to its last finish.
+    pub fn stage_span(&self, stage: usize) -> SimDuration {
+        self.finish[stage] - self.stage_start[stage]
+    }
+
     /// Fraction of stage time lost to bubbles: `1 − Σbusy / Σspan`.
     pub fn bubble_frac(&self) -> f64 {
         let busy: f64 = self.stage_busy.iter().map(|d| d.as_secs_f64()).sum();
-        let span: f64 = self.stage_span.iter().map(|d| d.as_secs_f64()).sum();
+        let span: f64 = (0..self.finish.len())
+            .map(|st| self.stage_span(st).as_secs_f64())
+            .sum();
         if span <= 0.0 {
             return 0.0;
         }
@@ -59,12 +66,16 @@ impl PipelineSchedule {
     }
 }
 
-/// Computes the pipeline schedule.
+/// Computes the pipeline schedule into `out`.
 ///
 /// `transfer(mb, from_stage, send_time)` is invoked once per microbatch per
 /// stage boundary, in non-decreasing `send_time` order per boundary, and
 /// returns the activation arrival time at the next stage — this is where the
 /// network simulator injects contention with ongoing KVCache exchanges.
+///
+/// The recurrence only reads the previous microbatch's finish row, so
+/// `out.finish` holds that row while it runs and the last microbatch's
+/// row afterwards.
 ///
 /// # Panics
 ///
@@ -72,48 +83,39 @@ impl PipelineSchedule {
 pub fn schedule(
     start: SimTime,
     timing: &StageTiming,
+    out: &mut PipelineSchedule,
     mut transfer: impl FnMut(usize, usize, SimTime) -> SimTime,
-) -> PipelineSchedule {
+) {
+    let s = timing.stages;
     let m = timing.microbatches();
-    let s = timing.stages();
     assert!(
         m > 0 && s > 0,
         "schedule needs at least one microbatch and stage"
     );
-    assert!(
-        timing.times.iter().all(|row| row.len() == s),
-        "ragged stage timing"
-    );
+    assert_eq!(timing.times.len(), m * s, "ragged stage timing");
 
-    let mut finish = vec![vec![SimTime::ZERO; s]; m];
-    let mut first_start = vec![SimTime::MAX; s];
-    let mut busy = vec![SimDuration::ZERO; s];
+    out.stage_busy.clear();
+    out.stage_busy.resize(s, SimDuration::ZERO);
+    out.stage_start.clear();
+    out.stage_start.resize(s, SimTime::MAX);
+    // Before the first microbatch every stage is free from `start`.
+    out.finish.clear();
+    out.finish.resize(s, start);
 
-    for i in 0..m {
-        for st in 0..s {
+    for (i, row) in timing.times.chunks_exact(s).enumerate() {
+        for (st, &t) in row.iter().enumerate() {
             let arrive = if st == 0 {
                 start
             } else {
-                transfer(i, st - 1, finish[i][st - 1])
+                transfer(i, st - 1, out.finish[st - 1])
             };
-            let prev_done = if i == 0 { start } else { finish[i - 1][st] };
-            let begin = arrive.max(prev_done);
-            first_start[st] = first_start[st].min(begin);
-            busy[st] += timing.times[i][st];
-            finish[i][st] = begin + timing.times[i][st];
+            let begin = arrive.max(out.finish[st]);
+            out.stage_start[st] = out.stage_start[st].min(begin);
+            out.stage_busy[st] += t;
+            out.finish[st] = begin + t;
         }
     }
-
-    let stage_span: Vec<SimDuration> = (0..s)
-        .map(|st| finish[m - 1][st] - first_start[st])
-        .collect();
-    let makespan = finish[m - 1][s - 1] - start;
-    PipelineSchedule {
-        makespan,
-        stage_busy: busy,
-        stage_span,
-        finish,
-    }
+    out.makespan = out.finish[s - 1] - start;
 }
 
 /// Convenience: schedule with a fixed per-boundary transfer delay.
@@ -122,7 +124,9 @@ pub fn schedule_fixed_transfer(
     timing: &StageTiming,
     transfer_delay: SimDuration,
 ) -> PipelineSchedule {
-    schedule(start, timing, |_, _, send| send + transfer_delay)
+    let mut out = PipelineSchedule::default();
+    schedule(start, timing, &mut out, |_, _, send| send + transfer_delay);
+    out
 }
 
 #[cfg(test)]
@@ -133,11 +137,17 @@ mod tests {
         SimDuration::from_millis(n)
     }
 
+    /// `m` microbatches taking `t` on each of `stages` stages.
+    fn uniform(m: usize, stages: usize, t: SimDuration) -> StageTiming {
+        StageTiming {
+            times: vec![t; m * stages],
+            stages,
+        }
+    }
+
     #[test]
     fn single_stage_single_batch() {
-        let timing = StageTiming {
-            times: vec![vec![ms(10)]],
-        };
+        let timing = uniform(1, 1, ms(10));
         let sched = schedule_fixed_transfer(SimTime::ZERO, &timing, SimDuration::ZERO);
         assert_eq!(sched.makespan, ms(10));
         assert_eq!(sched.bubble_frac(), 0.0);
@@ -147,9 +157,7 @@ mod tests {
     fn balanced_pipeline_textbook_makespan() {
         // 3 microbatches × 2 stages, all 10 ms, no transfer delay:
         // makespan = (m + s - 1) × t = 4 × 10 ms.
-        let timing = StageTiming {
-            times: vec![vec![ms(10); 2]; 3],
-        };
+        let timing = uniform(3, 2, ms(10));
         let sched = schedule_fixed_transfer(SimTime::ZERO, &timing, SimDuration::ZERO);
         assert_eq!(sched.makespan, ms(40));
         // Stage 0: busy 30 of span 30. Stage 1: busy 30 of span 30 (starts
@@ -161,11 +169,8 @@ mod tests {
     fn imbalance_creates_bubbles() {
         // Fig. 8 (b): B1 takes 3× longer; stage 1 idles waiting for it.
         let timing = StageTiming {
-            times: vec![
-                vec![ms(10), ms(10)],
-                vec![ms(30), ms(30)],
-                vec![ms(10), ms(10)],
-            ],
+            times: vec![ms(10), ms(10), ms(30), ms(30), ms(10), ms(10)],
+            stages: 2,
         };
         let sched = schedule_fixed_transfer(SimTime::ZERO, &timing, SimDuration::ZERO);
         assert!(
@@ -175,16 +180,15 @@ mod tests {
         );
         // Hand-check stage 1: B0 runs 10–20, B1 arrives at 40 (10 ms gap),
         // runs 40–70, B2 arrives at 50 but stage busy until 70, runs 70–80.
-        assert_eq!(sched.finish[2][1], SimTime::from_millis(80));
+        // `finish` is the last microbatch's (B2's) row.
+        assert_eq!(sched.finish[1], SimTime::from_millis(80));
         assert_eq!(sched.stage_busy[1], ms(50));
-        assert_eq!(sched.stage_span[1], ms(70));
+        assert_eq!(sched.stage_span(1), ms(70));
     }
 
     #[test]
     fn transfer_delay_extends_makespan() {
-        let timing = StageTiming {
-            times: vec![vec![ms(10); 2]; 2],
-        };
+        let timing = uniform(2, 2, ms(10));
         let no_delay = schedule_fixed_transfer(SimTime::ZERO, &timing, SimDuration::ZERO);
         let delayed = schedule_fixed_transfer(SimTime::ZERO, &timing, ms(5));
         assert_eq!(no_delay.makespan, ms(30));
@@ -193,11 +197,10 @@ mod tests {
 
     #[test]
     fn transfer_called_in_send_order_per_boundary() {
-        let timing = StageTiming {
-            times: vec![vec![ms(10); 2]; 4],
-        };
+        let timing = uniform(4, 2, ms(10));
         let mut last_send = SimTime::ZERO;
-        schedule(SimTime::ZERO, &timing, |_, boundary, send| {
+        let mut sched = PipelineSchedule::default();
+        schedule(SimTime::ZERO, &timing, &mut sched, |_, boundary, send| {
             assert_eq!(boundary, 0);
             assert!(send >= last_send, "sends must be non-decreasing");
             last_send = send;
@@ -208,33 +211,26 @@ mod tests {
     #[test]
     fn nonzero_start_offsets_everything() {
         let start = SimTime::from_secs(5);
-        let timing = StageTiming {
-            times: vec![vec![ms(10)]],
-        };
+        let timing = uniform(1, 1, ms(10));
         let sched = schedule_fixed_transfer(start, &timing, SimDuration::ZERO);
-        assert_eq!(sched.finish[0][0], start + ms(10));
+        assert_eq!(sched.finish[0], start + ms(10));
         assert_eq!(sched.makespan, ms(10));
     }
 
     #[test]
     #[should_panic(expected = "at least one microbatch")]
     fn empty_timing_panics() {
-        schedule_fixed_transfer(
-            SimTime::ZERO,
-            &StageTiming { times: vec![] },
-            SimDuration::ZERO,
-        );
+        schedule_fixed_transfer(SimTime::ZERO, &StageTiming::default(), SimDuration::ZERO);
     }
 
     #[test]
     fn balanced_vs_imbalanced_same_work() {
         // Same total work split two ways: balanced beats imbalanced — the
         // premise of lookahead formation (Fig. 9 (c)).
-        let balanced = StageTiming {
-            times: vec![vec![ms(20), ms(20)], vec![ms(20), ms(20)]],
-        };
+        let balanced = uniform(2, 2, ms(20));
         let imbalanced = StageTiming {
-            times: vec![vec![ms(10), ms(10)], vec![ms(30), ms(30)]],
+            times: vec![ms(10), ms(10), ms(30), ms(30)],
+            stages: 2,
         };
         let b = schedule_fixed_transfer(SimTime::ZERO, &balanced, SimDuration::ZERO);
         let i = schedule_fixed_transfer(SimTime::ZERO, &imbalanced, SimDuration::ZERO);

@@ -153,6 +153,14 @@ pub trait Policy {
     }
 
     /// Splits collected iteration work into pipeline microbatches.
+    ///
+    /// The microbatches must replay `work` in order: read one after
+    /// another, with adjacent fragments of one request merged, their
+    /// chunks are `work` — the same requests in the same order, the same
+    /// new tokens, and each fragment's prefix continuing the one before.
+    /// The engine builds the iteration's per-request progress straight
+    /// from `work` on this promise (checked by a `debug_assert!`), and
+    /// both [`MicrobatchFormerSpec`] formers keep it.
     fn form_microbatches(
         &self,
         state: &ClusterState,

@@ -6,11 +6,13 @@
 //! create memory: under a cluster-wide burst every destination is also
 //! loaded, so queued requests still stall — the paper's §2.3 critique.
 
+use std::cmp::Reverse;
+
 use cluster::{ClusterState, GroupId, OomResolution, Policy, ReqState, RequestId};
 use sim_core::SimTime;
 
 /// The Llumnix-style migration policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct LlumnixPolicy {
     /// A group is pressured above this demand/capacity ratio.
     pub pressure_threshold: f64,
@@ -18,6 +20,11 @@ pub struct LlumnixPolicy {
     pub dest_threshold: f64,
     /// Migrations started per group per tick.
     pub max_migrations_per_tick: usize,
+    /// Reused buffer: one pass's migration candidates, keyed youngest
+    /// first, then by their place in the group's running list.
+    victims: Vec<(Reverse<SimTime>, usize, RequestId)>,
+    /// Reused buffer: the live groups one tick sweeps.
+    groups: Vec<GroupId>,
 }
 
 impl Default for LlumnixPolicy {
@@ -26,6 +33,8 @@ impl Default for LlumnixPolicy {
             pressure_threshold: 0.90,
             dest_threshold: 0.80,
             max_migrations_per_tick: 4,
+            victims: Vec::new(),
+            groups: Vec::new(),
         }
     }
 }
@@ -37,8 +46,7 @@ impl LlumnixPolicy {
     fn find_dest(&self, state: &ClusterState, from: GroupId, tokens: u64) -> Option<GroupId> {
         let model = state.group(from).model;
         state
-            .alive_groups()
-            .into_iter()
+            .alive_group_ids()
             .filter(|&g| g != from && state.group(g).model == model && !state.group(g).frozen)
             .filter(|&g| {
                 let demand = state.group_demand_tokens(g) + tokens;
@@ -55,32 +63,30 @@ impl LlumnixPolicy {
     }
 
     /// Migrates up to `limit` youngest running sequences off `group`.
-    fn relieve(
-        &self,
-        state: &mut ClusterState,
-        group: GroupId,
-        now: SimTime,
-        limit: usize,
-    ) -> usize {
-        let mut victims: Vec<RequestId> = state
-            .group(group)
-            .running
-            .iter()
-            .copied()
-            .filter(|&r| state.request(r).state == ReqState::Running)
-            .collect();
-        victims.sort_by_key(|&r| std::cmp::Reverse(state.request(r).spec.arrival));
-        let mut moved = 0;
-        for r in victims.into_iter().take(limit) {
+    fn relieve(&mut self, state: &mut ClusterState, group: GroupId, now: SimTime, limit: usize) {
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        victims.extend(
+            state
+                .group(group)
+                .running
+                .iter()
+                .copied()
+                .filter(|&r| state.request(r).state == ReqState::Running)
+                .enumerate()
+                .map(|(i, r)| (Reverse(state.request(r).spec.arrival), i, r)),
+        );
+        // The running-list place breaks arrival ties, so the unstable sort
+        // gives the stable order without a stable sort's extra buffer.
+        victims.sort_unstable_by_key(|&(arrival, i, _)| (arrival, i));
+        for &(_, _, r) in victims.iter().take(limit) {
             let tokens = state.request(r).kv_tokens().max(1);
             let Some(dest) = self.find_dest(state, group, tokens) else {
                 break;
             };
-            if state.start_migration(r, dest, now) {
-                moved += 1;
-            }
+            state.start_migration(r, dest, now);
         }
-        moved
+        self.victims = victims;
     }
 }
 
@@ -90,13 +96,17 @@ impl Policy for LlumnixPolicy {
     }
 
     fn on_tick(&mut self, state: &mut ClusterState, now: SimTime) {
-        for g in state.alive_groups() {
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.clear();
+        groups.extend(state.alive_group_ids());
+        for &g in &groups {
             let demand = state.group_demand_tokens(g) as f64;
             let cap = state.group_capacity_tokens(g) as f64;
             if demand > self.pressure_threshold * cap {
                 self.relieve(state, g, now, self.max_migrations_per_tick);
             }
         }
+        self.groups = groups;
     }
 
     fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {

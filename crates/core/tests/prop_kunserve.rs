@@ -1,7 +1,8 @@
 //! Property tests for KunServe's online algorithms: the drop planner's
-//! greedy invariants and the lookahead splitter's conservation guarantees.
+//! greedy invariants, the lookahead splitter's conservation guarantees,
+//! and the order contract both microbatch formers keep.
 
-use cluster::{GroupId, RequestId, SeqChunk};
+use cluster::{GroupId, MicrobatchFormerSpec, RequestId, SeqChunk};
 use costmodel::{ChunkWork, CostParams};
 use kunserve::balance_microbatches;
 use kunserve::plan::{DropPlanner, PlanGroup};
@@ -95,6 +96,61 @@ proptest! {
                 prop_assert_eq!(*entry, c.work.prefix_tokens, "prefix chain broken");
                 *entry += c.work.new_tokens;
             }
+        }
+    }
+
+    /// Both formers replay the collected work: read in order, with adjacent
+    /// fragments of one request merged, the microbatches' chunks are the
+    /// work itself — the same requests in the same order, the same new
+    /// tokens, and each fragment's prefix continuing the one before. The
+    /// engine builds a pipelined iteration's plan straight from the work on
+    /// this promise (`Policy::form_microbatches`).
+    #[test]
+    fn formers_replay_the_work_in_order(
+        work_spec in proptest::collection::vec((0u32..3, 0u64..8_192, 1u64..4_096), 0..48),
+        stages in 2usize..9,
+        microbatches_per_stage in 1u32..4,
+        min_batch_tokens in 1u64..2_048,
+    ) {
+        let params = CostParams::qwen14b_a800();
+        // Two kinds in three are decode chunks of one or two tokens (a
+        // pipelined group decodes `microbatches_per_stage` rounds per
+        // iteration, fewer at the end of an output); the rest are prefill
+        // chunks. Ids are distinct but not ascending, as in the engine's
+        // collected work.
+        let n = work_spec.len();
+        let work: Vec<SeqChunk> = work_spec
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, p, c))| SeqChunk {
+                request: RequestId(n - i),
+                work: ChunkWork {
+                    prefix_tokens: p,
+                    new_tokens: if kind < 2 { 1 + c % 2 } else { c },
+                },
+            })
+            .collect();
+        for spec in [
+            MicrobatchFormerSpec::TokenCount,
+            MicrobatchFormerSpec::CostBalanced { min_batch_tokens },
+        ] {
+            let mbs = spec.form(&work, stages, microbatches_per_stage, &params);
+            let mut merged: Vec<SeqChunk> = Vec::new();
+            for c in mbs.iter().flat_map(|mb| &mb.chunks) {
+                match merged.last_mut() {
+                    Some(last) if last.request == c.request => {
+                        prop_assert_eq!(
+                            last.work.prefix_tokens + last.work.new_tokens,
+                            c.work.prefix_tokens,
+                            "{:?}: fragment prefixes chain",
+                            spec
+                        );
+                        last.work.new_tokens += c.work.new_tokens;
+                    }
+                    _ => merged.push(*c),
+                }
+            }
+            prop_assert_eq!(&merged, &work, "{:?} replays the work", spec);
         }
     }
 

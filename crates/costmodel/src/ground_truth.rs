@@ -128,12 +128,14 @@ impl GroundTruth {
     /// with `layer_fraction` of the model resident (1.0 = full model;
     /// a pipeline stage holding half the layers passes 0.5), in µs.
     pub fn expected_us(&self, chunks: &[ChunkWork], layer_fraction: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&layer_fraction) && layer_fraction > 0.0,
-            "layer fraction must be in (0, 1]"
-        );
+        self.stage_us(self.base_us(chunks), layer_fraction)
+    }
+
+    /// The stage-independent part of [`GroundTruth::expected_us`]: the
+    /// whole model's time over `chunks` in µs, `None` for no chunks.
+    fn base_us(&self, chunks: &[ChunkWork]) -> Option<f64> {
         if chunks.is_empty() {
-            return 0.0;
+            return None;
         }
         // Eq. 3 decomposed into its physical parts:
         // - `fixed`: per-chunk overheads with batch deduplication (γ, λ);
@@ -166,13 +168,35 @@ impl GroundTruth {
         let penalty = 1.0
             + self.small_batch_penalty
                 * (1.0 - (new_tokens as f64 / self.small_batch_knee_tokens)).max(0.0);
-        let base = fixed + attn * penalty + (gemm * penalty).max(self.weight_load_us);
-        base * layer_fraction
-            + if layer_fraction < 1.0 {
-                self.stage_overhead_us
-            } else {
-                0.0
-            }
+        Some(fixed + attn * penalty + (gemm * penalty).max(self.weight_load_us))
+    }
+
+    /// A stage's expected time, in µs, from [`GroundTruth::base_us`]: its
+    /// `layer_fraction` of the model plus the per-stage overhead a
+    /// partial model pays; no chunks cost nothing.
+    fn stage_us(&self, base_us: Option<f64>, layer_fraction: f64) -> f64 {
+        assert!(
+            (0.0..=1.0).contains(&layer_fraction) && layer_fraction > 0.0,
+            "layer fraction must be in (0, 1]"
+        );
+        base_us.map_or(0.0, |base| {
+            base * layer_fraction
+                + if layer_fraction < 1.0 {
+                    self.stage_overhead_us
+                } else {
+                    0.0
+                }
+        })
+    }
+
+    /// `expected_us` with the multiplicative noise drawn from `rng`; a
+    /// zero expectation is free and draws nothing.
+    fn noisy_us<R: Rng + ?Sized>(&self, expected_us: f64, rng: &mut R) -> f64 {
+        if expected_us == 0.0 {
+            return 0.0;
+        }
+        let noise = 1.0 + rng.gen_range(-self.noise_frac..=self.noise_frac);
+        expected_us * noise
     }
 
     /// Samples the actual execution time of one iteration (expected time
@@ -183,12 +207,7 @@ impl GroundTruth {
         layer_fraction: f64,
         rng: &mut R,
     ) -> f64 {
-        let expected = self.expected_us(chunks, layer_fraction);
-        if expected == 0.0 {
-            return 0.0;
-        }
-        let noise = 1.0 + rng.gen_range(-self.noise_frac..=self.noise_frac);
-        expected * noise
+        self.noisy_us(self.expected_us(chunks, layer_fraction), rng)
     }
 
     /// Samples an iteration time as a [`SimDuration`].
@@ -199,6 +218,26 @@ impl GroundTruth {
         rng: &mut R,
     ) -> SimDuration {
         SimDuration::from_secs_f64(self.sample_us(chunks, layer_fraction, rng) / 1e6)
+    }
+
+    /// Samples one microbatch's time on each pipeline stage, appending one
+    /// duration per entry of `layer_fractions` to `out`. Equal, bit for
+    /// bit and draw for draw, to one [`GroundTruth::sample`] per stage in
+    /// order, but the stage-independent Eq. 1–3 sum is computed once.
+    pub fn sample_stages<R: Rng + ?Sized>(
+        &self,
+        chunks: &[ChunkWork],
+        layer_fractions: &[f64],
+        rng: &mut R,
+        out: &mut Vec<SimDuration>,
+    ) {
+        let base = self.base_us(chunks);
+        for &f in layer_fractions {
+            let expected = self.stage_us(base, f);
+            out.push(SimDuration::from_secs_f64(
+                self.noisy_us(expected, rng) / 1e6,
+            ));
+        }
     }
 }
 

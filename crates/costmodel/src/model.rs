@@ -67,11 +67,18 @@ impl CostParams {
     ///
     /// Chunks share one parameter load, so `(n−1)·λ` is subtracted.
     pub fn batch_cost_us(&self, chunks: &[ChunkWork]) -> f64 {
-        if chunks.is_empty() {
+        self.batch_cost_us_of(chunks.iter().copied())
+    }
+
+    /// [`CostParams::batch_cost_us`] over chunks that live inside other
+    /// records, so pricing them needs no collected slice.
+    pub fn batch_cost_us_of(&self, chunks: impl ExactSizeIterator<Item = ChunkWork>) -> f64 {
+        let n = chunks.len();
+        if n == 0 {
             return 0.0;
         }
-        let sum: f64 = chunks.iter().map(|&w| self.chunk_cost_us(w)).sum();
-        sum - (chunks.len() as f64 - 1.0) * self.lambda_us
+        let sum: f64 = chunks.map(|w| self.chunk_cost_us(w)).sum();
+        sum - (n as f64 - 1.0) * self.lambda_us
     }
 
     /// Batch cost as a [`SimDuration`].

@@ -3,6 +3,9 @@
 
 use costmodel::{fit_chunk_params, ChunkWork, CostParams, GroundTruth};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::RngCore;
+use sim_core::SimDuration;
 
 fn params() -> CostParams {
     CostParams::qwen14b_a800()
@@ -66,6 +69,38 @@ proptest! {
         works.push(ChunkWork { prefix_tokens: extra_p, new_tokens: extra_c });
         let after = gt.expected_us(&works, 1.0);
         prop_assert!(after >= before - 1e-9, "adding work made it faster: {before} -> {after}");
+    }
+
+    /// `sample_stages` is one `sample` per stage in order: the same
+    /// durations, bit for bit, and the same draws, for any chunk list
+    /// (empty included) and stage fractions in (0, 1].
+    #[test]
+    fn sample_stages_equals_per_stage_sample(
+        chunks in proptest::collection::vec((0u64..8_192, 1u64..2_048), 0..16),
+        fracs in proptest::collection::vec((0u32..4, 0.0f64..1.0), 1..9),
+        seed in 0u64..u64::MAX,
+    ) {
+        let gt = GroundTruth::qwen14b_a800();
+        let works: Vec<ChunkWork> = chunks
+            .iter()
+            .map(|&(p, c)| ChunkWork { prefix_tokens: p, new_tokens: c })
+            .collect();
+        // One fraction in four is the whole model; the rest are 1 − u for
+        // u in [0, 1), so in (0, 1].
+        let fracs: Vec<f64> = fracs
+            .iter()
+            .map(|&(whole, u)| if whole == 0 { 1.0 } else { 1.0 - u })
+            .collect();
+        let mut staged_rng = SmallRng::seed_from_u64(seed);
+        let mut staged = Vec::new();
+        gt.sample_stages(&works, &fracs, &mut staged_rng, &mut staged);
+        let mut each_rng = SmallRng::seed_from_u64(seed);
+        let each: Vec<SimDuration> = fracs
+            .iter()
+            .map(|&f| gt.sample(&works, f, &mut each_rng))
+            .collect();
+        prop_assert_eq!(staged, each);
+        prop_assert_eq!(staged_rng.next_u64(), each_rng.next_u64(), "the same draws");
     }
 
     /// Fitting on noise-free Eq. 1 samples recovers the parameters for any
