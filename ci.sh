@@ -8,8 +8,9 @@
 #   bench   one pass of each perfbench workload (burst_lineup,
 #           calm_prefix, gateway_zoo) and a second burst_lineup pass at
 #           seed 7: echoes the behaviour digests, fails unless they equal
-#           PINNED_DIGESTS and PINNED_DIGESTS_SEED7 below and every run
-#           reports "correct": true with "failed": 0
+#           PINNED_DIGESTS and PINNED_DIGESTS_SEED7 below, every run
+#           reports "correct": true with "failed": 0, and the gateway_zoo
+#           pass peaks below GATEWAY_ZOO_RSS_CEILING_MB
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
@@ -135,10 +136,29 @@ burst_lineup InferCept 21dfc9b4e6dbe43d
 burst_lineup Llumnix 025f87cffd1e2d22
 burst_lineup KunServe e105030c5e944d1f'
 
+# The engine's memory is constant per iteration, so one gateway_zoo pass
+# (a 60 s session, about 455k iterations) stays small: it reads about
+# 6.5 MB. Keeping one sample per iteration again would add about 14.5 MB
+# per simulated minute and cross this ceiling.
+GATEWAY_ZOO_RSS_CEILING_MB=16
+
+# check_rss_ceiling <perfbench output> <ceiling MB>: prints the pass's
+# peak_rss_mb and fails when it is above the ceiling.
+check_rss_ceiling() {
+    local rss
+    rss=$(sed -n 's/^metric peak_rss_mb = \([0-9.]*\) MB$/\1/p' <<<"$1")
+    echo "peak_rss_mb ${rss:-missing} MB (ceiling $2 MB)"
+    if ! awk -v rss="$rss" -v max="$2" 'BEGIN { exit !(rss != "" && rss <= max) }'; then
+        echo "ci.sh: peak_rss_mb ${rss:-missing} is above the $2 MB ceiling" >&2
+        return 1
+    fi
+}
+
 # check_digests <pinned> <seed, or empty for the default> <workload>...:
 # one `--seconds 0` perfbench pass per workload; fails unless every run
 # reports "correct": true with "failed": 0 and the printed digest lines,
-# prefixed with their workload, equal <pinned>.
+# prefixed with their workload, equal <pinned>. The default-seed
+# gateway_zoo pass must also stay under its memory ceiling.
 check_digests() {
     local pinned=$1 seed=$2
     shift 2
@@ -154,6 +174,9 @@ check_digests() {
             printf '%s\n' "$out" >&2
             echo "ci.sh: perfbench ${w}${label} did not report a correct run without failures" >&2
             return 1
+        fi
+        if [ "${w}${label}" = gateway_zoo ]; then
+            check_rss_ceiling "$out" "$GATEWAY_ZOO_RSS_CEILING_MB"
         fi
         mapfile -t -O "${#printed[@]}" printed < <(
             grep '^digest' <<<"$out" | sed "s/^digest /${w} /; s/ finished=.*//")

@@ -872,10 +872,7 @@ impl Engine {
         };
         let Some(plan) = plan else { return };
         let now = self.now;
-        self.state
-            .metrics
-            .iterations
-            .push(now, plan.duration.as_secs_f64());
+        self.state.metrics.iterations.bump();
         if self.state.group(group).stages() > 1 {
             self.state.metrics.bubbles.push(now, plan.bubble_frac);
         }

@@ -47,6 +47,27 @@ impl RequestRecord {
     }
 }
 
+/// A running count of occurrences whose individual samples nobody reads.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Count(usize);
+
+impl Count {
+    /// Counts one more occurrence.
+    pub fn bump(&mut self) {
+        self.0 += 1;
+    }
+
+    /// Occurrences counted so far.
+    pub fn len(&self) -> usize {
+        self.0
+    }
+
+    /// Returns `true` if nothing was counted.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+}
+
 /// Live metrics collector fed by the engine.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -57,17 +78,13 @@ pub struct Metrics {
     pub mem_capacity: TimeSeries,
     /// (time, used bytes) sampled by the monitor.
     pub mem_used: TimeSeries,
-    /// Tokens emitted over time (throughput).
+    /// Tokens emitted over time: throughput in 100 ms buckets, and the
+    /// exact total.
     pub tokens: WindowedRate,
-    /// Exact emitted-token count. Kept as an integer alongside the f64
-    /// `tokens` rate series: summing f64 samples loses exactness past
-    /// 2^53 and would put a rounding step on the report path.
-    total_tokens: u64,
     /// Pipeline bubble fraction per iteration (multi-stage groups only).
     pub bubbles: TimeSeries,
-    /// Iteration durations: one `(completion_time, duration_secs)` sample
-    /// per iteration across all groups (GPU duty-cycle analysis).
-    pub iterations: TimeSeries,
+    /// Iterations completed across all groups.
+    pub iterations: Count,
     /// Mean TTFT timeline: a sample per first token.
     pub ttft_series: TimeSeries,
     /// Drop/restore events: (time, +stages merged / -split marker).
@@ -162,8 +179,7 @@ impl Metrics {
 
     /// Records emitted tokens (throughput accounting).
     pub fn on_tokens(&mut self, now: SimTime, n: u64) {
-        self.total_tokens += n;
-        self.tokens.record(now, n as f64);
+        self.tokens.record(now, n);
     }
 
     /// Records a reconfiguration (drop/restore) marker.
@@ -261,7 +277,7 @@ impl Metrics {
             tpot: Percentiles::from_samples(&tpot),
             ttft_samples: ttft,
             tpot_samples: tpot,
-            total_tokens: self.total_tokens,
+            total_tokens: self.tokens.total(),
             preemptions: self.records.iter().map(|r| u64::from(r.preemptions)).sum(),
             donated_bytes_peak: self.donated_bytes_peak,
             prefix_saved_tokens: self.prefix_saved_tokens,

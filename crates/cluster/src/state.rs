@@ -1652,25 +1652,29 @@ impl ClusterState {
         }
         let model_id = self.group(gid).model;
         let kv_per_token = self.group_model_cfg(gid).kv_bytes_per_token();
-        // Per-instance capacity after restore. Extents this group borrowed
-        // from other models survive the split attached to the first new
-        // group, so its planning capacity includes them.
-        let borrowed_tokens = self.group(gid).blocks.borrowed_blocks() as u64
-            * self.group(gid).blocks.block_tokens() as u64;
-        let capacities: Vec<u64> = members
+        let block_tokens = self.cfg.block_tokens;
+        // Restoring every layer shrinks each member's pool back to its base
+        // extent, which sets the new groups' native block capacities.
+        let pools: Vec<u64> = members
             .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                let base = self.instances[m.0 as usize].kv_base_bytes() / kv_per_token;
-                if i == 0 {
-                    base + borrowed_tokens
-                } else {
-                    base
-                }
-            })
+            .map(|&m| self.instances[m.0 as usize].kv_base_bytes())
             .collect();
+        let pool_blocks: Vec<u32> = pools
+            .iter()
+            .map(|&pool| group_capacity_blocks(&[(pool, 1.0)], kv_per_token, block_tokens))
+            .collect();
+        // Planning capacity per member: in tokens to order the placement,
+        // in whole blocks to check it. Extents this group borrowed from
+        // other models survive the split attached to the first new group,
+        // so its capacity includes them.
+        let borrowed_blocks = self.group(gid).blocks.borrowed_blocks();
+        let mut token_caps: Vec<u64> = pools.iter().map(|&pool| pool / kv_per_token).collect();
+        token_caps[0] += u64::from(borrowed_blocks) * u64::from(block_tokens);
+        let mut block_caps = pool_blocks.clone();
+        block_caps[0] += borrowed_blocks;
 
-        // Plan request placement: bin-pack admitted sequences by tokens.
+        // Plan request placement: best fit by tokens, each sequence charged
+        // the whole blocks its new group will allocate for it.
         let old = self.group(gid);
         let mut admitted: Vec<(RequestId, u64)> = old
             .admitted()
@@ -1678,18 +1682,21 @@ impl ClusterState {
             .collect();
         admitted.sort_by_key(|&(r, t)| (std::cmp::Reverse(t), r));
         let mut loads: Vec<u64> = vec![0; members.len()];
+        let mut load_blocks: Vec<u32> = vec![0; members.len()];
         let mut placement: Vec<(RequestId, usize, u64)> = Vec::new();
         for (r, tokens) in admitted {
             // Best fit: the member with most free capacity.
             let (idx, _) = loads
                 .iter()
                 .enumerate()
-                .min_by_key(|&(i, &l)| (l as i64 - capacities[i] as i64, i))
+                .min_by_key(|&(i, &l)| (l as i64 - token_caps[i] as i64, i))
                 .expect("members non-empty");
-            if loads[idx] + tokens > capacities[idx] {
+            let blocks = old.blocks.blocks_for(tokens);
+            if load_blocks[idx] + blocks > block_caps[idx] {
                 return Err(()); // does not fit; defer the split
             }
             loads[idx] += tokens;
+            load_blocks[idx] += blocks;
             placement.push((r, idx, tokens));
         }
 
@@ -1701,11 +1708,14 @@ impl ClusterState {
         }
         let mut new_ids = Vec::new();
         let base = self.groups.len();
-        for (i, &m) in members.iter().enumerate() {
+        for (i, (&m, &cap)) in members.iter().zip(&pool_blocks).enumerate() {
             let id = GroupId(base + i);
-            let pools = [(self.instances[m.0 as usize].usable_kv_bytes(), 1.0)];
-            let cap = group_capacity_blocks(&pools, kv_per_token, self.cfg.block_tokens);
-            let blocks = BlockManager::new(cap, self.cfg.block_tokens);
+            debug_assert_eq!(
+                self.instances[m.0 as usize].usable_kv_bytes(),
+                self.instances[m.0 as usize].kv_base_bytes(),
+                "a restored pool is its base extent"
+            );
+            let blocks = BlockManager::new(cap, block_tokens);
             self.groups.push(Some(ExecGroup::new(
                 id,
                 model_id,

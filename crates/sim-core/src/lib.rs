@@ -5,9 +5,14 @@
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution simulated time.
 //! - [`EventQueue`]: a deterministic future-event list. Ties in time are
 //!   broken by insertion order, so a simulation driven by this queue is fully
-//!   reproducible for a fixed seed.
+//!   reproducible for a fixed seed. Events pushed in time order (a batch
+//!   run's arrival trace) wait in a FIFO lane beside the heap, so the heap
+//!   holds only the few events scheduled out of order.
 //! - [`stats`]: percentile summaries and windowed time series used by the
 //!   serving metrics collectors and the benchmark harness.
+//!   [`WindowedRate`] counts occurrences in fixed 100 ms buckets, so its
+//!   memory follows the simulated span, not the number of recordings;
+//!   its rate windows start on and span whole buckets.
 //!
 //! # Examples
 //!

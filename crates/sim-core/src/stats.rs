@@ -122,17 +122,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Returns the maximum value in the series, or `None` if empty.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| match acc {
-                None => Some(v),
-                Some(m) => Some(m.max(v)),
-            })
-    }
-
     /// Averages samples into fixed-width windows over `[start, end)`.
     ///
     /// Returns one `(window_start, mean)` entry per window; windows without
@@ -172,51 +161,72 @@ impl TimeSeries {
     }
 }
 
+/// Width of a [`WindowedRate`] bucket. Rate windows, and their starts,
+/// are whole multiples of it.
+pub const RATE_BUCKET: SimDuration = SimDuration::from_millis(100);
+
 /// Counts discrete occurrences (tokens, requests) and reports per-second
 /// rates over fixed windows — the throughput timelines of Figure 12.
+///
+/// Occurrences are summed into [`RATE_BUCKET`]-wide buckets as they are
+/// recorded, so memory grows with the simulated span, not with the number
+/// of recordings. Bucket `i` covers `[i, i + 1) × RATE_BUCKET`: an
+/// occurrence exactly on a boundary counts in the later bucket.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedRate {
-    events: Vec<(SimTime, f64)>,
+    buckets: Vec<u64>,
 }
 
 impl WindowedRate {
     /// Creates an empty rate counter.
     pub fn new() -> Self {
-        WindowedRate { events: Vec::new() }
+        WindowedRate::default()
     }
 
-    /// Records `weight` occurrences at time `t` (e.g. tokens in a batch).
-    pub fn record(&mut self, t: SimTime, weight: f64) {
-        debug_assert!(
-            self.events.last().is_none_or(|&(last, _)| t >= last),
-            "rate events must be recorded in order"
-        );
-        self.events.push((t, weight));
+    /// Records `n` occurrences at time `t` (e.g. tokens in a batch).
+    pub fn record(&mut self, t: SimTime, n: u64) {
+        let i = usize::try_from(t.as_micros() / RATE_BUCKET.as_micros())
+            .expect("bucket index fits in memory");
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += n;
     }
 
-    /// Total recorded weight.
-    pub fn total(&self) -> f64 {
-        self.events.iter().map(|&(_, w)| w).sum()
+    /// Total recorded occurrences.
+    pub fn total(&self) -> u64 {
+        self.buckets.iter().sum()
     }
 
     /// Returns `(window_start, rate_per_sec)` entries covering `[start, end)`.
+    ///
+    /// Each rate is a window's integer count over its length in seconds,
+    /// the same f64 an event-by-event sum would give below 2^53.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `window` is positive and `start` and `window` are
+    /// whole multiples of [`RATE_BUCKET`].
     pub fn rates(&self, start: SimTime, end: SimTime, window: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(window > SimDuration::ZERO, "window must be positive");
+        let width = RATE_BUCKET.as_micros();
+        assert!(
+            window > SimDuration::ZERO
+                && window.as_micros().is_multiple_of(width)
+                && start.as_micros().is_multiple_of(width),
+            "rate windows start on and span whole {RATE_BUCKET} buckets"
+        );
+        let bucket = |t: SimTime| {
+            usize::try_from(t.as_micros() / width)
+                .unwrap_or(usize::MAX)
+                .min(self.buckets.len())
+        };
+        let wsecs = window.as_secs_f64();
         let mut out = Vec::new();
         let mut t = start;
-        let mut idx = 0;
-        while idx < self.events.len() && self.events[idx].0 < start {
-            idx += 1;
-        }
-        let wsecs = window.as_secs_f64();
         while t < end {
             let wend = t + window;
-            let mut sum = 0.0;
-            while idx < self.events.len() && self.events[idx].0 < wend {
-                sum += self.events[idx].1;
-                idx += 1;
-            }
-            out.push((t, sum / wsecs));
+            let n: u64 = self.buckets[bucket(t)..bucket(wend)].iter().sum();
+            out.push((t, n as f64 / wsecs));
             t = wend;
         }
         out
@@ -302,9 +312,9 @@ mod tests {
     #[test]
     fn rates_are_per_second() {
         let mut r = WindowedRate::new();
-        r.record(SimTime::from_millis(100), 50.0);
-        r.record(SimTime::from_millis(600), 50.0);
-        r.record(SimTime::from_millis(1100), 10.0);
+        r.record(SimTime::from_millis(100), 50);
+        r.record(SimTime::from_millis(600), 50);
+        r.record(SimTime::from_millis(1100), 10);
         let rates = r.rates(
             SimTime::ZERO,
             SimTime::from_secs(2),
@@ -315,7 +325,43 @@ mod tests {
         assert_eq!(rates[1].1, 100.0);
         assert_eq!(rates[2].1, 20.0);
         assert_eq!(rates[3].1, 0.0);
-        assert_eq!(r.total(), 110.0);
+        assert_eq!(r.total(), 110);
+    }
+
+    #[test]
+    fn boundary_occurrences_count_in_the_later_window() {
+        let mut r = WindowedRate::new();
+        r.record(SimTime::from_micros(499_999), 1);
+        r.record(SimTime::from_millis(500), 2);
+        let rates = r.rates(
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+            SimDuration::from_millis(500),
+        );
+        assert_eq!(
+            rates,
+            vec![(SimTime::ZERO, 2.0), (SimTime::from_millis(500), 4.0)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "whole")]
+    fn misaligned_window_panics() {
+        WindowedRate::new().rates(
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+            SimDuration::from_millis(250),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "whole")]
+    fn misaligned_start_panics() {
+        WindowedRate::new().rates(
+            SimTime::from_millis(50),
+            SimTime::from_secs(1),
+            SimDuration::from_millis(500),
+        );
     }
 
     #[test]
@@ -332,13 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn max_value_and_len() {
+    fn len_counts_samples() {
         let mut ts = TimeSeries::new();
         assert!(ts.is_empty());
-        assert_eq!(ts.max_value(), None);
         ts.push(SimTime::ZERO, -3.0);
         ts.push(SimTime::from_secs(1), 7.0);
         assert_eq!(ts.len(), 2);
-        assert_eq!(ts.max_value(), Some(7.0));
+        assert!(!ts.is_empty());
     }
 }

@@ -62,11 +62,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Returns `self` advanced by `d`, saturating at [`SimTime::MAX`].
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -101,11 +96,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration::from_secs_f64(ms / 1e3)
-    }
-
     /// Returns the raw microsecond count.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -124,13 +114,6 @@ impl SimDuration {
     /// Returns `self - other`, saturating at zero.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the duration by a non-negative factor, rounding to the
-    /// nearest microsecond.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        debug_assert!(factor >= 0.0, "duration factor must be non-negative");
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 }
 
@@ -274,13 +257,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(b.since(a), SimDuration::from_secs(1));
         assert_eq!(a.since(b), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(100);
-        assert_eq!(d.mul_f64(2.5), SimDuration::from_micros(250));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

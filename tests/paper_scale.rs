@@ -161,3 +161,41 @@ fn vllm_pp_frees_parameter_memory_on_real_model() {
     let gain = cap(&pp) / cap(&dp);
     assert!(gain > 1.2, "PP must gain KV capacity (got {gain:.2}x)");
 }
+
+/// Runs KunServe on the Cluster A BurstGPT scenario with restores firing
+/// once demand falls below `threshold` × the native capacity, and asserts
+/// every request finishes and at least one merged group split back.
+///
+/// Thresholds above 1 restore while the merged group is nearly full, so a
+/// split's placement is tight: one planned in tokens but allocated in
+/// whole blocks used to overbook a member and panic mid-commit.
+fn restores_at_threshold(threshold: f64) {
+    let sc = Scenario::burstgpt_14b();
+    let policy = KunServeConfig {
+        restore_threshold: threshold,
+        ..KunServeConfig::default()
+    };
+    let trace = sc.trace();
+    let out = Run::new(SystemKind::KunServeWith(policy), sc.cfg.clone(), &trace)
+        .drain(sc.drain)
+        .execute();
+    assert_eq!(out.report.finished_requests, trace.len());
+    let splits = out
+        .state
+        .metrics
+        .reconfig_events
+        .iter()
+        .filter(|(_, w)| w.starts_with("restore: split"))
+        .count();
+    assert!(splits > 0, "threshold {threshold}: no group split back");
+}
+
+#[test]
+fn split_fits_whole_blocks_at_restore_threshold_1_2() {
+    restores_at_threshold(1.2);
+}
+
+#[test]
+fn split_fits_whole_blocks_at_restore_threshold_2_5() {
+    restores_at_threshold(2.5);
+}
