@@ -14,22 +14,16 @@
 #   test    cargo test across the workspace
 #   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
 #           and the determinism lints (clippy.toml)
-#   smoke   fig18_multi_model, fig18_donation and fig17 smokes: schema
-#           validation, per-figure regression gates, and the wall-clock
-#           budget gate
-#   scenarios  the fig19-fig23 scenario matrix (diurnal, cold-start storm,
-#           shared prefix, failure storm, cascading recovery) smokes:
-#           schema validation, per-figure fidelity gates (KunServe beats
-#           vLLM p99 on every leg, bounded prefix-recompute amplification),
-#           budget gate
-#   gateway the fig24 online-gateway closed-loop smoke: ledger audits
-#           asserted in the figure, then goodput/p99 tolerance and
-#           wall-clock budget gates on the emitted JSON
-#   scale   Cluster A fidelity lineup, serial vs. the parallel bench
-#           harness (byte-identity asserted in the figure, speedup gated)
+#   gate    `figs --gate`: every gated figure (fig17, both fig18
+#           documents and fig19-fig24 at smoke scale, paper_scale_parallel
+#           at full scale) in one process; each document is checked
+#           against the bench-JSON schema, its tolerance file and its
+#           wall-clock budget (crates/bench/tolerances/, compiled into
+#           the registry), and the stage fails naming every failed check
 #
 # Every figure runs through the one scenario driver,
-# `cargo run -p bench --bin figs -- <figure> [--smoke] [--threads N] [--json PATH]`.
+# `cargo run -p bench --bin figs -- <figure> [--smoke] [--threads N] [--json PATH]`
+# or `-- --gate [<figure>] [--threads N]`.
 #
 # Usage: ./ci.sh [stage...]   (no args = every stage, in the order above)
 #
@@ -42,7 +36,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build bench test clippy smoke scenarios gateway scale)
+ALL_STAGES=(fmt build bench test clippy gate)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -204,96 +198,8 @@ stage_clippy() {
     cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
-stage_smoke() {
-    local smoke_json=target/bench-json/fig18_smoke.json
-    local donation_json=target/bench-json/fig18_donation.json
-    local fig17_json=target/bench-json/fig17_smoke.json
-
-    echo "--- fig18 multi-model smoke"
-    cargo run --release --offline -q -p bench --bin figs -- fig18_multi_model \
-        --smoke --json "$smoke_json"
-
-    echo "--- fig18 donation-granularity ablation smoke"
-    cargo run --release --offline -q -p bench --bin figs -- fig18_donation \
-        --smoke --json "$donation_json"
-
-    echo "--- fig17 extreme-burst smoke"
-    cargo run --release --offline -q -p bench --bin figs -- fig17_extreme_burst \
-        --smoke --json "$fig17_json"
-
-    echo "--- bench-JSON schema validation"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --schema "$smoke_json" "$donation_json" "$fig17_json"
-
-    echo "--- regression gates"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        "$smoke_json" crates/bench/tolerances/fig18_smoke.json
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        "$donation_json" crates/bench/tolerances/fig18_donation.json
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        "$fig17_json" crates/bench/tolerances/fig17_smoke.json
-
-    echo "--- tier-1 wall-clock budget gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json \
-        "$smoke_json" "$donation_json" "$fig17_json"
-}
-
-stage_scenarios() {
-    local figs=(fig19_diurnal fig20_coldstart_storm fig21_shared_prefix fig22_failure_storm fig23_cascading_recovery)
-    local tols=(fig19_smoke fig20_smoke fig21_smoke fig22_smoke fig23_smoke)
-    local jsons=()
-    local i
-    for i in "${!figs[@]}"; do
-        local fig=${figs[$i]}
-        local json=target/bench-json/${fig}.json
-        jsons+=("$json")
-        echo "--- ${fig} smoke"
-        cargo run --release --offline -q -p bench --bin figs -- "$fig" \
-            --smoke --threads 2 --json "$json"
-    done
-
-    echo "--- bench-JSON schema validation"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --schema "${jsons[@]}"
-
-    echo "--- scenario fidelity gates"
-    for i in "${!figs[@]}"; do
-        cargo run --release --offline -q -p bench --bin check_bench_json -- \
-            "${jsons[$i]}" "crates/bench/tolerances/${tols[$i]}.json"
-    done
-
-    echo "--- tier-1 wall-clock budget gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json "${jsons[@]}"
-}
-
-stage_gateway() {
-    local json=target/bench-json/fig24_gateway.json
-    echo "--- fig24 gateway closed-loop smoke"
-    cargo run --release --offline -q -p bench --bin figs -- fig24_gateway \
-        --smoke --json "$json"
-    echo "--- bench-JSON schema validation"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --schema "$json"
-    echo "--- gateway goodput/p99 gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        "$json" crates/bench/tolerances/fig24_smoke.json
-    echo "--- tier-1 wall-clock budget gate"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json "$json"
-}
-
-stage_scale() {
-    local ps_json=target/bench-json/paper_scale_parallel.json
-    cargo run --release --offline -q -p bench --bin figs -- paper_scale_parallel \
-        --threads 4 --json "$ps_json"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --schema "$ps_json"
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        "$ps_json" crates/bench/tolerances/paper_scale.json
-    cargo run --release --offline -q -p bench --bin check_bench_json -- \
-        --budget crates/bench/tolerances/ci_budget.json "$ps_json"
+stage_gate() {
+    cargo run --release --offline -q -p bench --bin figs -- --gate
 }
 
 STAGES=("$@")

@@ -2,8 +2,9 @@
 //!
 //! Each entry regenerates one paper figure or table, or one extension
 //! document: it builds its scenario, runs its systems, prints its series
-//! and returns its JSON document. The driver (`src/bin/figs.rs`) owns what
-//! every entry shares — parsing, timing, executor metadata and the write.
+//! and returns its JSON document. A gated entry also holds its tolerance
+//! file. The driver (`src/bin/figs.rs`) owns what every entry shares —
+//! parsing, timing, executor metadata, the write and the gate.
 //! The helpers below are the pieces several entries repeat.
 
 use std::path::PathBuf;
@@ -44,6 +45,9 @@ pub struct Figure {
     pub about: &'static str,
     /// Whether `--smoke` selects a tiny CI-sized scenario.
     pub smoke: bool,
+    /// The tolerance file `figs --gate` checks the document against
+    /// (see [`crate::gate`]), compiled in; `None` for an ungated figure.
+    pub tolerance: Option<&'static str>,
     /// Runs the figure, printing its series, and returns its document.
     pub run: fn(&Opts) -> Json,
 }
@@ -63,132 +67,170 @@ pub const FIGURES: &[Figure] = &[
         name: "fig02_motivation",
         about: "Fig. 2: TTFT spikes of KV-centric overload handling under a burst",
         smoke: false,
+        tolerance: None,
         run: fig02_motivation::run,
     },
     Figure {
         name: "fig05_drop_degrees",
         about: "Fig. 5: latency vs. fraction of parameters dropped",
         smoke: false,
+        tolerance: None,
         run: fig05_drop_degrees::run,
     },
     Figure {
         name: "fig12_end_to_end",
         about: "Fig. 12: end-to-end timelines, four workloads x five systems",
         smoke: false,
+        tolerance: None,
         run: fig12_end_to_end::run,
     },
     Figure {
         name: "fig13_latency_slo",
         about: "Fig. 13: p50/p99 TTFT and TPOT, SLO-violation ratios",
         smoke: false,
+        tolerance: None,
         run: fig13_latency_slo::run,
     },
     Figure {
         name: "fig14_ablation",
         about: "Fig. 14: drop / +coordinated exchange / +lookahead ablation",
         smoke: false,
+        tolerance: None,
         run: fig14_ablation::run,
     },
     Figure {
         name: "fig15_cost_model",
         about: "Fig. 15: Eq. 1-3 cost model vs. the token-count baseline",
         smoke: false,
+        tolerance: None,
         run: fig15_cost_model::run,
     },
     Figure {
         name: "fig16_long_run",
         about: "Fig. 16: 640 s run with two overload waves, with and without restore",
         smoke: false,
+        tolerance: None,
         run: fig16_long_run::run,
     },
     Figure {
         name: "fig17_extreme_burst",
         about: "Fig. 17: a burst window replayed until every system runs out of memory",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig17_smoke.json")),
         run: fig17_extreme_burst::run,
     },
     Figure {
         name: "fig18_multi_model",
         about: "Fig. 18 (extension): two models co-served under colliding bursts",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig18_smoke.json")),
         run: fig18_multi_model::run,
     },
     Figure {
         name: "fig18_donation",
         about: "Fig. 18 (extension): cross-model donation granularity ablation",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig18_donation.json")),
         run: fig18_donation::run,
     },
     Figure {
         name: "fig19_diurnal",
         about: "Fig. 19 (extension): diurnal tide, repeated drop/restore cycles",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig19_smoke.json")),
         run: fig19_diurnal::run,
     },
     Figure {
         name: "fig20_coldstart_storm",
         about: "Fig. 20 (extension): cold-start storms on a long-tail model zoo",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig20_smoke.json")),
         run: fig20_coldstart_storm::run,
     },
     Figure {
         name: "fig21_shared_prefix",
         about: "Fig. 21 (extension): shared-prefix traffic, bounded recompute",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig21_smoke.json")),
         run: fig21_shared_prefix::run,
     },
     Figure {
         name: "fig22_failure_storm",
         about: "Fig. 22 (extension): a rack failure mid-burst",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig22_smoke.json")),
         run: fig22_failure_storm::run,
     },
     Figure {
         name: "fig23_cascading_recovery",
         about: "Fig. 23 (extension): cascading recovery, shedding vs. no-shed ablation",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig23_smoke.json")),
         run: fig23_cascading_recovery::run,
     },
     Figure {
         name: "fig24_gateway",
         about: "Fig. 24 (extension): the online gateway under closed-loop clients",
         smoke: true,
+        tolerance: Some(include_str!("../../tolerances/fig24_smoke.json")),
         run: fig24_gateway::run,
     },
     Figure {
         name: "paper_scale_parallel",
         about: "Cluster A fidelity lineup, serial vs. the parallel harness",
         smoke: false,
+        tolerance: Some(include_str!("../../tolerances/paper_scale.json")),
         run: paper_scale_parallel::run,
     },
     Figure {
         name: "table1_models",
         about: "Table 1: parameter share of instance HBM per model",
         smoke: false,
+        tolerance: None,
         run: table1_models::run,
     },
     Figure {
         name: "table2_testbed",
         about: "Table 2: the simulated testbeds",
         smoke: false,
+        tolerance: None,
         run: table2_testbed::run,
     },
 ];
 
-/// Parses `<figure> [--smoke] [--threads N] [--json PATH]` into the
-/// figure, its options and the `--json` path. Rejects a missing or
-/// unknown figure, an unknown flag or extra argument, `--smoke` for a
-/// figure without a smoke scenario, a `--threads` that is not a
-/// positive integer and a `--json` without a path.
-pub fn parse_args(args: &[String]) -> Result<(&'static Figure, Opts, Option<PathBuf>), String> {
+/// A parsed `figs` invocation.
+#[derive(Debug)]
+pub struct Invocation {
+    /// The figures to run, in order, each with its options.
+    pub runs: Vec<(&'static Figure, Opts)>,
+    /// Where a single run writes its document (`--json PATH`); the
+    /// default is `target/bench-json/<figure>.json`.
+    pub json: Option<PathBuf>,
+    /// Whether each document is checked against its figure's tolerance
+    /// file and wall-clock budget (`--gate`, see [`crate::gate`]).
+    pub gate: bool,
+}
+
+/// Parses `<figure> [--smoke] [--threads N] [--json PATH]` or
+/// `--gate [<figure>] [--threads N]`. Rejects a missing or unknown figure,
+/// an unknown flag or extra argument, `--smoke` for a figure without a
+/// smoke scenario, a `--threads` that is not a positive integer, a
+/// `--json` without a path, and `--gate` with `--smoke`, with `--json` or
+/// with an ungated figure.
+///
+/// `--gate` runs the figure it names, or every gated figure, each at its
+/// smoke scale when it has one and at full scale otherwise.
+pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut name = None;
     let mut smoke = false;
+    let mut gate = false;
     let mut threads = None;
     let mut json = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--gate" => gate = true,
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => threads = Some(n),
                 _ => return Err("--threads needs a positive integer".into()),
@@ -202,33 +244,59 @@ pub fn parse_args(args: &[String]) -> Result<(&'static Figure, Opts, Option<Path
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
-    let name = name.ok_or("no figure given")?;
-    let figure = FIGURES
-        .iter()
-        .find(|f| f.name == name)
-        .ok_or_else(|| format!("unknown figure `{name}`"))?;
-    if smoke && !figure.smoke {
-        return Err(format!("{name} has no smoke scenario"));
-    }
+    let find = |name: &str| {
+        FIGURES
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unknown figure `{name}`"))
+    };
     let threads = threads.unwrap_or_else(harness::host_parallelism);
-    Ok((figure, Opts { smoke, threads }, json))
+    let opts = |smoke| Opts { smoke, threads };
+    if gate {
+        if smoke || json.is_some() {
+            return Err("--gate picks each figure's scale and output path".into());
+        }
+        let figures: Vec<&'static Figure> = match name {
+            Some(name) => match find(name)? {
+                f if f.tolerance.is_some() => vec![f],
+                _ => return Err(format!("{name} is not gated")),
+            },
+            None => FIGURES.iter().filter(|f| f.tolerance.is_some()).collect(),
+        };
+        let runs = figures.into_iter().map(|f| (f, opts(f.smoke))).collect();
+        return Ok(Invocation { runs, json, gate });
+    }
+    let figure = find(name.ok_or("no figure given")?)?;
+    if smoke && !figure.smoke {
+        return Err(format!("{} has no smoke scenario", figure.name));
+    }
+    Ok(Invocation {
+        runs: vec![(figure, opts(smoke))],
+        json,
+        gate,
+    })
 }
 
 /// The driver's usage text: the synopsis, then every figure with its
-/// description (`*` marks a `--smoke` scenario).
+/// description (`*` marks a `--smoke` scenario, `g` a gated figure).
 pub fn usage() -> String {
     let mut text = String::from(
         "usage: figs <figure> [--smoke] [--threads N] [--json PATH]\n\
+         \x20      figs --gate [<figure>] [--threads N]\n\
          \n\
          --smoke      the tiny CI scenario (figures marked *)\n\
+         --gate       run every gated figure (marked g), or the one named, at its\n\
+         \x20            CI scale and check each document against its tolerance file\n\
+         \x20            and wall-clock budget; exits 1 naming every failed check\n\
          --threads N  worker threads (default: host parallelism)\n\
          --json PATH  output path (default: target/bench-json/<figure>.json)\n\
          \n\
          figures:\n",
     );
     for f in FIGURES {
-        let mark = if f.smoke { '*' } else { ' ' };
-        text += &format!("  {:<25}{mark} {}\n", f.name, f.about);
+        let smoke = if f.smoke { '*' } else { ' ' };
+        let gated = if f.tolerance.is_some() { 'g' } else { ' ' };
+        text += &format!("  {:<25}{smoke}{gated} {}\n", f.name, f.about);
     }
     text
 }

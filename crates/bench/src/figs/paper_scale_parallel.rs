@@ -11,9 +11,10 @@
 //!    byte-identical with the serial pass — the harness may only change
 //!    wall-clock, never results.
 //!
-//! The JSON gate (`check_bench_json`) enforces the paper's ordering
-//! (KunServe p99 < vLLM p99), completion floors, p99 ceilings, and — on
-//! hosts with enough cores — a minimum harness speedup.
+//! `figs --gate` ([`crate::gate`], `tolerances/paper_scale.json`) runs it
+//! at this full scale and enforces the paper's ordering (KunServe p99 <
+//! vLLM p99), completion floors, p99 ceilings, and — on hosts with enough
+//! cores — a minimum harness speedup.
 //!
 //! Run: `cargo run --release -p bench --bin figs -- paper_scale_parallel --threads 4`
 

@@ -1,8 +1,8 @@
 //! Minimal JSON emit/parse for the bench regression harness.
 //!
 //! The workspace builds offline (no serde); this module implements the
-//! small slice of JSON the `fig*` binaries emit and `check_bench_json`
-//! consumes: objects, arrays, strings, finite numbers, booleans and null.
+//! small slice of JSON the figures emit and the gate ([`crate::gate`])
+//! reads back: objects, arrays, strings, finite numbers, booleans and null.
 //! Objects preserve insertion order so emitted files are deterministic.
 
 // Every cast on the path from raw samples to reported numbers rounds

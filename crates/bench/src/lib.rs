@@ -14,6 +14,7 @@ use sim_core::{SimDuration, SimTime};
 use workload::{BurstTraceBuilder, Dataset, Trace};
 
 pub mod figs;
+pub mod gate;
 pub mod harness;
 pub mod json;
 
@@ -440,12 +441,15 @@ pub fn with_exec_meta(doc: Json, threads: usize, wall_clock_ms: f64) -> Json {
     )
 }
 
-/// Writes a figure's JSON document, creating parent directories.
-pub fn write_json(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
+/// Writes a figure's JSON document, creating parent directories, and
+/// returns the text written.
+pub fn write_json(path: &std::path::Path, doc: &Json) -> std::io::Result<String> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, format!("{doc}\n"))
+    let text = format!("{doc}\n");
+    std::fs::write(path, &text)?;
+    Ok(text)
 }
 
 /// Formats seconds with sensible precision.

@@ -1,51 +1,26 @@
-//! The figure registry, its argument parser and the CI gates agree: every
-//! tolerance file and budget names a registered figure that `ci.sh` runs,
-//! every smoke scenario is gated, and a malformed `figs` invocation exits
-//! 2 before it simulates or writes anything.
+//! The figure registry, its tolerance files and budgets, and its argument
+//! parser agree: every tolerance file is compiled into the entry it
+//! gates, every gated entry has a budget, every smoke scenario is gated,
+//! `figs --gate` runs and passes a gated figure, and a malformed `figs`
+//! invocation exits 2 before it simulates or writes anything.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use bench::figs::{parse_args, usage, Figure, Opts, FIGURES};
-use bench::Json;
-
-fn manifest_dir() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn read_json(path: &Path) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"))
-}
+use bench::{gate, Json};
 
 fn figure(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 
-/// `(file name, figure)` of every tolerance file.
-fn tolerance_figures() -> Vec<(String, String)> {
-    let dir = manifest_dir().join("tolerances");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("tolerances dir") {
-        let path = entry.expect("dir entry").path();
-        let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        if file == "ci_budget.json" {
-            continue;
-        }
-        let doc = read_json(&path);
-        let fig = doc.get("figure").and_then(Json::as_str);
-        let fig = fig.unwrap_or_else(|| panic!("{file}: no `figure`"));
-        out.push((file, fig.to_string()));
-    }
-    out.sort();
-    out
-}
-
-fn budget_keys() -> Vec<String> {
-    let doc = read_json(&manifest_dir().join("tolerances/ci_budget.json"));
-    let budgets = doc.get("budgets").and_then(Json::as_obj).expect("budgets");
-    budgets.iter().map(|(k, _)| k.clone()).collect()
+fn gated() -> BTreeSet<&'static str> {
+    FIGURES
+        .iter()
+        .filter(|f| f.tolerance.is_some())
+        .map(|f| f.name)
+        .collect()
 }
 
 #[test]
@@ -55,31 +30,44 @@ fn registry_names_are_unique() {
 }
 
 #[test]
-fn every_tolerance_file_gates_a_registered_figure_that_ci_runs() {
-    let ci = std::fs::read_to_string(manifest_dir().join("../../ci.sh")).expect("ci.sh");
-    for (file, fig) in tolerance_figures() {
-        assert!(figure(&fig).is_some(), "{file}: `{fig}` is not registered");
-        assert!(ci.contains(&fig), "{file}: ci.sh never runs `{fig}`");
+fn every_tolerance_file_is_compiled_into_the_entry_it_names() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tolerances");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("tolerances dir") {
+        let path = entry.expect("dir entry").path();
+        if path.file_name().is_some_and(|f| f == "ci_budget.json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("tolerance file");
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        let named = doc.get("figure").and_then(Json::as_str);
+        let holders: Vec<&str> = FIGURES
+            .iter()
+            .filter(|f| f.tolerance == Some(text.as_str()))
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(holders, named.into_iter().collect::<Vec<_>>(), "{path:?}");
+        files += 1;
     }
+    assert_eq!(
+        files,
+        gated().len(),
+        "a gated entry holds no tolerance file"
+    );
 }
 
 #[test]
-fn every_budget_names_a_registered_figure() {
-    for key in budget_keys() {
-        assert!(
-            figure(&key).is_some(),
-            "ci_budget.json: `{key}` is not registered"
-        );
-    }
+fn the_budgets_are_exactly_the_gated_entries() {
+    let doc = Json::parse(gate::BUDGETS).expect("ci_budget.json");
+    let budgets = doc.get("budgets").and_then(Json::as_obj).expect("budgets");
+    let keys: BTreeSet<&str> = budgets.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, gated());
 }
 
 #[test]
-fn every_smoke_scenario_has_a_tolerance_file_and_a_budget() {
-    let gated: BTreeSet<String> = tolerance_figures().into_iter().map(|(_, f)| f).collect();
-    let budgeted: BTreeSet<String> = budget_keys().into_iter().collect();
+fn every_smoke_entry_is_gated() {
     for f in FIGURES.iter().filter(|f| f.smoke) {
-        assert!(gated.contains(f.name), "{}: no tolerance file", f.name);
-        assert!(budgeted.contains(f.name), "{}: no budget", f.name);
+        assert!(f.tolerance.is_some(), "{}: no tolerance file", f.name);
     }
 }
 
@@ -102,7 +90,10 @@ fn args(line: &str) -> Vec<String> {
 
 #[test]
 fn parser_accepts_every_well_formed_invocation() {
-    let (fig, opts, json) = parse_args(&args("fig17_extreme_burst --smoke --threads 3")).unwrap();
+    let parsed = parse_args(&args("fig17_extreme_burst --smoke --threads 3")).unwrap();
+    let [(fig, opts)] = parsed.runs[..] else {
+        panic!("one run: {parsed:?}")
+    };
     assert_eq!(fig.name, "fig17_extreme_burst");
     assert_eq!(
         opts,
@@ -111,18 +102,43 @@ fn parser_accepts_every_well_formed_invocation() {
             threads: 3
         }
     );
-    assert_eq!(json, None);
+    assert_eq!((parsed.json, parsed.gate), (None, false));
 
     // Flags may come before the figure.
-    let (fig, opts, json) = parse_args(&args("--json out/t1.json table1_models")).unwrap();
+    let parsed = parse_args(&args("--json out/t1.json table1_models")).unwrap();
+    let [(fig, opts)] = parsed.runs[..] else {
+        panic!("one run: {parsed:?}")
+    };
     assert_eq!(fig.name, "table1_models");
     assert!(!opts.smoke);
     assert!(opts.threads >= 1, "defaults to host parallelism");
-    assert_eq!(json, Some(PathBuf::from("out/t1.json")));
+    assert_eq!(parsed.json, Some(PathBuf::from("out/t1.json")));
 
     for f in FIGURES {
         assert!(parse_args(&args(f.name)).is_ok(), "{}", f.name);
     }
+
+    // `--gate` runs every gated figure, each at its CI scale, or the one
+    // it names.
+    let parsed = parse_args(&args("--gate --threads 2")).unwrap();
+    assert!(parsed.gate && parsed.json.is_none());
+    let names: BTreeSet<&str> = parsed.runs.iter().map(|(f, _)| f.name).collect();
+    assert_eq!(names, gated());
+    for (f, opts) in &parsed.runs {
+        let want = Opts {
+            smoke: f.smoke,
+            threads: 2,
+        };
+        assert_eq!(*opts, want, "{}", f.name);
+    }
+    let parsed = parse_args(&args("paper_scale_parallel --gate")).unwrap();
+    let [(fig, opts)] = parsed.runs[..] else {
+        panic!("one run: {parsed:?}")
+    };
+    assert_eq!(
+        (fig.name, opts.smoke, parsed.gate),
+        ("paper_scale_parallel", false, true)
+    );
 }
 
 #[test]
@@ -142,6 +158,14 @@ fn parser_rejects_every_malformed_invocation() {
         "fig17_extreme_burst --threads -1",  // --threads negative
         "fig17_extreme_burst --json",        // --json without a path
         "fig17_extreme_burst --json --smoke",
+        "--gate --smoke",                           // the gate picks the scale
+        "fig17_extreme_burst --gate --smoke",       // the gate picks the scale
+        "--gate --json out.json",                   // the gate picks the path
+        "fig24_gateway --gate --json out.json",     // the gate picks the path
+        "fig12_end_to_end --gate",                  // an ungated figure
+        "table1_models --gate",                     // an ungated figure
+        "--gate fig99_nothing",                     // unknown figure
+        "--gate fig17_extreme_burst fig24_gateway", // a second figure
     ] {
         assert!(parse_args(&args(line)).is_err(), "accepted `{line}`");
     }
@@ -177,4 +201,45 @@ fn malformed_invocation_exits_2_and_writes_nothing() {
     assert!(stderr.contains(&usage()), "no usage on stderr: {stderr}");
     let written: Vec<_> = std::fs::read_dir(&dir).expect("scratch dir").collect();
     assert!(written.is_empty(), "wrote {written:?}");
+}
+
+#[test]
+fn gate_runs_a_figure_checks_it_and_writes_its_document() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("figs-gate");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+        .args(args("fig24_gateway --gate"))
+        .current_dir(&dir)
+        .output()
+        .expect("spawn figs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("gate,")).collect();
+    for check in [
+        "ok,schema: ",
+        "ok,figure: ",
+        "ok,max_ttft_p99_s: ",
+        "ok,min_goodput_frac: ",
+        "ok,budget: ",
+    ] {
+        let line = format!("gate,fig24_gateway,{check}");
+        assert!(
+            lines.iter().any(|l| l.starts_with(&line)),
+            "no `{line}` in {lines:?}"
+        );
+    }
+    assert!(stdout.ends_with("gate: PASS (1 figures)\n"), "{stdout}");
+    let written = dir.join("target/bench-json/fig24_gateway.json");
+    let text = std::fs::read_to_string(&written).expect("the document");
+    let doc = Json::parse(&text).expect("the document parses");
+    assert_eq!(
+        doc.get("figure").and_then(Json::as_str),
+        Some("fig24_gateway")
+    );
 }

@@ -266,10 +266,12 @@ impl Engine {
     }
 
     /// Applies `action` now, between steps (see [`ClusterState::apply`]
-    /// for the return value). A transfer the action submits, such as a
-    /// recovery's parameter reload, is polled when it completes, as for a
-    /// scheduled action; other work it makes possible, such as a fresh
-    /// group starting, is picked up by the next event.
+    /// for the return value: `false`, with nothing changed, for a fault
+    /// that would take some model's last live instance). A transfer the
+    /// action submits, such as a recovery's parameter reload, is polled
+    /// when it completes, as for a scheduled action; other work it makes
+    /// possible, such as a fresh group starting, is picked up by the next
+    /// event.
     pub fn apply(&mut self, action: Action) -> bool {
         let applied = self.state.apply(action, self.now);
         self.schedule_net_poll();
@@ -1282,6 +1284,36 @@ mod tests {
             "the reload lands before the next tick: {scheduled:?}"
         );
         assert_eq!(thaw_times(true), scheduled, "applied and scheduled agree");
+    }
+
+    /// A fault that would take some model's last live instance returns
+    /// `false` and leaves the state as it was.
+    #[test]
+    fn an_applied_fault_never_darkens_a_model() {
+        let refused_untouched = |eng: &mut Engine, kind| {
+            let before = format!("{:?}", eng.state);
+            assert!(eng.state.ledger().check_invariants("before").is_empty());
+            assert!(!eng.apply(Action::Fault(kind)), "{kind:?} applied");
+            assert_eq!(
+                format!("{:?}", eng.state),
+                before,
+                "{kind:?} changed the state"
+            );
+            assert!(eng.state.ledger().check_invariants("after").is_empty());
+        };
+        // The only instance of the only model.
+        let mut eng = Engine::new(ClusterConfig::tiny_test(1), Box::new(QueueingPolicy));
+        eng.begin_session();
+        refused_untouched(&mut eng, FaultKind::InstanceDown(0));
+
+        // Rack 1 holds the last live instances once rack 0 is down.
+        let mut eng = Engine::new(two_racks(), Box::new(QueueingPolicy));
+        eng.begin_session();
+        assert!(eng.apply(Action::Fault(FaultKind::RackDown(0))));
+        refused_untouched(&mut eng, FaultKind::RackDown(1));
+        assert!(eng.apply(Action::Fault(FaultKind::InstanceDown(2))));
+        refused_untouched(&mut eng, FaultKind::InstanceDown(3));
+        assert_eq!(eng.state.alive_groups().len(), 1);
     }
 
     #[test]

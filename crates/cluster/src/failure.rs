@@ -35,7 +35,7 @@ use sim_core::SimTime;
 use workload::ModelId;
 
 use crate::config::ClusterConfig;
-use crate::instance::InstanceId;
+use crate::instance::{Instance, InstanceId};
 use crate::state::ClusterState;
 
 /// What a scripted fault event does when it fires.
@@ -97,8 +97,12 @@ impl ClusterState {
     /// Returns `false` when the action did not take effect: the fault
     /// names nothing in the cluster, every instance it would take down is
     /// already dead, every instance it would bring back is already
-    /// serving, or the model operation is not applicable. A rack fault
-    /// records its timeline marker either way.
+    /// serving, or the model operation is not applicable. A fault that
+    /// would take some model's last live instance is refused the same way
+    /// and changes nothing (the simulator cannot serve a dark model yet;
+    /// [`FailureSchedule::validate`] rejects such a schedule up front).
+    /// Any other rack fault records its timeline marker, even when it
+    /// takes nothing down.
     pub fn apply(&mut self, action: Action, now: SimTime) -> bool {
         let fault = match action {
             Action::Fault(kind) => kind,
@@ -111,11 +115,11 @@ impl ClusterState {
         let alive = |s: &Self, i: u32| s.group_alive(s.instance_group(InstanceId(i)));
         match fault {
             FaultKind::RackDown(r) => {
-                let any_alive = self
-                    .cfg
-                    .instances_in_rack(r)
-                    .into_iter()
-                    .any(|i| alive(self, i));
+                let members = self.cfg.instances_in_rack(r);
+                if self.darkens_a_model(&members) {
+                    return false;
+                }
+                let any_alive = members.into_iter().any(|i| alive(self, i));
                 self.fail_rack(r, now);
                 any_alive
             }
@@ -123,7 +127,7 @@ impl ClusterState {
             FaultKind::InstanceDown(i) => {
                 // Skip a victim already dead (e.g. its whole rack went
                 // first): overlapping scripts are legal.
-                let up = alive(self, i);
+                let up = alive(self, i) && !self.darkens_a_model(&[i]);
                 if up {
                     self.fail_instance(InstanceId(i), now);
                 }
@@ -139,6 +143,22 @@ impl ClusterState {
                 true
             }
         }
+    }
+
+    /// Whether failing `victims` (instance indices) would leave a model
+    /// that serves on one of them with no live instance.
+    fn darkens_a_model(&self, victims: &[u32]) -> bool {
+        let live = |inst: &Instance| self.group_alive(inst.group);
+        let lost = |inst: &Instance| victims.contains(&inst.id.0);
+        self.instances
+            .iter()
+            .filter(|v| live(v) && lost(v))
+            .any(|v| {
+                !self
+                    .instances
+                    .iter()
+                    .any(|j| j.model == v.model && live(j) && !lost(j))
+            })
     }
 }
 

@@ -111,24 +111,9 @@ impl ExecGroup {
         self.busy_until.is_some()
     }
 
-    /// Returns `true` if the group has nothing admitted and nothing queued.
-    pub fn is_drained(&self) -> bool {
-        self.queue.is_empty()
-            && self.running.is_empty()
-            && self.stalled.is_empty()
-            && self.swapped.is_empty()
-    }
-
     /// Requests currently admitted (running + stalled).
     pub fn admitted(&self) -> impl Iterator<Item = RequestId> + '_ {
         self.running.iter().chain(self.stalled.iter()).copied()
-    }
-
-    /// Tokens of queued head-of-line demand, used by the monitor's load
-    /// metric (the paper follows Llumnix and counts in-processing plus
-    /// head-of-line queuing requests).
-    pub fn queued_demand_tokens(&self, input_of: impl Fn(RequestId) -> u64) -> u64 {
-        self.queue.iter().map(|&r| input_of(r)).sum()
     }
 
     /// Removes a request from whichever list holds it. Returns `true` if it
@@ -207,11 +192,9 @@ mod tests {
     #[test]
     fn state_transitions() {
         let mut g = group();
-        assert!(g.is_drained());
         assert!(!g.is_busy());
         g.queue.push_back(RequestId(1));
         g.running.push(RequestId(2));
-        assert!(!g.is_drained());
         assert!(g.stall(RequestId(2)));
         assert_eq!(g.running.len(), 0);
         assert_eq!(g.stalled, vec![RequestId(2)]);
@@ -231,16 +214,7 @@ mod tests {
         assert!(g.forget(RequestId(2)));
         assert!(g.forget(RequestId(3)));
         assert!(!g.forget(RequestId(4)));
-        assert!(g.is_drained());
-    }
-
-    #[test]
-    fn queued_demand_sums_inputs() {
-        let mut g = group();
-        g.queue.push_back(RequestId(0));
-        g.queue.push_back(RequestId(1));
-        let demand = g.queued_demand_tokens(|r| (r.0 as u64 + 1) * 100);
-        assert_eq!(demand, 300);
+        assert!(g.queue.is_empty() && g.running.is_empty() && g.stalled.is_empty());
     }
 
     #[test]

@@ -326,11 +326,6 @@ impl ClusterState {
         self.cfg.model_cfg(self.group(id).model)
     }
 
-    /// The execution ground truth of model `m`.
-    pub fn ground_truth_of(&self, m: ModelId) -> &GroundTruth {
-        &self.ground_truths[m.0 as usize]
-    }
-
     /// The fitted cost model of model `m`.
     pub fn cost_model_of(&self, m: ModelId) -> &CostParams {
         &self.cost_models[m.0 as usize]
@@ -373,11 +368,6 @@ impl ClusterState {
     /// Borrows a request.
     pub fn request(&self, id: RequestId) -> &Request {
         &self.requests[id.0]
-    }
-
-    /// Mutably borrows a request.
-    pub fn request_mut(&mut self, id: RequestId) -> &mut Request {
-        &mut self.requests[id.0]
     }
 
     fn seq_key(id: RequestId) -> SeqKey {
@@ -435,16 +425,6 @@ impl ClusterState {
         self.group(id).blocks.capacity_tokens()
     }
 
-    /// Groups whose demand exceeds `threshold × capacity`.
-    pub fn overloaded_groups(&self, threshold: f64) -> Vec<GroupId> {
-        self.alive_group_ids()
-            .filter(|&g| {
-                self.group_demand_tokens(g) as f64
-                    > self.group_capacity_tokens(g) as f64 * threshold
-            })
-            .collect()
-    }
-
     /// Cluster-wide `(demand, capacity, used)` in bytes for the memory
     /// timelines (Fig. 2 (b), Fig. 12 first column), summed across all
     /// co-served models at each model's own KV bytes/token.
@@ -454,23 +434,6 @@ impl ClusterState {
         let mut used = 0;
         for g in self.alive_group_ids() {
             let kv = self.group_model_cfg(g).kv_bytes_per_token();
-            demand += self.group_demand_tokens(g) * kv;
-            capacity += self.group_capacity_tokens(g) * kv;
-            used += self.group(g).blocks.used_tokens() * kv;
-        }
-        (demand, capacity, used)
-    }
-
-    /// `(demand, capacity, used)` bytes restricted to one model's groups.
-    pub fn memory_totals_of(&self, model: ModelId) -> (u64, u64, u64) {
-        let kv = self.cfg.model_cfg(model).kv_bytes_per_token();
-        let mut demand = 0;
-        let mut capacity = 0;
-        let mut used = 0;
-        for g in self.alive_group_ids() {
-            if self.group(g).model != model {
-                continue;
-            }
             demand += self.group_demand_tokens(g) * kv;
             capacity += self.group_capacity_tokens(g) * kv;
             used += self.group(g).blocks.used_tokens() * kv;

@@ -299,8 +299,10 @@ impl ServingSession {
 
     /// Applies an outside action (a fault, an elastic unload or load) at
     /// [`ServingSession::now`]; `false` means it did not take effect (see
-    /// [`ClusterState::apply`]). In-flight model ops then advance at every
-    /// monitor-tick instant the session steps through.
+    /// [`ClusterState::apply`]), as for a fault that would take some
+    /// model's last live instance, which changes nothing. In-flight model
+    /// ops then advance at every monitor-tick instant the session steps
+    /// through.
     pub fn apply(&mut self, action: Action) -> bool {
         self.engine.apply(action)
     }

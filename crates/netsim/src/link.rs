@@ -111,13 +111,6 @@ impl Link {
         end
     }
 
-    /// Time an interactive transfer arriving at `now` *would* complete,
-    /// without reserving capacity.
-    pub fn probe_interactive(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.advance_to(now);
-        self.free_at.max(now) + self.spec.transfer_time(bytes)
-    }
-
     /// Simulates chunk starts up to (strictly before) `now`.
     ///
     /// Calls may arrive out of order: pipeline schedules reserve activation
@@ -287,18 +280,6 @@ mod tests {
         assert!(new_est > est, "estimate grows monotonically");
         let done = l.take_completions(new_est);
         assert_eq!(done, vec![(new_est, id)]);
-    }
-
-    #[test]
-    fn probe_does_not_reserve() {
-        let mut l = test_link();
-        let p1 = l.probe_interactive(SimTime::ZERO, 10_000);
-        let p2 = l.probe_interactive(SimTime::ZERO, 10_000);
-        assert_eq!(p1, p2, "probing must not consume capacity");
-        let real = l.interactive(SimTime::ZERO, 10_000);
-        assert_eq!(real, p1);
-        let after = l.probe_interactive(SimTime::ZERO, 10_000);
-        assert!(after > real);
     }
 
     #[test]

@@ -91,12 +91,6 @@ impl Network {
         self.coordinated
     }
 
-    /// Sets the chunk-time target (≈ pipeline stage execution time).
-    pub fn set_target_chunk_time(&mut self, t: SimDuration) {
-        assert!(t > SimDuration::ZERO, "chunk time must be positive");
-        self.target_chunk_time = t;
-    }
-
     /// The fabric spec used for inter-instance links.
     pub fn fabric_spec(&self) -> LinkSpec {
         self.fabric_spec
@@ -303,9 +297,9 @@ mod tests {
 
     #[test]
     fn coordination_controls_chunking() {
-        // Coordinated: activation at 15 ms waits ≤ one chunk.
+        // Coordinated: an activation at 15 ms waits out only the current
+        // chunk (50 ms at the default chunk-time target).
         let mut n = net();
-        n.set_target_chunk_time(SimDuration::from_millis(10));
         n.submit_bulk(
             SimTime::ZERO,
             NodeId(0),
@@ -314,7 +308,7 @@ mod tests {
             Priority::KvExchange,
         );
         let done = n.interactive(SimTime::from_millis(15), NodeId(0), NodeId(1), 10_000);
-        assert_eq!(done, SimTime::from_millis(21));
+        assert_eq!(done, SimTime::from_millis(51));
 
         // Uncoordinated: the same activation waits for the whole 100 ms job.
         let mut n2 = net();

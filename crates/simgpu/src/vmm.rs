@@ -69,19 +69,6 @@ impl AddressSpace {
         Ok(id)
     }
 
-    /// Frees a reservation. All mappings inside it must be unmapped first.
-    pub fn unreserve(&mut self, id: VaReservation) -> Result<()> {
-        let r = self
-            .reservations
-            .get(&id)
-            .ok_or(GpuError::InvalidReservation)?;
-        if !r.mappings.is_empty() {
-            return Err(GpuError::MappingConflict);
-        }
-        self.reservations.remove(&id);
-        Ok(())
-    }
-
     /// Maps `handle` (of `bytes` physical size) at `offset` inside the
     /// reservation (`cuMemMap` + `cuMemSetAccess`).
     pub fn map(
@@ -144,11 +131,6 @@ impl AddressSpace {
         Ok((id, offset))
     }
 
-    /// Returns where `handle` is mapped, if anywhere.
-    pub fn location_of(&self, handle: PhysHandle) -> Option<(VaReservation, u64)> {
-        self.mapped_at.get(&handle).copied()
-    }
-
     /// Returns `true` if the handle is currently mapped.
     pub fn is_mapped(&self, handle: PhysHandle) -> bool {
         self.mapped_at.contains_key(&handle)
@@ -180,14 +162,6 @@ impl AddressSpace {
             .get(&id)
             .ok_or(GpuError::InvalidReservation)?;
         Ok(r.mappings.values().map(|m| m.bytes).sum())
-    }
-
-    /// Size of the reservation.
-    pub fn reservation_size(&self, id: VaReservation) -> Result<u64> {
-        self.reservations
-            .get(&id)
-            .map(|r| r.size)
-            .ok_or(GpuError::InvalidReservation)
     }
 
     /// Handles mapped in the reservation, ordered by offset.
@@ -264,7 +238,10 @@ mod tests {
         assert_eq!(h, handle(1));
         vs.map(r, 5 * PAGE_SIZE, handle(1), PAGE_SIZE)
             .expect("remap");
-        assert_eq!(vs.location_of(handle(1)), Some((r, 5 * PAGE_SIZE)));
+        assert_eq!(
+            vs.handles_in(r).expect("query"),
+            vec![(5 * PAGE_SIZE, handle(1), PAGE_SIZE)]
+        );
     }
 
     #[test]
@@ -277,17 +254,6 @@ mod tests {
         assert_eq!((rid, off), (r, 2 * PAGE_SIZE));
         assert!(!vs.is_mapped(handle(7)));
         assert_eq!(vs.unmap_handle(handle(7)), Err(GpuError::InvalidHandle));
-    }
-
-    #[test]
-    fn unreserve_requires_empty() {
-        let mut vs = AddressSpace::new();
-        let r = vs.reserve(PAGE_SIZE).expect("reserve");
-        vs.map(r, 0, handle(1), PAGE_SIZE).expect("map");
-        assert_eq!(vs.unreserve(r), Err(GpuError::MappingConflict));
-        vs.unmap(r, 0).expect("unmap");
-        vs.unreserve(r).expect("unreserve");
-        assert_eq!(vs.contiguous_extent(r), Err(GpuError::InvalidReservation));
     }
 
     #[test]
