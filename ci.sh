@@ -4,7 +4,9 @@
 #
 #   fmt     cargo fmt --check
 #   build   release build, all targets, then the frozen benchmark
-#           (perfbench/, its own workspace): neither may print a warning
+#           (perfbench/, its own workspace): both with --locked, so a
+#           stale Cargo.lock or perfbench/Cargo.lock fails instead of
+#           being rewritten, and neither may print a warning
 #   bench   one pass of each perfbench workload (burst_lineup,
 #           calm_prefix, gateway_zoo) and a second burst_lineup pass at
 #           seed 7: echoes the behaviour digests, fails unless they equal
@@ -93,10 +95,10 @@ stage_fmt() {
 }
 
 stage_build() {
-    cargo build --release --workspace --all-targets --offline
+    cargo build --release --workspace --all-targets --offline --locked
     echo "--- frozen benchmark build (path dependencies on the crates)"
     local log
-    log=$(cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    log=$(cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml \
         --target-dir target/perfbench 2>&1) || {
         printf '%s\n' "$log"
         return 1

@@ -17,7 +17,6 @@ use netsim::{Link, LinkSpec, Priority};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sim_core::{SimDuration, SimTime};
-use simgpu::{GpuDevice, GpuId, PAGE_SIZE};
 
 fn bench_drop_plan(c: &mut Criterion) {
     let mut g = c.benchmark_group("drop_plan_generation");
@@ -102,32 +101,6 @@ fn bench_block_manager(c: &mut Criterion) {
     });
 }
 
-fn bench_vmm_remap(c: &mut Criterion) {
-    c.bench_function("vmm_drop_restore_24_layers", |b| {
-        b.iter_with_setup(
-            || {
-                let mut gpu = GpuDevice::new(GpuId(0), 256 * PAGE_SIZE);
-                let params = gpu.va_reserve(64 * PAGE_SIZE).expect("reserve");
-                let kv = gpu.va_reserve(128 * PAGE_SIZE).expect("reserve");
-                let handles: Vec<_> = (0..24)
-                    .map(|i| {
-                        gpu.alloc_and_map(params, i * PAGE_SIZE, PAGE_SIZE)
-                            .expect("map")
-                    })
-                    .collect();
-                (gpu, kv, handles)
-            },
-            |(mut gpu, kv, handles)| {
-                for (i, h) in handles.into_iter().enumerate() {
-                    gpu.mem_unmap_handle(h).expect("unmap");
-                    gpu.mem_map(kv, i as u64 * PAGE_SIZE, h).expect("map");
-                }
-                black_box(gpu.contiguous_extent(kv).expect("extent"))
-            },
-        )
-    });
-}
-
 fn bench_network(c: &mut Criterion) {
     c.bench_function("link_coordinated_exchange_with_activations", |b| {
         b.iter(|| {
@@ -199,7 +172,6 @@ criterion_group!(
     bench_lookahead,
     bench_cost_model,
     bench_block_manager,
-    bench_vmm_remap,
     bench_network,
     bench_pipeline_schedule,
     bench_end_to_end_tiny,

@@ -6,7 +6,7 @@ use costmodel::GpuPerf;
 use modelcfg::ModelConfig;
 use netsim::LinkSpec;
 use sim_core::SimDuration;
-use simgpu::PAGE_SIZE;
+use simgpu::{align_up_page, PAGE_SIZE};
 use workload::{ModelId, RetryPolicy};
 
 /// Why a cluster configuration cannot be instantiated.
@@ -429,12 +429,6 @@ impl ClusterConfig {
         self.model_ids().map(|m| self.instances_of(m)).sum()
     }
 
-    /// The rack holding global instance index `instance`, or `None` when
-    /// racking is disabled (`rack_size == 0`).
-    pub fn rack_of(&self, instance: u32) -> Option<u32> {
-        (self.rack_size > 0).then(|| instance / self.rack_size)
-    }
-
     /// Global instance indices sharing rack `rack` (empty when racking is
     /// disabled).
     pub fn instances_in_rack(&self, rack: u32) -> Vec<u32> {
@@ -447,11 +441,6 @@ impl ClusterConfig {
             .collect()
     }
 
-    /// Bytes of one KVCache block at full layer residency (primary model).
-    pub fn block_bytes(&self) -> u64 {
-        self.block_tokens as u64 * self.model.kv_bytes_per_token()
-    }
-
     /// HBM bytes reserved for activations per instance (primary model).
     pub fn reserve_bytes(&self) -> u64 {
         self.reserve_bytes_for(&self.model)
@@ -462,12 +451,21 @@ impl ClusterConfig {
         (model.instance_hbm_bytes() as f64 * self.reserve_frac) as u64
     }
 
+    /// The page-aligned parameter layout of one full copy of `model` on
+    /// an instance: `(embedding bytes, bytes per layer)`. The per-layer
+    /// stride is the quantum of layer-granular drops, restores and loans.
+    pub(crate) fn param_layout(model: &ModelConfig) -> (u64, u64) {
+        (
+            align_up_page(model.embedding_bytes().max(1)),
+            align_up_page(model.layer_param_bytes()),
+        )
+    }
+
     /// Page-aligned parameter footprint of one full copy of `model` on an
-    /// instance: the embedding plus one aligned handle per layer — exactly
-    /// the layout [`crate::instance::Instance`] maps.
+    /// instance: the embedding plus one aligned stride per layer — exactly
+    /// the layout [`crate::instance::Instance`] holds at full residency.
     pub fn param_footprint_bytes(model: &ModelConfig) -> u64 {
-        let layer = align_up_page(model.layer_param_bytes());
-        let embed = align_up_page(model.embedding_bytes().max(1));
+        let (embed, layer) = Self::param_layout(model);
         embed + layer * model.num_layers as u64
     }
 
@@ -523,10 +521,6 @@ impl ClusterConfig {
     }
 }
 
-fn align_up_page(v: u64) -> u64 {
-    v.div_ceil(PAGE_SIZE) * PAGE_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,8 +539,6 @@ mod tests {
         assert_eq!(c.num_instances, 8);
         assert_eq!(c.block_tokens, 64);
         assert_eq!(c.model.gpus_per_instance(), 1);
-        // One 64-token block of Qwen-14B KV = 12 MB.
-        assert_eq!(c.block_bytes(), 64 * 192 * 1024);
     }
 
     #[test]
@@ -590,12 +582,11 @@ mod tests {
     #[test]
     fn rack_helpers_partition_instances() {
         let mut cfg = ClusterConfig::tiny_test(4);
-        assert_eq!(cfg.rack_of(3), None, "racking off by default");
-        assert!(cfg.instances_in_rack(0).is_empty());
+        assert!(
+            cfg.instances_in_rack(0).is_empty(),
+            "racking off by default"
+        );
         cfg.rack_size = 2;
-        assert_eq!(cfg.rack_of(0), Some(0));
-        assert_eq!(cfg.rack_of(1), Some(0));
-        assert_eq!(cfg.rack_of(2), Some(1));
         assert_eq!(cfg.instances_in_rack(0), vec![0, 1]);
         assert_eq!(cfg.instances_in_rack(1), vec![2, 3]);
         // The last rack may be ragged.

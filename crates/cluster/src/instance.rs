@@ -1,29 +1,23 @@
 //! One serving instance: a (possibly multi-GPU) logical device holding a
 //! parameter layout and a KVCache region.
 //!
-//! The instance owns a [`GpuDevice`] with two virtual-address regions, laid
-//! out exactly like the paper's local memory manager (§4.1):
-//!
-//! - the **parameter region**: the embedding plus one physical handle per
-//!   transformer layer;
-//! - the **KVCache region**: a base pool mapped at construction, whose tail
-//!   grows when dropped-layer handles are remapped into it and shrinks back
-//!   on restore.
+//! The layout follows the paper's local memory manager (§4.1): the
+//! embedding and one page-aligned stride per transformer layer, next to a
+//! KVCache region whose base pool is fixed at construction. Dropping a layer
+//! remaps its physical pages onto the tail of the KVCache region, growing
+//! the pool; restoring maps them home and shrinks it back. Pages are
+//! interchangeable, so the instance keeps only which layers are resident:
+//! every byte it reports is arithmetic over the number of dropped layers,
+//! and the cluster state charges each drop or restore
+//! [`simgpu::timing::remap_cost`].
 //!
 //! TP/EP instances are modelled as one logical device whose HBM is the sum
 //! of the member GPUs — the paper (§5.2) makes the same simplification:
 //! "each instance (containing multiple GPUs) can be viewed as a whole as a
 //! single logical GPU".
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "`dropped_at` is drained and sorted by layer/offset before any remap operation"
-)]
-
-use std::collections::HashMap;
-
-use modelcfg::{LayerRange, LayerSet, ModelConfig};
-use simgpu::{GpuDevice, GpuId, PhysHandle, VaReservation, PAGE_SIZE};
+use modelcfg::{LayerSet, ModelConfig};
+use simgpu::PAGE_SIZE;
 use workload::ModelId;
 
 use crate::config::ClusterConfig;
@@ -48,23 +42,18 @@ pub struct Instance {
     pub model: ModelId,
     /// The execution group the instance currently belongs to.
     pub group: GroupId,
-    device: GpuDevice,
-    param_region: VaReservation,
-    kv_region: VaReservation,
-    /// Per-layer parameter handle; `None` while the layer is dropped.
-    layer_handles: Vec<Option<PhysHandle>>,
-    /// Offset each layer occupies in the parameter region.
-    layer_offsets: Vec<u64>,
-    /// Where dropped layers currently sit in the KV region.
-    dropped_at: HashMap<u32, (u64, PhysHandle)>,
-    /// Layers currently resident.
+    /// Layers currently resident; the rest sit at the KV region's tail.
     resident: LayerSet,
+    /// Layers of a full parameter copy.
+    num_layers: u32,
     /// Per-layer parameter bytes (page-aligned).
     layer_bytes: u64,
-    /// KV region extent before any drop.
-    kv_base_extent: u64,
-    /// Running offset for the next tail mapping.
-    kv_tail: u64,
+    /// Embedding bytes (page-aligned), always resident.
+    embed_bytes: u64,
+    /// KV pool size before any drop.
+    kv_base_bytes: u64,
+    /// Instance HBM in whole pages.
+    hbm_bytes: u64,
     /// Bytes of this device's KV region lent to another model's KV pool
     /// (cross-model donation). Always within the tail growth — donations
     /// come out of dropped-parameter memory, never the base pool.
@@ -72,11 +61,6 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Builds an instance of the cluster's primary model.
-    pub fn new(id: InstanceId, cfg: &ClusterConfig) -> Self {
-        Instance::for_model(id, ModelId::PRIMARY, cfg)
-    }
-
     /// Builds an instance serving `model_id` with a full parameter copy and
     /// the base KV pool.
     ///
@@ -89,69 +73,20 @@ impl Instance {
     /// does, so infeasible deployments fail before any device is built.
     pub fn for_model(id: InstanceId, model_id: ModelId, cfg: &ClusterConfig) -> Self {
         let model = cfg.model_cfg(model_id);
-        let kv_pool = cfg
+        let kv_base_bytes = cfg
             .kv_pool_bytes_for(model)
             .unwrap_or_else(|e| panic!("{e}"));
-        let hbm = model.instance_hbm_bytes();
-        let mut device = GpuDevice::new(GpuId(id.0), hbm);
-
-        let layer_bytes = align_up(model.layer_param_bytes(), PAGE_SIZE);
-        let embed_bytes = align_up(model.embedding_bytes().max(1), PAGE_SIZE);
-        let num_layers = model.num_layers;
-
-        let param_span = embed_bytes + layer_bytes * num_layers as u64;
-        let param_region = device
-            .va_reserve(align_up(param_span, PAGE_SIZE))
-            .expect("param VA reserve");
-        // Reserve the whole HBM span of VA for KV: VA is cheap, and the tail
-        // must be able to absorb every dropped layer.
-        let kv_region = device
-            .va_reserve(align_up(hbm, PAGE_SIZE))
-            .expect("kv VA reserve");
-
-        // Embedding at offset 0, then one handle per layer.
-        device
-            .alloc_and_map(param_region, 0, embed_bytes)
-            .expect("embedding fits");
-        let mut layer_handles = Vec::with_capacity(num_layers as usize);
-        let mut layer_offsets = Vec::with_capacity(num_layers as usize);
-        let mut off = embed_bytes;
-        for _ in 0..num_layers {
-            let h = device
-                .alloc_and_map(param_region, off, layer_bytes)
-                .expect("layer fits");
-            layer_handles.push(Some(h));
-            layer_offsets.push(off);
-            off += layer_bytes;
-        }
-
-        // Base KV pool: everything left after parameters and the reserve
-        // (pre-validated by `kv_pool_bytes_for` above; the mapped layout
-        // must agree with the validator's footprint math).
-        debug_assert_eq!(
-            device.used_bytes(),
-            ClusterConfig::param_footprint_bytes(model),
-            "instance layout drifted from the validator's footprint"
-        );
-        device
-            .alloc_and_map(kv_region, 0, kv_pool)
-            .expect("kv pool fits");
-        let kv_base_extent = device.contiguous_extent(kv_region).expect("kv region");
-
+        let (embed_bytes, layer_bytes) = ClusterConfig::param_layout(model);
         Instance {
             id,
             model: model_id,
             group: GroupId(id.0 as usize),
-            device,
-            param_region,
-            kv_region,
-            layer_handles,
-            layer_offsets,
-            dropped_at: HashMap::new(),
-            resident: LayerSet::full(num_layers),
+            resident: LayerSet::full(model.num_layers),
+            num_layers: model.num_layers,
             layer_bytes,
-            kv_base_extent,
-            kv_tail: kv_base_extent,
+            embed_bytes,
+            kv_base_bytes,
+            hbm_bytes: model.instance_hbm_bytes() / PAGE_SIZE * PAGE_SIZE,
             donated_out: 0,
         }
     }
@@ -167,16 +102,14 @@ impl Instance {
     }
 
     /// Current KVCache pool size in bytes (the contiguous region kernels
-    /// can address).
+    /// can address): the base pool plus the tail growth.
     pub fn kv_pool_bytes(&self) -> u64 {
-        self.device
-            .contiguous_extent(self.kv_region)
-            .expect("kv region alive")
+        self.kv_base_bytes + self.tail_growth_bytes()
     }
 
     /// KV pool size before any drop.
     pub fn kv_base_bytes(&self) -> u64 {
-        self.kv_base_extent
+        self.kv_base_bytes
     }
 
     /// Bytes of this device's KV region currently lent to another model.
@@ -191,11 +124,10 @@ impl Instance {
     }
 
     /// Bytes of dropped-parameter memory currently remapped into the KV
-    /// region (the tail growth). Always exactly `dropped_layers ×
-    /// page-aligned layer bytes` — the ledger verifies this at layer-byte
-    /// granularity.
+    /// region (the tail growth): `dropped_layers × page-aligned layer
+    /// bytes`.
     pub fn tail_growth_bytes(&self) -> u64 {
-        self.kv_tail - self.kv_base_extent
+        self.dropped_layers() as u64 * self.layer_bytes
     }
 
     /// Page-aligned parameter bytes of one transformer layer on this
@@ -242,51 +174,37 @@ impl Instance {
 
     /// Bytes of parameters currently resident.
     pub fn param_resident_bytes(&self) -> u64 {
-        self.device
-            .mapped_bytes(self.param_region)
-            .expect("param region alive")
+        self.embed_bytes + self.resident.len() as u64 * self.layer_bytes
     }
 
     /// Number of layers currently dropped.
     pub fn dropped_layers(&self) -> u32 {
-        self.dropped_at.len() as u32
+        self.num_layers - self.resident.len()
     }
 
-    /// Drops the given layers: their parameter handles are unmapped and
-    /// remapped to the KV region tail, extending the usable pool.
+    /// Drops the given layers: their parameter pages are remapped to the
+    /// KV region tail, extending the usable pool.
     ///
-    /// Returns the number of remap operation pairs (for VMM timing).
+    /// Returns the number of layers remapped (for remap timing).
     ///
     /// # Panics
     ///
     /// Panics if a requested layer is not resident — drop plans must only
     /// drop layers the instance still holds.
     pub fn drop_layers(&mut self, layers: &LayerSet) -> usize {
-        let mut ops = 0;
-        for range in layers.ranges() {
-            for layer in range.start..range.end {
-                let h = self.layer_handles[layer as usize]
-                    .take()
-                    .expect("drop plan must target resident layers");
-                self.device.mem_unmap_handle(h).expect("layer was mapped");
-                let off = self.kv_tail;
-                self.device
-                    .mem_map(self.kv_region, off, h)
-                    .expect("tail slot free");
-                self.dropped_at.insert(layer, (off, h));
-                self.kv_tail += self.layer_bytes;
-                ops += 1;
-            }
-        }
+        assert!(
+            layers.difference(&self.resident).is_empty(),
+            "drop plan must target resident layers"
+        );
         self.resident = self.resident.difference(layers);
-        ops
+        layers.len() as usize
     }
 
     /// Restores **all** dropped layers, shrinking the KV pool back to its
     /// base size. The caller must have shrunk the block manager first so no
     /// KV blocks live in the tail.
     ///
-    /// Returns the number of remap operation pairs.
+    /// Returns the number of layers remapped.
     ///
     /// # Panics
     ///
@@ -300,23 +218,9 @@ impl Instance {
             "restore with {} donated-out bytes outstanding; reclaim first",
             self.donated_out
         );
-        let mut dropped: Vec<(u32, (u64, PhysHandle))> = self.dropped_at.drain().collect();
-        dropped.sort_by_key(|&(layer, _)| layer);
-        let ops = dropped.len();
-        for (layer, (off, h)) in dropped {
-            let got = self
-                .device
-                .mem_unmap(self.kv_region, off)
-                .expect("tail mapping");
-            debug_assert_eq!(got, h);
-            self.device
-                .mem_map(self.param_region, self.layer_offsets[layer as usize], h)
-                .expect("home slot free");
-            self.layer_handles[layer as usize] = Some(h);
-        }
-        self.resident = LayerSet::full(self.layer_handles.len() as u32);
-        self.kv_tail = self.kv_base_extent;
-        ops
+        let restored = self.dropped_layers();
+        self.resident = LayerSet::full(self.num_layers);
+        restored as usize
     }
 
     /// Restores a **subset** of the dropped layers — the layer-granular
@@ -324,14 +228,13 @@ impl Instance {
     /// the lender restores exactly those layers instead of waiting for a
     /// full split.
     ///
-    /// Physical pages are fungible, so the restore pops handles off the
-    /// *top* of the KV tail (keeping the tail contiguous) and maps them
-    /// into the restored layers' home slots; the still-dropped layers are
-    /// re-associated with the surviving bottom slots. The parameter values
-    /// come from the host-DRAM replica, as in the §4.4 failure path.
+    /// Pages are interchangeable, so the restore frees the *top* of the KV
+    /// tail (keeping the tail contiguous) whichever layers come home. The
+    /// parameter values come from the host-DRAM replica, as in the §4.4
+    /// failure path.
     ///
     /// Layers in `layers` that are not currently dropped are ignored.
-    /// Returns the number of remap operation pairs.
+    /// Returns the number of layers remapped.
     ///
     /// # Panics
     ///
@@ -339,13 +242,9 @@ impl Instance {
     /// freed tail must always cover `donated_out` (reclaim before
     /// restore, per layer range).
     pub fn restore_layers(&mut self, layers: &LayerSet) -> usize {
-        let mut targets: Vec<u32> = self
-            .dropped_at
-            .keys()
-            .copied()
-            .filter(|&l| layers.contains(l))
-            .collect();
-        targets.sort_unstable();
+        let targets = layers
+            .intersection(&LayerSet::full(self.num_layers))
+            .difference(&self.resident);
         if targets.is_empty() {
             return 0;
         }
@@ -357,59 +256,14 @@ impl Instance {
             self.donated_out,
             self.tail_growth_bytes()
         );
-        // All tail slots, bottom-up; the top |targets| slots free up.
-        let mut slots: Vec<(u64, PhysHandle)> = self.dropped_at.values().copied().collect();
-        slots.sort_unstable_by_key(|&(off, _)| off);
-        let keep = slots.len() - targets.len();
-        for &(off, h) in &slots[keep..] {
-            let got = self
-                .device
-                .mem_unmap(self.kv_region, off)
-                .expect("tail mapping");
-            debug_assert_eq!(got, h);
-            let _ = h;
-        }
-        // Freed handles come home into the restored layers' slots.
-        for (&layer, &(_, h)) in targets.iter().zip(&slots[keep..]) {
-            self.device
-                .mem_map(self.param_region, self.layer_offsets[layer as usize], h)
-                .expect("home slot free");
-            self.layer_handles[layer as usize] = Some(h);
-        }
-        // Still-dropped layers re-associate with the surviving bottom
-        // slots (mappings unchanged; only the bookkeeping moves).
-        let mut remaining: Vec<u32> = self
-            .dropped_at
-            .keys()
-            .copied()
-            .filter(|l| !targets.contains(l))
-            .collect();
-        remaining.sort_unstable();
-        debug_assert_eq!(remaining.len(), keep);
-        self.dropped_at = remaining
-            .into_iter()
-            .zip(slots[..keep].iter().copied())
-            .collect();
-        for &l in &targets {
-            self.resident.insert(LayerRange::new(l, l + 1));
-        }
-        self.kv_tail -= shrink;
-        targets.len()
-    }
-
-    /// Physical HBM utilization of the instance.
-    pub fn hbm_utilization(&self) -> f64 {
-        self.device.utilization()
+        self.resident = self.resident.union(&targets);
+        targets.len() as usize
     }
 
     /// Total instance HBM.
     pub fn hbm_bytes(&self) -> u64 {
-        self.device.capacity_bytes()
+        self.hbm_bytes
     }
-}
-
-fn align_up(v: u64, align: u64) -> u64 {
-    v.div_ceil(align) * align
 }
 
 #[cfg(test)]
@@ -419,7 +273,8 @@ mod tests {
 
     fn test_instance() -> (Instance, ClusterConfig) {
         let cfg = ClusterConfig::tiny_test(1);
-        (Instance::new(InstanceId(0), &cfg), cfg)
+        let inst = Instance::for_model(InstanceId(0), ModelId::PRIMARY, &cfg);
+        (inst, cfg)
     }
 
     #[test]
@@ -463,7 +318,7 @@ mod tests {
         let gained = inst.kv_pool_bytes() - before;
         assert_eq!(
             gained,
-            4 * align_up(cfg.model.layer_param_bytes(), PAGE_SIZE)
+            4 * simgpu::align_up_page(cfg.model.layer_param_bytes())
         );
         assert!((inst.layer_fraction(&cfg.model) - 0.5).abs() < 1e-9);
     }
@@ -591,12 +446,5 @@ mod tests {
         inst.drop_layers(&LayerSet::from_range(LayerRange::new(6, 8)));
         inst.donate_out(1);
         inst.restore_all();
-    }
-
-    #[test]
-    fn hbm_utilization_is_high_by_design() {
-        // Serving systems map nearly all HBM: params + KV pool.
-        let (inst, _) = test_instance();
-        assert!(inst.hbm_utilization() > 0.80);
     }
 }

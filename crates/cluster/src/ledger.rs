@@ -239,11 +239,6 @@ impl MemoryLedger {
         }
     }
 
-    /// Total bytes currently lent across models.
-    pub fn total_donated_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.donated_out_bytes).sum()
-    }
-
     /// Checks every per-device invariant plus the cluster-wide sum,
     /// returning one message per violation (empty = all invariants hold).
     /// `ctx` prefixes each message (callers pass the simulated time).
@@ -395,7 +390,6 @@ mod tests {
         let state = ClusterState::new(ClusterConfig::tiny_two_model(2, 2));
         let ledger = MemoryLedger::snapshot(&state);
         assert_eq!(ledger.entries.len(), 4);
-        assert_eq!(ledger.total_donated_bytes(), 0);
         let violations = ledger.check_invariants("t0");
         assert!(violations.is_empty(), "{violations:?}");
         // Construction maps nearly all HBM: params + pool per device.

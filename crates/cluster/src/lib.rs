@@ -3,7 +3,8 @@
 //! This crate reimplements the *serving engine* layer the paper builds on
 //! (vLLM-class continuous batching with chunked prefill, paged KVCache,
 //! pipeline-parallel groups, a load-balancing dispatcher and a cluster
-//! monitor) over simulated GPUs ([`simgpu`]), a fitted execution-time model
+//! monitor) over instances whose memory is layer arithmetic at the CUDA
+//! VMM's page granularity ([`simgpu`]), a fitted execution-time model
 //! ([`costmodel`]) and a flow-level network ([`netsim`]).
 //!
 //! Design: **mechanism here, policy in the `kunserve` crate.** The

@@ -1014,7 +1014,7 @@ impl ClusterState {
                 // keep serving merged for a long time before a restore).
                 self.regrow_lender_capacity(d.lender_group, d.lender);
                 if restore_ops > 0 && self.group_alive(d.lender_group) {
-                    let overhead = simgpu::timing::remap_cost(restore_ops, restore_ops);
+                    let overhead = simgpu::timing::remap_cost(restore_ops);
                     self.group_mut(d.lender_group).pending_overhead += overhead;
                 }
                 self.metrics.on_reconfig(
@@ -1275,7 +1275,7 @@ impl ClusterState {
             .iter()
             .map(|&g| self.group(g).blocks.used_blocks() as u64)
             .sum();
-        let layer_bytes = model.layer_param_bytes().div_ceil(simgpu::PAGE_SIZE) * simgpu::PAGE_SIZE;
+        let (_, layer_bytes) = ClusterConfig::param_layout(&model);
         let pools_after: Vec<(u64, f64)> = members
             .iter()
             .enumerate()
@@ -1515,7 +1515,7 @@ impl ClusterState {
         }
 
         // Charge the VMM remap as start-up overhead for the new group.
-        let overhead = simgpu::timing::remap_cost(ops, ops);
+        let overhead = simgpu::timing::remap_cost(ops);
         self.group_mut(slot).pending_overhead = overhead;
         let donated_note = if executed_grants > 0 {
             format!(" donated={executed_grants}B")
@@ -1785,7 +1785,7 @@ impl ClusterState {
             }
         }
 
-        let overhead = simgpu::timing::remap_cost(ops, ops) / new_ids.len() as u64;
+        let overhead = simgpu::timing::remap_cost(ops) / new_ids.len() as u64;
         for &id in &new_ids {
             self.group_mut(id).pending_overhead = overhead;
         }
@@ -1918,7 +1918,7 @@ impl ClusterState {
             self.group_mut(dest).swapped.push(*r);
         }
 
-        let overhead = simgpu::timing::remap_cost(ops, ops);
+        let overhead = simgpu::timing::remap_cost(ops);
         for &id in &new_ids {
             self.group_mut(id).pending_overhead = overhead / new_ids.len().max(1) as u64;
         }

@@ -38,17 +38,6 @@ pub struct DropPlan {
     pub satisfies: bool,
 }
 
-impl DropPlan {
-    /// Largest merged-group size the plan produces (max pipeline depth).
-    pub fn max_stages(&self, sizes: impl Fn(GroupId) -> u32) -> u32 {
-        self.merges
-            .iter()
-            .map(|m| m.iter().map(|&g| sizes(g)).sum())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 /// The greedy drop planner.
 ///
 /// `copy_bytes` is the memory one duplicated parameter copy occupies — every
@@ -634,16 +623,6 @@ mod tests {
         assert!(plan.merges.is_empty());
         assert_eq!(plan.freed_bytes, 0);
         assert!(!plan.satisfies);
-    }
-
-    #[test]
-    fn max_stages_tracks_pipeline_depth() {
-        let gs = groups(&[1, 1, 1, 1]);
-        let plan = DropPlanner::new(COPY).plan(&gs, 2 * COPY);
-        let depth = plan.max_stages(|_| 1);
-        assert_eq!(depth, 2, "pairs keep pipelines shallow");
-        let plan_deep = DropPlanner::new(COPY).plan(&gs, 3 * COPY);
-        assert_eq!(plan_deep.max_stages(|_| 1), 4);
     }
 
     #[test]

@@ -122,7 +122,6 @@ pub type StreamCallback = Box<dyn FnMut(TokenEvent)>;
 
 struct Track {
     spec: RequestSpec,
-    tenant: TenantId,
     engine_id: Option<cluster::RequestId>,
     /// Tokens already reported through `poll`.
     polled: u64,
@@ -181,10 +180,11 @@ impl<C: Clock> Gateway<C> {
     }
 
     /// Registers a tenant; `key` is the API key submissions authenticate
-    /// with. Keys must be unique.
+    /// with. Keys must be unique. The tenant is known by the returned id;
+    /// `_name` is not stored and stays only so existing callers build.
     pub fn register_tenant(
         &mut self,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         key: impl Into<String>,
         quota: Quota,
     ) -> TenantId {
@@ -194,18 +194,12 @@ impl<C: Clock> Gateway<C> {
             "duplicate API key"
         );
         self.tenants.push(Tenant {
-            name: name.into(),
             key,
             quota,
             used_requests: 0,
             used_tokens: 0,
         });
         TenantId(self.tenants.len() as u32 - 1)
-    }
-
-    /// A registered tenant's display name.
-    pub fn tenant_name(&self, t: TenantId) -> &str {
-        &self.tenants[t.0 as usize].name
     }
 
     /// Current simulated time (the last processed boundary).
@@ -255,7 +249,6 @@ impl<C: Clock> Gateway<C> {
                 prefix: spec.prefix,
                 deadline: spec.deadline,
             },
-            tenant,
             engine_id: None,
             polled: 0,
             streamed: 0,
@@ -309,14 +302,6 @@ impl<C: Clock> Gateway<C> {
             at: self.now,
             status,
         })
-    }
-
-    /// The tenant a request was submitted under.
-    pub fn tenant_of(&self, handle: RequestHandle) -> Result<TenantId, GatewayError> {
-        self.tracks
-            .get(handle.0 as usize)
-            .map(|t| t.tenant)
-            .ok_or(GatewayError::UnknownRequest)
     }
 
     /// A request's current status without consuming stream progress.

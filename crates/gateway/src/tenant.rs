@@ -55,7 +55,6 @@ impl Quota {
 /// One registered tenant with its running usage counters.
 #[derive(Debug, Clone)]
 pub(crate) struct Tenant {
-    pub name: String,
     pub key: String,
     pub quota: Quota,
     pub used_requests: u64,

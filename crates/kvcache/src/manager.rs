@@ -247,11 +247,6 @@ impl BlockManager {
         self.used as u64 * self.block_tokens as u64 - self.used_tokens
     }
 
-    /// Number of live sequences.
-    pub fn num_seqs(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Blocks needed to store `tokens` tokens.
     pub fn blocks_for(&self, tokens: u64) -> u32 {
         tokens.div_ceil(self.block_tokens as u64) as u32
@@ -323,12 +318,6 @@ impl BlockManager {
         self.used -= self.blocks_for(tokens);
         self.used_tokens -= tokens;
         Ok(tokens)
-    }
-
-    /// Registers an externally created sequence of `tokens` tokens (used
-    /// when a sequence arrives by migration or KVCache exchange).
-    pub fn adopt(&mut self, seq: SeqKey, tokens: u64) -> Result<()> {
-        self.allocate(seq, tokens)
     }
 
     /// Grows or shrinks the **native** extent so the total capacity becomes
@@ -567,6 +556,5 @@ mod tests {
         m.allocate(SeqKey(2), 10).expect("b");
         m.allocate(SeqKey(1), 10).expect("a");
         assert_eq!(m.seqs(), vec![SeqKey(1), SeqKey(2)]);
-        assert_eq!(m.num_seqs(), 2);
     }
 }

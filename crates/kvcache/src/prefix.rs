@@ -132,16 +132,6 @@ impl PrefixLedger {
     pub fn recompute_tokens(&self) -> u64 {
         self.recompute_tokens
     }
-
-    /// Recompute amplification: recomputed prefix tokens per uniquely
-    /// computed prefix token. 0 when nothing was ever computed — a
-    /// prefix-oblivious run scores 0 by construction.
-    pub fn recompute_amplification(&self) -> f64 {
-        if self.unique_tokens == 0 {
-            return 0.0;
-        }
-        self.recompute_tokens as f64 / self.unique_tokens as f64
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +147,6 @@ mod tests {
         assert_eq!(l.unique_tokens(), 100);
         assert_eq!(l.saved_tokens(), 200);
         assert_eq!(l.recompute_tokens(), 0);
-        assert_eq!(l.recompute_amplification(), 0.0);
     }
 
     #[test]
@@ -189,8 +178,8 @@ mod tests {
         assert_eq!(l.invalidate_group(0), 1, "only the recomputed pair");
         assert_eq!(l.invalidate_group(0), 0, "nothing left resident");
         assert_eq!(l.on_dispatch(0, 2, 40), PrefixOutcome::Recompute);
-        let amp = l.recompute_amplification();
-        assert!((amp - 140.0 / 240.0).abs() < 1e-9, "amplification {amp}");
+        assert_eq!(l.recompute_tokens(), 140);
+        assert_eq!(l.unique_tokens(), 240);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl HostSwapPool {
         self.used
     }
 
-    /// Number of sequences parked in the pool.
-    pub fn num_swapped(&self) -> usize {
-        self.swapped.len()
-    }
-
     /// Returns `true` if the sequence is swapped out.
     pub fn contains(&self, seq: SeqKey) -> bool {
         self.swapped.contains_key(&seq)
@@ -113,7 +108,6 @@ mod tests {
         let s = pool.swap_in(SeqKey(1)).expect("in");
         assert_eq!(s.tokens, 250);
         assert_eq!(pool.used_blocks(), 0);
-        assert_eq!(pool.num_swapped(), 0);
     }
 
     #[test]

@@ -126,13 +126,6 @@ pub fn table1_models() -> Vec<ModelConfig> {
     ]
 }
 
-/// Looks up a catalog model by (case-insensitive) name.
-pub fn by_name(name: &str) -> Option<ModelConfig> {
-    table1_models()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,15 +179,6 @@ mod tests {
                 rel * 100.0
             );
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(
-            by_name("qwen-2.5-14b").map(|m| m.name),
-            Some("Qwen-2.5-14B")
-        );
-        assert!(by_name("gpt-5").is_none());
     }
 
     #[test]

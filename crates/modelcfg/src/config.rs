@@ -156,11 +156,6 @@ impl ModelConfig {
     pub fn activation_bytes_per_token(&self) -> u64 {
         self.hidden_size * self.dtype.bytes()
     }
-
-    /// Maximum tokens of KVCache a byte budget can hold for this model.
-    pub fn kv_capacity_tokens(&self, pool_bytes: u64) -> u64 {
-        pool_bytes / self.kv_bytes_per_token()
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,6 @@ mod tests {
         // 2 planes * 2 kv heads * 16 dims * 2 bytes = 128 B per layer.
         assert_eq!(m.kv_bytes_per_token_layer(), 128);
         assert_eq!(m.kv_bytes_per_token(), 512);
-        assert_eq!(m.kv_capacity_tokens(5120), 10);
     }
 
     #[test]

@@ -1,43 +1,36 @@
-//! Simulated GPU devices with CUDA-VMM-style memory management.
+//! The two GPU memory facts KunServe's parameter remapping depends on: page
+//! granularity and remap cost.
 //!
 //! KunServe's local memory manager (paper §4.1) relies on the CUDA virtual
 //! memory management driver API (`cuMemCreate` / `cuMemMap` / `cuMemUnmap`):
-//! GPU physical memory is allocated in fixed-granularity handles, and handles
-//! can be mapped at arbitrary offsets inside reserved virtual-address ranges.
-//! This lets the system *extend the tail of the KVCache region with physical
-//! pages freed by dropped parameters* without touching the attention kernels,
-//! which address the cache as one contiguous virtual range.
+//! GPU physical memory is allocated in fixed-granularity pages, and pages
+//! can be mapped at any offset of a reserved virtual-address range. This
+//! lets the system *extend the tail of the KVCache region with the physical
+//! pages freed by dropped parameters* without touching the attention
+//! kernels, which address the cache as one contiguous virtual range.
 //!
-//! This crate reproduces that machinery for a simulated device:
-//!
-//! - [`HbmPool`]: page-granular physical HBM allocator (`mem_create`).
-//! - [`AddressSpace`]: virtual-address reservations with explicit
-//!   map/unmap of physical handles and contiguous-extent queries.
-//! - [`GpuDevice`]: one GPU combining a pool and an address space, plus the
-//!   operation timing model (the paper measures ~5 ms for a remap).
+//! Pages are interchangeable, so the simulator needs only two things from
+//! that machinery: the page size every layout aligns to ([`PAGE_SIZE`],
+//! [`align_up_page`]) and what a remap costs ([`timing::remap_cost`]; the
+//! paper measures about 5 ms). `cluster::Instance` computes an instance's
+//! layout as arithmetic over page-aligned layers.
 //!
 //! # Examples
 //!
 //! ```
-//! use simgpu::{GpuDevice, GpuId};
+//! use simgpu::{align_up_page, PAGE_SIZE};
 //!
-//! let mut gpu = GpuDevice::new(GpuId(0), 1 << 30); // 1 GiB HBM
-//! let kv = gpu.va_reserve(1 << 30).unwrap();
-//! let h = gpu.mem_create(4 << 20).unwrap();
-//! gpu.mem_map(kv, 0, h).unwrap();
-//! assert_eq!(gpu.contiguous_extent(kv).unwrap(), 4 << 20);
+//! assert_eq!(align_up_page(1), PAGE_SIZE);
+//! assert_eq!(align_up_page(2 * PAGE_SIZE), 2 * PAGE_SIZE);
 //! ```
 
-pub mod device;
-pub mod error;
-pub mod hbm;
 pub mod timing;
-pub mod vmm;
 
-pub use device::{GpuDevice, GpuId};
-pub use error::GpuError;
-pub use hbm::{HbmPool, PhysHandle, PAGE_SIZE};
-pub use vmm::{AddressSpace, VaReservation};
+/// Physical allocation granularity: 2 MiB, matching the CUDA VMM minimum
+/// granularity on data-center GPUs.
+pub const PAGE_SIZE: u64 = 2 * 1024 * 1024;
 
-/// Convenience alias for fallible GPU operations.
-pub type Result<T> = std::result::Result<T, GpuError>;
+/// Rounds `bytes` up to a whole number of pages.
+pub fn align_up_page(bytes: u64) -> u64 {
+    bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE
+}

@@ -1,4 +1,4 @@
-//! Timing model for simulated VMM operations.
+//! Timing model for parameter remaps.
 //!
 //! The paper (§4.1) reports that the CUDA VMM calls cost microseconds each
 //! and that a full KVCache-region remap lands around 5 ms on their platform —
@@ -8,26 +8,20 @@
 
 use sim_core::SimDuration;
 
-/// Cost of one `cuMemCreate` (physical allocation).
-pub const MEM_CREATE: SimDuration = SimDuration::from_micros(120);
-
-/// Cost of one `cuMemRelease`.
-pub const MEM_RELEASE: SimDuration = SimDuration::from_micros(60);
-
 /// Cost of one `cuMemMap` + `cuMemSetAccess` pair.
 pub const MEM_MAP: SimDuration = SimDuration::from_micros(80);
 
 /// Cost of one `cuMemUnmap`.
 pub const MEM_UNMAP: SimDuration = SimDuration::from_micros(40);
 
-/// Total time to execute a remap plan of `unmaps` unmap and `maps` map
-/// operations, including one synchronization barrier.
+/// Total time to remap `layers` layers — one unmap and one map each —
+/// including one synchronization barrier.
 ///
-/// A typical per-instance drop plan (tens of layer-granularity handles)
-/// lands in the low single-digit milliseconds, matching the paper's 5 ms.
-pub fn remap_cost(unmaps: usize, maps: usize) -> SimDuration {
+/// A typical per-instance drop plan (tens of layers) lands in the low
+/// single-digit milliseconds, matching the paper's 5 ms.
+pub fn remap_cost(layers: usize) -> SimDuration {
     const SYNC_BARRIER: SimDuration = SimDuration::from_micros(500);
-    MEM_UNMAP * unmaps as u64 + MEM_MAP * maps as u64 + SYNC_BARRIER
+    (MEM_UNMAP + MEM_MAP) * layers as u64 + SYNC_BARRIER
 }
 
 #[cfg(test)]
@@ -37,15 +31,15 @@ mod tests {
     #[test]
     fn typical_drop_remap_is_single_digit_ms() {
         // Dropping 24 of 48 layers: 24 unmaps + 24 maps into the KV region.
-        let cost = remap_cost(24, 24);
+        let cost = remap_cost(24);
         assert!(cost >= SimDuration::from_millis(1));
         assert!(cost <= SimDuration::from_millis(10), "paper reports ~5 ms");
     }
 
     #[test]
     fn remap_cost_scales_linearly() {
-        let small = remap_cost(1, 1);
-        let large = remap_cost(100, 100);
+        let small = remap_cost(1);
+        let large = remap_cost(100);
         assert!(large > small);
         let delta = large - small;
         assert_eq!(delta, (MEM_UNMAP + MEM_MAP) * 99);

@@ -182,32 +182,6 @@ impl BurstTraceBuilder {
         }
         Trace::new(requests)
     }
-
-    /// A BurstGPT-like preset: two unannounced ~2× bursts, the first around
-    /// 35 % and the second around 65 % of the trace (Fig. 2 (a) / Fig. 16).
-    pub fn burstgpt_like(
-        dataset: Dataset,
-        base_rps: f64,
-        duration: SimDuration,
-        seed: u64,
-    ) -> Trace {
-        let d = duration.as_secs_f64();
-        BurstTraceBuilder::new(dataset)
-            .base_rps(base_rps)
-            .duration(duration)
-            .burst(
-                SimTime::from_secs_f64(d * 0.35),
-                SimDuration::from_secs_f64(d * 0.15),
-                2.2,
-            )
-            .burst(
-                SimTime::from_secs_f64(d * 0.65),
-                SimDuration::from_secs_f64(d * 0.12),
-                2.0,
-            )
-            .seed(seed)
-            .build()
-    }
 }
 
 #[cfg(test)]
@@ -288,22 +262,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         assert_eq!(a.requests.first(), b.requests.first());
         assert_eq!(a.requests.last(), b.requests.last());
-    }
-
-    #[test]
-    fn burstgpt_preset_has_two_bursts() {
-        let t = BurstTraceBuilder::burstgpt_like(
-            Dataset::BurstGpt,
-            15.0,
-            SimDuration::from_secs(200),
-            5,
-        );
-        let tl = t.rate_timeline(SimDuration::from_secs(10));
-        // Rate inside the first burst window (70–100 s) must clearly exceed
-        // the opening quiet period (0–60 s).
-        let quiet: f64 = tl[0..6].iter().map(|&(_, r)| r).sum::<f64>() / 6.0;
-        let burst: f64 = tl[7..10].iter().map(|&(_, r)| r).sum::<f64>() / 3.0;
-        assert!(burst > 1.6 * quiet, "quiet {quiet:.1} vs burst {burst:.1}");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   the KunServe policy, baselines, the [`kunserve::serving`] runner).
 //! - [`cluster`]: the serving substrate (engine, mechanisms, metrics).
 //! - [`workload`]: traces and datasets.
-//! - [`modelcfg`], [`costmodel`], [`simgpu`], [`kvcache`], [`netsim`]:
-//!   the lower-level substrates.
+//! - [`modelcfg`], [`costmodel`], [`kvcache`], [`netsim`]: the
+//!   lower-level substrates, and [`simgpu`], the page size and remap cost
+//!   of the parameter remapping.
 //!
 //! # Quickstart
 //!

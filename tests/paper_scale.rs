@@ -4,17 +4,12 @@
 //! `bench` harness.
 //!
 //! The tests at the bottom are the **full Cluster A/B fidelity runs**:
-//! the complete fig. 12 scenarios at paper scale, every system in the
-//! lineup, with the paper's ordering claims asserted. The headline
-//! Cluster A run (`full_cluster_a_fidelity_burstgpt_14b`) is promoted
-//! into the default tier-1 wall — its five systems fan out over the
-//! parallel bench harness (`bench::harness`), so it costs roughly one
-//! system's wall-clock on a multicore host. The remaining fidelity runs
-//! stay `#[ignore]`d:
-//!
-//! ```text
-//! cargo test --release -- --ignored      # run them
-//! ```
+//! three fig. 12 scenarios at paper scale, every system in the lineup,
+//! and the fig. 18 co-serving pair, with the paper's ordering claims
+//! asserted against vLLM (DP). They drop and restore layers on 48-layer
+//! 14B instances and 80-layer, TP=4 72B instances. Together they take
+//! under half a second in the dev profile on a 2-vCPU host, so they run
+//! in the default tier-1 wall.
 
 use bench::{MultiScenario, Scenario};
 use kunserve::serving::Run;
@@ -102,25 +97,20 @@ fn assert_full_fidelity(sc: &Scenario) {
 
 #[test]
 fn full_cluster_a_fidelity_burstgpt_14b() {
-    // Promoted into tier-1: the parallel harness runs the five systems
-    // concurrently, so this paper-scale lineup fits the default wall.
     assert_full_fidelity(&Scenario::burstgpt_14b());
 }
 
 #[test]
-#[ignore = "full Cluster A fidelity run (minutes); cargo test -- --ignored"]
 fn full_cluster_a_fidelity_sharegpt_14b() {
     assert_full_fidelity(&Scenario::sharegpt_14b());
 }
 
 #[test]
-#[ignore = "full Cluster B fidelity run (minutes); cargo test -- --ignored"]
 fn full_cluster_b_fidelity_longbench_72b() {
     assert_full_fidelity(&Scenario::longbench_72b());
 }
 
 #[test]
-#[ignore = "full multi-model co-serving run (minutes); cargo test -- --ignored"]
 fn full_fig18_multi_model_14b_chat_vs_72b_longctx() {
     let sc = MultiScenario::fig18_14b_chat_vs_72b_longctx();
     let vllm = sc.run(SystemKind::VllmDp);
