@@ -22,15 +22,41 @@ fn bursty_trace(base_rps: f64, mult: f64, seed: u64) -> Trace {
         .build()
 }
 
+/// Checks that every live group's block table holds exactly its admitted
+/// (running or stalled) requests, and that their token counts add up to
+/// the pool's.
+fn assert_tables_match_admitted(state: &cluster::ClusterState, now: SimTime) {
+    for g in state.alive_group_ids() {
+        let group = state.group(g);
+        let mut admitted: Vec<kvcache::SeqKey> = group
+            .admitted()
+            .map(|r| kvcache::SeqKey(r.0 as u64))
+            .collect();
+        admitted.sort_unstable();
+        let seqs = group.blocks.seqs();
+        assert_eq!(seqs, admitted, "{g:?} at {now}: table != running + stalled");
+        let tokens: u64 = seqs
+            .iter()
+            .map(|&s| group.blocks.tokens_of(s).expect("listed by seqs"))
+            .sum();
+        assert_eq!(
+            tokens,
+            group.blocks.used_tokens(),
+            "{g:?} at {now}: token sum"
+        );
+    }
+}
+
 #[test]
 fn all_systems_conserve_requests() {
     // No request is ever lost or double-finished, whatever the policy does
-    // to its KVCache (preempt, swap, migrate, exchange).
+    // to its KVCache (preempt, swap, migrate, exchange), and after every
+    // event each group's block table holds exactly its admitted requests.
     let trace = bursty_trace(45.0, 2.5, 1);
     for kind in SystemKind::paper_lineup() {
         let out = Run::new(kind, paper_like_tiny(4), &trace)
             .drain(SimDuration::from_secs(600))
-            .execute();
+            .execute_observed(assert_tables_match_admitted);
         assert_eq!(
             out.report.finished_requests,
             trace.len(),
