@@ -23,8 +23,9 @@ fn bursty_trace(base_rps: f64, mult: f64, seed: u64) -> Trace {
 }
 
 /// Checks that every live group's block table holds exactly its admitted
-/// (running or stalled) requests, and that their token counts add up to
-/// the pool's.
+/// (running or stalled) requests, that their token counts add up to the
+/// pool's, and that each request's table covers its KV: all of it while
+/// prefilling, all but the newest token (not yet fed back) once decoding.
 fn assert_tables_match_admitted(state: &cluster::ClusterState, now: SimTime) {
     for g in state.alive_group_ids() {
         let group = state.group(g);
@@ -44,6 +45,16 @@ fn assert_tables_match_admitted(state: &cluster::ClusterState, now: SimTime) {
             group.blocks.used_tokens(),
             "{g:?} at {now}: token sum"
         );
+        for r in group.admitted() {
+            let req = &state.requests[r.0];
+            let held = group.blocks.tokens_of(kvcache::SeqKey(r.0 as u64));
+            let held = held.expect("admitted");
+            assert!(
+                held + u64::from(req.in_decode()) >= req.kv_tokens(),
+                "{r:?} at {now}: table {held} < KV {}",
+                req.kv_tokens()
+            );
+        }
     }
 }
 
