@@ -55,8 +55,8 @@ fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
 
 /// Collects one iteration's work for a group into `work`: a decode chunk
 /// per running decode request plus budget-bounded prefill chunks in
-/// arrival order. Each request appears at most once. `prefills` is
-/// scratch space.
+/// arrival order. Each request appears at most once. `prefills` is a
+/// reused buffer. Returns the new tokens collected.
 fn collect_work(
     g: &crate::group::ExecGroup,
     reqs: &[Request],
@@ -64,7 +64,7 @@ fn collect_work(
     skipped: &[RequestId],
     work: &mut Vec<SeqChunk>,
     prefills: &mut Vec<RequestId>,
-) {
+) -> u64 {
     let rounds = decode_tokens_per_iter(g.stages(), cfg);
     let stages = g.stages() as u64;
     let budget = if stages == 1 {
@@ -122,6 +122,7 @@ fn collect_work(
         });
         used += chunk;
     }
+    used
 }
 
 /// Whether `mbs`, read in order with adjacent fragments of one request
@@ -184,11 +185,15 @@ pub struct Engine {
     decodes_buf: Vec<RequestId>,
     /// Reused iteration buffers: the collected chunks, the prefill
     /// candidates behind them, and the chunk works handed to sampling.
+    /// A started iteration keeps `work_buf` as its `IterationPlan::work`.
     work_buf: Vec<SeqChunk>,
     prefills_buf: Vec<RequestId>,
     works_buf: Vec<ChunkWork>,
-    /// A finished iteration's `IterationPlan::work`, reused by the next.
-    plan_buf: Vec<(RequestId, u64)>,
+    /// Finished iterations' `IterationPlan::work` buffers, each to become
+    /// a later start's `work_buf`. A pool rather than one slot, so that
+    /// completions in a row drop no buffer; it never holds more buffers
+    /// than the most groups busy at once.
+    spare_work: Vec<Vec<SeqChunk>>,
     /// Reused pipelined-iteration buffers: the group's stage fractions and
     /// member nodes, each microbatch's new tokens, the sampled times and
     /// the schedule.
@@ -231,7 +236,7 @@ impl Engine {
             work_buf: Vec::new(),
             prefills_buf: Vec::new(),
             works_buf: Vec::new(),
-            plan_buf: Vec::new(),
+            spare_work: Vec::new(),
             fracs_buf: Vec::new(),
             members_buf: Vec::new(),
             mb_tokens_buf: Vec::new(),
@@ -645,7 +650,7 @@ impl Engine {
             return; // an OOM handler requested a reconfiguration
         }
 
-        collect_work(
+        let new_tokens = collect_work(
             self.state.group(group),
             &self.state.requests[..],
             &self.state.cfg,
@@ -657,14 +662,17 @@ impl Engine {
             return;
         }
 
-        let mut plan = std::mem::take(&mut self.plan_buf);
-        plan.clear();
         let (start, makespan, bubble_frac) = if self.state.group(group).stages() == 1 {
-            self.plan_single_stage(group, &mut plan)
+            self.plan_single_stage(group)
         } else {
-            self.plan_pipelined(group, &mut plan)
+            self.plan_pipelined(group)
         };
-        let new_tokens: u64 = plan.iter().map(|&(_, t)| t).sum();
+        // The formers replay the collected work in order, splitting a
+        // request's chunk only into adjacent fragments, and `collect_work`
+        // emits each request once: per-request progress is the collected
+        // work itself.
+        let spare = self.spare_work.pop().unwrap_or_default();
+        let work = std::mem::replace(&mut self.work_buf, spare);
 
         let finish = start + makespan;
         let g = self.state.group_mut(group);
@@ -672,7 +680,7 @@ impl Engine {
         let seq = g.iter_seq;
         g.busy_until = Some(finish);
         g.current_iter = Some(IterationPlan {
-            work: plan,
+            work,
             started: self.now,
             duration: finish - self.now,
             bubble_frac,
@@ -681,13 +689,9 @@ impl Engine {
         self.events.push(finish, Event::GroupDone { group, seq });
     }
 
-    /// Times a single-stage iteration over the collected chunks and fills
-    /// `plan` with them. Returns `(start, makespan, bubble_frac)`.
-    fn plan_single_stage(
-        &mut self,
-        group: GroupId,
-        plan: &mut Vec<(RequestId, u64)>,
-    ) -> (SimTime, SimDuration, f64) {
+    /// Times a single-stage iteration over the collected chunks. Returns
+    /// `(start, makespan, bubble_frac)`.
+    fn plan_single_stage(&mut self, group: GroupId) -> (SimTime, SimDuration, f64) {
         let g = self.state.group(group);
         let (model, frac) = (g.model, g.stage_fracs[0]);
         self.works_buf.clear();
@@ -698,26 +702,21 @@ impl Engine {
             &mut self.state.rng,
         );
         let start = self.now + self.state.take_overhead(group);
-        plan.extend(self.work_buf.iter().map(|c| (c.request, c.work.new_tokens)));
+        let work = &self.work_buf;
         debug_assert!(
-            plan.iter()
+            work.iter()
                 .enumerate()
-                .all(|(i, &(r, _))| plan[..i].iter().all(|&(q, _)| q != r)),
+                .all(|(i, c)| work[..i].iter().all(|q| q.request != c.request)),
             "collect_work emits each request at most once"
         );
         (start, makespan, 0.0)
     }
 
     /// Forms microbatches from the collected chunks, samples every
-    /// (microbatch, stage) time, schedules the pipeline and fills `plan`
-    /// with per-request token progress. Returns `(start, makespan,
-    /// bubble_frac)`. Linear in the collected chunks; nothing allocates
-    /// but the former's microbatches.
-    fn plan_pipelined(
-        &mut self,
-        group: GroupId,
-        plan: &mut Vec<(RequestId, u64)>,
-    ) -> (SimTime, SimDuration, f64) {
+    /// (microbatch, stage) time and schedules the pipeline. Returns
+    /// `(start, makespan, bubble_frac)`. Linear in the collected chunks;
+    /// nothing allocates but the former's microbatches.
+    fn plan_pipelined(&mut self, group: GroupId) -> (SimTime, SimDuration, f64) {
         let mbs: Vec<MicroBatch> =
             self.policy
                 .form_microbatches(&self.state, group, &self.work_buf);
@@ -771,12 +770,6 @@ impl Engine {
                 )
             },
         );
-
-        // The formers replay the collected work in order, splitting a
-        // request's chunk only into adjacent fragments, and `collect_work`
-        // emits each request once: per-request progress is the collected
-        // work itself.
-        plan.extend(self.work_buf.iter().map(|c| (c.request, c.work.new_tokens)));
         (start, self.sched.makespan, self.sched.bubble_frac())
     }
 
@@ -879,7 +872,8 @@ impl Engine {
             self.state.metrics.bubbles.push(now, plan.bubble_frac);
         }
         let mut emitted = 0u64;
-        for &(r, ntok) in &plan.work {
+        for c in &plan.work {
+            let (r, ntok) = (c.request, c.work.new_tokens);
             let req = &self.state.requests[r.0];
             if req.state != ReqState::Running || req.group != group {
                 continue; // preempted / migrated mid-iteration
@@ -921,7 +915,7 @@ impl Engine {
         if emitted > 0 {
             self.state.metrics.on_tokens(now, emitted);
         }
-        self.plan_buf = plan.work;
+        self.spare_work.push(plan.work);
     }
 }
 

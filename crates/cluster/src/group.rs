@@ -14,6 +14,7 @@ use kvcache::BlockManager;
 use sim_core::{SimDuration, SimTime};
 use workload::ModelId;
 
+use crate::batch::SeqChunk;
 use crate::instance::InstanceId;
 use crate::request::RequestId;
 
@@ -26,8 +27,9 @@ pub struct GroupId(pub usize);
 /// applied when it completes.
 #[derive(Debug, Clone)]
 pub struct IterationPlan {
-    /// `(request, new_tokens)` pairs — prefill chunk sizes or 1 for decode.
-    pub work: Vec<(RequestId, u64)>,
+    /// The collected chunks, one per request: a prefill chunk, or its
+    /// decode tokens.
+    pub work: Vec<SeqChunk>,
     /// When the iteration started.
     pub started: SimTime,
     /// Execution duration (pipeline makespan for multi-stage groups).

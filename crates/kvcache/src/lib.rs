@@ -9,7 +9,10 @@
 //!   KunServe remaps dropped parameter memory into the KVCache region and
 //!   shrinks again on restore. Blocks are fungible, so a sequence's block
 //!   table is its token count: it holds `ceil(tokens / block_tokens)`
-//!   blocks, and no caller ever needs to know which.
+//!   blocks, and no caller ever needs to know which. The tables are a
+//!   key-sorted `Vec` that decode growth searches from its last hit, so
+//!   growing a group's sequences in admission order costs constant time
+//!   per token, with a division only when a block fills.
 //! - [`HostSwapPool`]: host-DRAM staging area used by the swap baseline
 //!   (InferCept) and by fault-tolerant parameter restoration.
 //! - [`PrefixLedger`]: shared-prompt prefix residency accounting — a

@@ -1,8 +1,5 @@
 //! The paged block manager.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-
 use crate::error::KvError;
 use crate::Result;
 
@@ -71,19 +68,38 @@ pub enum ExtentTag {
 ///
 /// Because blocks are fungible, a sequence's block table is just its token
 /// count: the sequence holds exactly [`BlockManager::blocks_for`] of it,
-/// and nothing ever asks *which* blocks.
+/// and nothing ever asks *which* blocks. The tables live in a `Vec` sorted
+/// by key, which allocation and release binary-search. Decode growth tries
+/// the entry after its previous hit, then the first entry, and only then
+/// searches: the serving engine grows a group's sequences in admission
+/// order every iteration, which is mostly key order.
 #[derive(Debug, Clone)]
 pub struct BlockManager {
     /// Tagged capacity extents; the total capacity is their sum. At most
     /// one extent per tag (grows merge into the existing extent).
     extents: Vec<(ExtentTag, u32)>,
+    /// Sum of the extents' blocks.
+    capacity: u32,
     block_tokens: u32,
-    /// Tokens stored per live sequence.
-    tables: BTreeMap<SeqKey, u64>,
+    /// Live sequences, sorted by key.
+    tables: Vec<SeqTable>,
+    /// Index just past the entry the last [`BlockManager::append_tokens`]
+    /// found: where the next one looks first. Only a search hint.
+    next: usize,
     /// Blocks held across all sequences.
     used: u32,
     /// Tokens stored across all sequences.
     used_tokens: u64,
+}
+
+/// One live sequence's block table.
+#[derive(Debug, Clone, Copy)]
+struct SeqTable {
+    seq: SeqKey,
+    tokens: u64,
+    /// `blocks_for(tokens)`, kept so that growth divides only when the
+    /// last block is full.
+    blocks: u32,
 }
 
 impl BlockManager {
@@ -97,8 +113,10 @@ impl BlockManager {
         assert!(block_tokens > 0, "block size must be positive");
         BlockManager {
             extents: vec![(ExtentTag::Native, capacity)],
+            capacity,
             block_tokens,
-            tables: BTreeMap::new(),
+            tables: Vec::new(),
+            next: 0,
             used: 0,
             used_tokens: 0,
         }
@@ -111,7 +129,7 @@ impl BlockManager {
 
     /// Total capacity in blocks (sum over all extents).
     pub fn capacity_blocks(&self) -> u32 {
-        self.extents.iter().map(|&(_, b)| b).sum()
+        self.capacity
     }
 
     /// Blocks of the extent tagged `tag` (0 if absent).
@@ -135,15 +153,6 @@ impl BlockManager {
     /// on this group's own devices.
     pub fn native_capacity_blocks(&self) -> u32 {
         self.capacity_blocks() - self.borrowed_blocks()
-    }
-
-    /// Lender model ids with live borrowed extents, ascending and
-    /// deduplicated (one model may back several per-range loans). A
-    /// summary view over [`BlockManager::loans`] for diagnostics.
-    pub fn lenders(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.loans().into_iter().map(|l| l.lender).collect();
-        out.dedup();
-        out
     }
 
     /// All live loans (non-empty borrowed extents), ascending by
@@ -170,6 +179,7 @@ impl BlockManager {
             Some((_, b)) => *b += blocks,
             None => self.extents.push((tag, blocks)),
         }
+        self.capacity += blocks;
     }
 
     /// Shrinks the extent tagged `tag` by `blocks`.
@@ -205,6 +215,7 @@ impl BlockManager {
             .find(|(t, _)| *t == tag)
             .expect("checked above");
         e.1 -= blocks;
+        self.capacity -= blocks;
         self.extents
             .retain(|&(t, b)| t == ExtentTag::Native || b > 0);
         Ok(())
@@ -258,19 +269,26 @@ impl BlockManager {
         self.blocks_for(tokens) <= self.free_blocks()
     }
 
-    /// Returns `true` if the sequence is live.
-    pub fn contains(&self, seq: SeqKey) -> bool {
-        self.tables.contains_key(&seq)
+    /// Where `seq`'s table is (`Ok`) or would be inserted (`Err`).
+    fn search(&self, seq: SeqKey) -> std::result::Result<usize, usize> {
+        self.tables.binary_search_by_key(&seq, |t| t.seq)
+    }
+
+    /// The live table of `seq`.
+    fn table(&self, seq: SeqKey) -> Result<&SeqTable> {
+        self.search(seq)
+            .map(|ix| &self.tables[ix])
+            .map_err(|_| KvError::UnknownSeq)
     }
 
     /// Tokens stored for `seq`.
     pub fn tokens_of(&self, seq: SeqKey) -> Result<u64> {
-        self.tables.get(&seq).copied().ok_or(KvError::UnknownSeq)
+        self.table(seq).map(|t| t.tokens)
     }
 
     /// Blocks held by `seq`.
     pub fn blocks_of(&self, seq: SeqKey) -> Result<u32> {
-        self.tokens_of(seq).map(|t| self.blocks_for(t))
+        self.table(seq).map(|t| t.blocks)
     }
 
     /// Allocates a fresh sequence holding `tokens` tokens (prompt
@@ -278,13 +296,20 @@ impl BlockManager {
     pub fn allocate(&mut self, seq: SeqKey, tokens: u64) -> Result<()> {
         let needed = self.blocks_for(tokens);
         let free = self.free_blocks();
-        let Entry::Vacant(slot) = self.tables.entry(seq) else {
+        let Err(ix) = self.search(seq) else {
             return Err(KvError::AlreadyAllocated);
         };
         if needed > free {
             return Err(KvError::OutOfBlocks { needed, free });
         }
-        slot.insert(tokens);
+        self.tables.insert(
+            ix,
+            SeqTable {
+                seq,
+                tokens,
+                blocks: needed,
+            },
+        );
         self.used += needed;
         self.used_tokens += tokens;
         Ok(())
@@ -295,29 +320,43 @@ impl BlockManager {
     ///
     /// On [`KvError::OutOfBlocks`] the sequence is unchanged.
     pub fn append_tokens(&mut self, seq: SeqKey, n: u64) -> Result<u32> {
-        let block_tokens = self.block_tokens as u64;
-        let free = self.free_blocks();
-        let tokens = self.tables.get_mut(&seq).ok_or(KvError::UnknownSeq)?;
-        let new_total = *tokens + n;
-        let extra = (new_total.div_ceil(block_tokens) - tokens.div_ceil(block_tokens)) as u32;
-        if extra > free {
-            return Err(KvError::OutOfBlocks {
-                needed: extra,
-                free,
-            });
+        let hit = |ix: usize| self.tables.get(ix).is_some_and(|t| t.seq == seq);
+        let ix = if hit(self.next) {
+            self.next
+        } else if hit(0) {
+            0
+        } else {
+            self.search(seq).map_err(|_| KvError::UnknownSeq)?
+        };
+        self.next = ix + 1;
+        let block_tokens = u64::from(self.block_tokens);
+        let table = &mut self.tables[ix];
+        let tokens = table.tokens + n;
+        let mut extra = 0;
+        if tokens > u64::from(table.blocks) * block_tokens {
+            extra = tokens.div_ceil(block_tokens) as u32 - table.blocks;
+            let free = self.capacity - self.used;
+            if extra > free {
+                return Err(KvError::OutOfBlocks {
+                    needed: extra,
+                    free,
+                });
+            }
+            table.blocks += extra;
+            self.used += extra;
         }
-        *tokens = new_total;
-        self.used += extra;
+        table.tokens = tokens;
         self.used_tokens += n;
         Ok(extra)
     }
 
     /// Frees a sequence's blocks, returning the tokens it held.
     pub fn free(&mut self, seq: SeqKey) -> Result<u64> {
-        let tokens = self.tables.remove(&seq).ok_or(KvError::UnknownSeq)?;
-        self.used -= self.blocks_for(tokens);
-        self.used_tokens -= tokens;
-        Ok(tokens)
+        let ix = self.search(seq).map_err(|_| KvError::UnknownSeq)?;
+        let table = self.tables.remove(ix);
+        self.used -= table.blocks;
+        self.used_tokens -= table.tokens;
+        Ok(table.tokens)
     }
 
     /// Grows or shrinks the **native** extent so the total capacity becomes
@@ -355,7 +394,7 @@ impl BlockManager {
 
     /// All live sequence keys, ascending by key.
     pub fn seqs(&self) -> Vec<SeqKey> {
-        self.tables.keys().copied().collect()
+        self.tables.iter().map(|t| t.seq).collect()
     }
 }
 
@@ -472,7 +511,6 @@ mod tests {
         assert_eq!(m.native_capacity_blocks(), 4);
         assert_eq!(m.borrowed_blocks(), 6);
         assert_eq!(m.extent_blocks(ExtentTag::Borrowed(loan(1, 2, 8))), 6);
-        assert_eq!(m.lenders(), vec![1]);
         assert_eq!(m.loans(), vec![loan(1, 2, 8)]);
         assert_eq!(m.loans()[0].layers(), 6);
         // Usage may spill into the borrowed share...
@@ -488,7 +526,7 @@ mod tests {
         m.free(SeqKey(1)).expect("drain");
         assert_eq!(m.reclaim_extent(ExtentTag::Borrowed(loan(1, 2, 8))), Ok(6));
         assert_eq!(m.capacity_blocks(), 4);
-        assert!(m.lenders().is_empty());
+        assert!(m.loans().is_empty());
         assert_eq!(
             m.reclaim_extent(ExtentTag::Borrowed(loan(1, 2, 8))),
             Err(KvError::UnknownExtent)
@@ -505,12 +543,10 @@ mod tests {
         m.grow_extent(ExtentTag::Borrowed(loan(1, 4, 6)), 3);
         m.grow_extent(ExtentTag::Borrowed(loan(2, 0, 1)), 1);
         assert_eq!(m.borrowed_blocks(), 6);
-        assert_eq!(m.lenders(), vec![1, 2], "lenders dedup across ranges");
         assert_eq!(m.loans(), vec![loan(1, 4, 6), loan(1, 6, 8), loan(2, 0, 1)]);
         assert_eq!(m.reclaim_extent(ExtentTag::Borrowed(loan(1, 6, 8))), Ok(2));
         assert_eq!(m.borrowed_blocks(), 4);
         assert_eq!(m.loans(), vec![loan(1, 4, 6), loan(2, 0, 1)]);
-        assert_eq!(m.lenders(), vec![1, 2]);
         // Same-identity grants merge into one extent.
         m.grow_extent(ExtentTag::Borrowed(loan(2, 0, 1)), 2);
         assert_eq!(m.extent_blocks(ExtentTag::Borrowed(loan(2, 0, 1))), 3);
