@@ -2768,6 +2768,97 @@ mod tests {
         assert!(violations.is_empty(), "{violations:?}");
     }
 
+    /// Adds a request of `input` prompt tokens, registered with the
+    /// metrics, and admits it on `group` as running.
+    fn admit_running(state: &mut ClusterState, input: u64, group: GroupId) -> RequestId {
+        let r = RequestId(state.requests.len());
+        let spec = RequestSpec {
+            id: r.0 as u64,
+            model: ModelId::PRIMARY,
+            arrival: SimTime::ZERO,
+            input_tokens: input,
+            output_tokens: 8,
+            prefix: None,
+            deadline: None,
+        };
+        state.requests.push(Request::new(r, spec, group));
+        state
+            .metrics
+            .on_arrival(r, spec.arrival, spec.output_tokens, spec.model);
+        state.note_dispatch(r, group);
+        assert!(state.try_admit(r, group), "a small request admits");
+        state.group_mut(group).running.push(r);
+        r
+    }
+
+    /// Lands every pending bulk job; returns how many landed and the
+    /// events they surfaced, in completion order.
+    fn drain_transfers(state: &mut ClusterState) -> (usize, Vec<TransferEvent>) {
+        let mut jobs = 0;
+        let mut events = Vec::new();
+        while let Some(t) = state.network.next_completion_estimate() {
+            for (_, job) in state.network.take_completions(t) {
+                jobs += 1;
+                events.extend(state.apply_transfer_done(job));
+            }
+        }
+        (jobs, events)
+    }
+
+    #[test]
+    fn every_bulk_transfer_surfaces_one_event_when_it_lands() {
+        let mut state = ClusterState::new(ClusterConfig::tiny_test(2));
+        let (g0, g1) = (GroupId(0), GroupId(1));
+        let t = SimTime::ZERO;
+        let r = admit_running(&mut state, 64, g0);
+
+        assert!(state.start_swap_out(r, t));
+        assert_eq!(
+            drain_transfers(&mut state),
+            (1, vec![TransferEvent::SwapOutDone { request: r }])
+        );
+        assert_eq!(drain_transfers(&mut state), (0, vec![]));
+        assert_eq!(state.requests[r.0].state, ReqState::Swapped);
+
+        assert!(state.start_swap_in(r, t));
+        assert_eq!(
+            drain_transfers(&mut state),
+            (1, vec![TransferEvent::SwapInDone { request: r }])
+        );
+        assert_eq!(drain_transfers(&mut state), (0, vec![]));
+        assert_eq!(state.requests[r.0].state, ReqState::Running);
+
+        assert!(state.start_migration(r, g1, t));
+        assert_eq!(
+            drain_transfers(&mut state),
+            (1, vec![TransferEvent::MigrationDone { request: r }])
+        );
+        assert_eq!(drain_transfers(&mut state), (0, vec![]));
+        assert_eq!(state.requests[r.0].state, ReqState::Running);
+        assert_eq!(state.requests[r.0].group, g1);
+
+        // A merge exchanges both members' KV as one batch: one job per
+        // member, and one event once both have landed.
+        let r2 = admit_running(&mut state, 64, g0);
+        state.request_merge(vec![g0, g1]);
+        state.execute_ready_reconfigs(t);
+        for id in [r, r2] {
+            assert_eq!(
+                state.requests[id.0].state,
+                ReqState::Stalled(StallReason::KvExchange)
+            );
+        }
+        let (jobs, events) = drain_transfers(&mut state);
+        assert_eq!(jobs, 2, "one exchange job per member");
+        let [TransferEvent::ExchangeDone { requests }] = &events[..] else {
+            panic!("one ExchangeDone: {events:?}")
+        };
+        let mut resumed = requests.clone();
+        resumed.sort();
+        assert_eq!(resumed, vec![r, r2]);
+        assert_eq!(drain_transfers(&mut state), (0, vec![]));
+    }
+
     #[test]
     fn dead_group_reconfigs_are_abandoned_not_requeued() {
         let mut state = ClusterState::new(ClusterConfig::tiny_test(2));

@@ -345,6 +345,38 @@ mod tests {
     }
 
     #[test]
+    fn ids_rise_with_submission_and_completions_keep_that_order() {
+        let mut n = net();
+        // Three links, submitted out of link-key order; each job takes
+        // 1 ms (10 KB at 10 MB/s on the fabric, 20 KB at 20 MB/s on the
+        // host link).
+        let a = n.submit_bulk(
+            SimTime::ZERO,
+            NodeId(2),
+            NodeId(3),
+            10_000,
+            Priority::KvExchange,
+        );
+        let b = n.submit_host(SimTime::ZERO, NodeId(0), 20_000, Priority::KvExchange);
+        let c = n.submit_bulk(
+            SimTime::ZERO,
+            NodeId(0),
+            NodeId(1),
+            10_000,
+            Priority::KvExchange,
+        );
+        assert!(
+            a < b && b < c,
+            "ids rise with submission: {a:?} {b:?} {c:?}"
+        );
+        // Equal-time completions come back in submission order; per-link
+        // ids would tie and leave them in link-key order (c, a, b).
+        let at = SimTime::from_millis(1);
+        assert_eq!(n.take_completions(at), vec![(at, a), (at, b), (at, c)]);
+        assert!(n.is_idle());
+    }
+
+    #[test]
     fn remaining_bytes_and_ids_are_global() {
         let mut n = net();
         let a = n.submit_bulk(
