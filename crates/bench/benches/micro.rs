@@ -13,7 +13,7 @@ use cluster::{GroupId, RequestId, SeqChunk};
 use costmodel::{ChunkWork, CostParams, GroundTruth};
 use kunserve::plan::{DropPlanner, PlanGroup};
 use kvcache::{BlockManager, SeqKey};
-use netsim::{Link, LinkSpec, Priority};
+use netsim::{JobId, Link, LinkSpec, Priority};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sim_core::{SimDuration, SimTime};
@@ -105,7 +105,13 @@ fn bench_network(c: &mut Criterion) {
     c.bench_function("link_coordinated_exchange_with_activations", |b| {
         b.iter(|| {
             let mut link = Link::new(LinkSpec::rdma_200gbps());
-            link.submit(SimTime::ZERO, 1 << 30, 64 << 20, Priority::KvExchange);
+            link.submit(
+                SimTime::ZERO,
+                JobId(0),
+                1 << 30,
+                64 << 20,
+                Priority::KvExchange,
+            );
             let mut t = SimTime::ZERO;
             for _ in 0..100 {
                 t += SimDuration::from_millis(2);

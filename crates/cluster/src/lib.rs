@@ -48,7 +48,6 @@ pub use metrics::{Metrics, ModelReport, RequestRecord, RunReport};
 pub use pipeline::{PipelineSchedule, StageTiming};
 pub use policy::{
     DeferredHooks, HookPlan, OomResolution, Policy, QueueingPolicy, SpecJob, TransferEvent,
-    TransferPurpose,
 };
 pub use request::{ReqState, Request, RequestId, StallReason};
 pub use state::{CancelOutcome, ClusterState, DeadlineSweep, ModelAvailability};

@@ -14,36 +14,6 @@ use crate::group::GroupId;
 use crate::request::RequestId;
 use crate::state::ClusterState;
 
-/// Why a bulk network transfer was running (attached to each network job).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransferPurpose {
-    /// Part of a KVCache exchange or consolidation batch.
-    ExchangePart {
-        /// The batch this job belongs to.
-        batch: u64,
-    },
-    /// Part of a parameter-restoration batch.
-    RestorePart {
-        /// The batch this job belongs to.
-        batch: u64,
-    },
-    /// Live migration of one request's KVCache.
-    Migration {
-        /// The migrating request.
-        request: RequestId,
-    },
-    /// Swap-out of one request's KVCache to host DRAM.
-    SwapOut {
-        /// The request being swapped out.
-        request: RequestId,
-    },
-    /// Swap-in of one request's KVCache from host DRAM.
-    SwapIn {
-        /// The request being swapped in.
-        request: RequestId,
-    },
-}
-
 /// High-level completion events surfaced to policies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransferEvent {

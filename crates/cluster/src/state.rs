@@ -7,13 +7,7 @@
 //! these mechanisms too (admission, iteration completion), so the state is
 //! the single source of truth for memory accounting.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "keyed lookup; every iteration that feeds transfer or plan order collects and sorts \
-              first (e.g. merge-exchange `pairs.sort()`)"
-)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use costmodel::{CostParams, GroundTruth, Profiler};
 use kvcache::{
@@ -30,7 +24,7 @@ use crate::config::{ClusterConfig, ConfigError};
 use crate::group::{group_capacity_blocks, ExecGroup, GroupId};
 use crate::instance::{Instance, InstanceId};
 use crate::metrics::Metrics;
-use crate::policy::{TransferEvent, TransferPurpose};
+use crate::policy::TransferEvent;
 use crate::request::{ReqState, Request, RequestId, StallReason};
 
 /// A pending group reconfiguration, executed once every source group is
@@ -90,6 +84,9 @@ enum BatchEffect {
     UnstallRequests(Vec<RequestId>),
     ParamRestoreReady(GroupId),
     RecoveryReady(GroupId),
+    Migrated(RequestId),
+    SwappedOut(RequestId),
+    SwappedIn(RequestId),
 }
 
 /// Outcome of one monitor-tick deadline sweep
@@ -189,8 +186,6 @@ pub struct ClusterState {
     pub metrics: Metrics,
     /// Per-instance host swap pools.
     pub host_pools: Vec<HostSwapPool>,
-    /// In-flight bulk transfers.
-    pub pending_transfers: HashMap<JobId, TransferPurpose>,
     /// Reconfigurations waiting for their groups to go idle.
     pub pending_reconfigs: Vec<Reconfig>,
     /// Outstanding cross-model donations (lender → borrower extents).
@@ -199,7 +194,9 @@ pub struct ClusterState {
     pub prefix: PrefixLedger,
     /// Deterministic RNG for execution-time noise.
     pub rng: SmallRng,
-    transfer_batches: HashMap<u64, TransferBatch>,
+    /// In-flight bulk jobs, each mapped to its batch.
+    pending_transfers: BTreeMap<JobId, u64>,
+    transfer_batches: BTreeMap<u64, TransferBatch>,
     next_batch: u64,
     /// In-flight elastic model load/unload operations ([`crate::Action`]s).
     model_ops: Vec<ModelOp>,
@@ -296,12 +293,12 @@ impl ClusterState {
             cost_models,
             metrics: Metrics::new(),
             host_pools,
-            pending_transfers: HashMap::new(),
             pending_reconfigs: Vec::new(),
             donations: Vec::new(),
             prefix: PrefixLedger::new(),
             rng,
-            transfer_batches: HashMap::new(),
+            pending_transfers: BTreeMap::new(),
+            transfer_batches: BTreeMap::new(),
             next_batch: 0,
             model_ops: Vec::new(),
         })
@@ -623,8 +620,7 @@ impl ClusterState {
         let job = self
             .network
             .submit_host(now, node, bytes, Priority::KvExchange);
-        self.pending_transfers
-            .insert(job, TransferPurpose::SwapOut { request: id });
+        self.track_batch(&[job], BatchEffect::SwappedOut(id));
         true
     }
 
@@ -667,8 +663,7 @@ impl ClusterState {
         let job = self
             .network
             .submit_host(now, node, bytes, Priority::KvExchange);
-        self.pending_transfers
-            .insert(job, TransferPurpose::SwapIn { request: id });
+        self.track_batch(&[job], BatchEffect::SwappedIn(id));
         true
     }
 
@@ -717,8 +712,7 @@ impl ClusterState {
         let job = self
             .network
             .submit_bulk(now, src_node, dst_node, bytes, Priority::KvExchange);
-        self.pending_transfers
-            .insert(job, TransferPurpose::Migration { request: id });
+        self.track_batch(&[job], BatchEffect::Migrated(id));
         let req = &mut self.requests[id.0];
         req.group = to;
         req.state = ReqState::Stalled(StallReason::Migration);
@@ -1213,21 +1207,22 @@ impl ClusterState {
             range.start.min(num_layers),
             range.end.min(num_layers),
         ));
-        // Capture pre-drop membership and *execution* fractions: the
-        // exchange volume depends on how KV was distributed before the
-        // merge, and KV follows the execution partition (a member may
-        // hold spare replica layers it does not execute after a partial
-        // merge).
-        let mut old_members_of: HashMap<GroupId, Vec<InstanceId>> = HashMap::new();
-        let mut old_frac_of: HashMap<InstanceId, f64> = HashMap::new();
-        for &g in group_ids {
-            let grp = self.group(g);
-            let ms = grp.members.clone();
-            for (&m, &f) in ms.iter().zip(&grp.stage_fracs) {
-                old_frac_of.insert(m, f);
-            }
-            old_members_of.insert(g, ms);
-        }
+        // Capture each old group's pre-drop `(member, execution fraction)`
+        // list, by position in `group_ids`: the exchange volume depends on
+        // how KV was distributed before the merge, and KV follows the
+        // execution partition (a member may hold spare replica layers it
+        // does not execute after a partial merge).
+        let old_shares: Vec<Vec<(InstanceId, f64)>> = group_ids
+            .iter()
+            .map(|&g| {
+                let grp = self.group(g);
+                grp.members
+                    .iter()
+                    .copied()
+                    .zip(grp.stage_fracs.iter().copied())
+                    .collect()
+            })
+            .collect();
         // Collect members with their current resident spans, then order by
         // (start, len) so each member's new partition nests inside what it
         // already holds (smaller residents first breaks full-copy ties).
@@ -1400,8 +1395,9 @@ impl ClusterState {
         let mut admitted_running: Vec<RequestId> = Vec::new();
         let mut admitted_stalled: Vec<RequestId> = Vec::new();
         let mut swapped: Vec<RequestId> = Vec::new();
-        let mut exchange_seqs: Vec<(RequestId, u64, GroupId)> = Vec::new();
-        for &gid in group_ids {
+        // `(request, tokens, position of its old group in group_ids)`.
+        let mut exchange_seqs: Vec<(RequestId, u64, usize)> = Vec::new();
+        for (pos, &gid) in group_ids.iter().enumerate() {
             let old = self.groups[gid.0].take().expect("alive");
             for &r in &old.queue {
                 queued.push(r);
@@ -1409,12 +1405,12 @@ impl ClusterState {
             for &r in &old.running {
                 let tokens = old.blocks.tokens_of(Self::seq_key(r)).expect("admitted");
                 admitted_running.push(r);
-                exchange_seqs.push((r, tokens, gid));
+                exchange_seqs.push((r, tokens, pos));
             }
             for &r in &old.stalled {
                 let tokens = old.blocks.tokens_of(Self::seq_key(r)).expect("admitted");
                 admitted_stalled.push(r);
-                exchange_seqs.push((r, tokens, gid));
+                exchange_seqs.push((r, tokens, pos));
             }
             swapped.extend(old.swapped.iter().copied());
         }
@@ -1455,16 +1451,12 @@ impl ClusterState {
         // leaving each member are aggregated into one bulk job per member
         // (to its ring neighbor), coordinated-chunked by the network.
         let kv_per_token = model.kv_bytes_per_token();
-        let new_frac_of: HashMap<InstanceId, f64> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, exec_fracs[i]))
-            .collect();
-        let mut outgoing: HashMap<InstanceId, u64> = HashMap::new();
-        for &(_, tokens, old_gid) in &exchange_seqs {
+        let new_frac_of: BTreeMap<InstanceId, f64> = member_shares.iter().copied().collect();
+        let mut outgoing: BTreeMap<InstanceId, u64> = BTreeMap::new();
+        for &(_, tokens, pos) in &exchange_seqs {
             let kv_bytes = (tokens * kv_per_token) as f64;
-            for &m in &old_members_of[&old_gid] {
-                let old_share = kv_bytes * old_frac_of[&m];
+            for &(m, old_frac) in &old_shares[pos] {
+                let old_share = kv_bytes * old_frac;
                 let leaving = (old_share - kv_bytes * new_frac_of[&m]).max(0.0) as u64;
                 if leaving > 0 {
                     *outgoing.entry(m).or_insert(0) += leaving;
@@ -1477,33 +1469,22 @@ impl ClusterState {
         self.groups.push(Some(new_group));
 
         if !outgoing.is_empty() {
-            let batch = self.next_batch;
-            self.next_batch += 1;
-            let mut jobs = 0;
-            let mut pairs: Vec<(InstanceId, u64)> = outgoing.into_iter().collect();
-            pairs.sort();
-            for (src, bytes) in pairs {
-                // Ring neighbor inside the new group.
-                let idx = members.iter().position(|&m| m == src).expect("member");
-                let dst = members[(idx + 1) % members.len()];
-                let job = self.network.submit_bulk(
-                    now,
-                    NodeId(src.0),
-                    NodeId(dst.0),
-                    bytes,
-                    Priority::KvExchange,
-                );
-                self.pending_transfers
-                    .insert(job, TransferPurpose::ExchangePart { batch });
-                jobs += 1;
-            }
-            self.transfer_batches.insert(
-                batch,
-                TransferBatch {
-                    remaining: jobs,
-                    effect: BatchEffect::UnstallRequests(stalled_now),
-                },
-            );
+            let jobs: Vec<JobId> = outgoing
+                .into_iter()
+                .map(|(src, bytes)| {
+                    // Ring neighbor inside the new group.
+                    let idx = members.iter().position(|&m| m == src).expect("member");
+                    let dst = members[(idx + 1) % members.len()];
+                    self.network.submit_bulk(
+                        now,
+                        NodeId(src.0),
+                        NodeId(dst.0),
+                        bytes,
+                        Priority::KvExchange,
+                    )
+                })
+                .collect();
+            self.track_batch(&jobs, BatchEffect::UnstallRequests(stalled_now));
         } else {
             // Nothing to exchange (no admitted sequences): unstall at once.
             let g = self.groups[slot.0].as_mut().expect("alive");
@@ -1567,27 +1548,19 @@ impl ClusterState {
         if jobs.is_empty() {
             return false;
         }
-        let batch = self.next_batch;
-        self.next_batch += 1;
-        let n = jobs.len();
-        for (src, dst, bytes) in jobs {
-            let job = self.network.submit_bulk(
-                now,
-                NodeId(src.0),
-                NodeId(dst.0),
-                bytes,
-                Priority::ParamRestore,
-            );
-            self.pending_transfers
-                .insert(job, TransferPurpose::RestorePart { batch });
-        }
-        self.transfer_batches.insert(
-            batch,
-            TransferBatch {
-                remaining: n,
-                effect: BatchEffect::ParamRestoreReady(group),
-            },
-        );
+        let jobs: Vec<JobId> = jobs
+            .into_iter()
+            .map(|(src, dst, bytes)| {
+                self.network.submit_bulk(
+                    now,
+                    NodeId(src.0),
+                    NodeId(dst.0),
+                    bytes,
+                    Priority::ParamRestore,
+                )
+            })
+            .collect();
+        self.track_batch(&jobs, BatchEffect::ParamRestoreReady(group));
         self.metrics
             .on_reconfig(now, "restore: parameter pulls started");
         true
@@ -1746,34 +1719,23 @@ impl ClusterState {
 
         // Consolidation transfers: one inbound job per destination.
         if !stalled_ids.is_empty() {
-            let batch = self.next_batch;
-            self.next_batch += 1;
-            let mut jobs = 0;
+            let mut jobs = Vec::new();
             for (idx, &bytes) in per_dest_bytes.iter().enumerate() {
                 if bytes == 0 {
                     continue;
                 }
                 let dst = members[idx];
                 let src = members[(idx + 1) % members.len()];
-                let job = self.network.submit_bulk(
+                jobs.push(self.network.submit_bulk(
                     now,
                     NodeId(src.0),
                     NodeId(dst.0),
                     bytes,
                     Priority::KvExchange,
-                );
-                self.pending_transfers
-                    .insert(job, TransferPurpose::ExchangePart { batch });
-                jobs += 1;
+                ));
             }
-            if jobs > 0 {
-                self.transfer_batches.insert(
-                    batch,
-                    TransferBatch {
-                        remaining: jobs,
-                        effect: BatchEffect::UnstallRequests(stalled_ids),
-                    },
-                );
+            if !jobs.is_empty() {
+                self.track_batch(&jobs, BatchEffect::UnstallRequests(stalled_ids));
             } else {
                 for r in stalled_ids {
                     let g = self.groups[self.requests[r.0].group.0]
@@ -2014,20 +1976,10 @@ impl ClusterState {
         let bytes = self.instances[inst.0 as usize]
             .param_resident_bytes()
             .max(1);
-        let batch = self.next_batch;
-        self.next_batch += 1;
         let job = self
             .network
             .submit_host(now, NodeId(inst.0), bytes, Priority::ParamRestore);
-        self.pending_transfers
-            .insert(job, TransferPurpose::RestorePart { batch });
-        self.transfer_batches.insert(
-            batch,
-            TransferBatch {
-                remaining: 1,
-                effect: BatchEffect::RecoveryReady(id),
-            },
-        );
+        self.track_batch(&[job], BatchEffect::RecoveryReady(id));
         self.metrics.on_reconfig(
             now,
             format!("recovery: {inst} rejoined ({model_id}), reloading parameters"),
@@ -2405,71 +2357,74 @@ impl ClusterState {
     // Transfer completion plumbing (called by the engine).
     // ------------------------------------------------------------------
 
-    /// Applies one completed bulk transfer; returns the high-level event to
-    /// surface to the policy, if any.
+    /// Tracks `jobs` as one batch whose `effect` applies when the last of
+    /// them lands. A single transfer is a batch of one.
+    fn track_batch(&mut self, jobs: &[JobId], effect: BatchEffect) {
+        debug_assert!(!jobs.is_empty(), "a batch holds at least one job");
+        let batch = self.next_batch;
+        self.next_batch += 1;
+        for &job in jobs {
+            self.pending_transfers.insert(job, batch);
+        }
+        let remaining = jobs.len();
+        self.transfer_batches
+            .insert(batch, TransferBatch { remaining, effect });
+    }
+
+    /// Applies one completed bulk transfer: the last job of a batch
+    /// applies the batch's effect and returns the high-level event to
+    /// surface to the policy.
     pub fn apply_transfer_done(&mut self, job: JobId) -> Option<TransferEvent> {
-        let purpose = self.pending_transfers.remove(&job)?;
-        match purpose {
-            TransferPurpose::ExchangePart { batch } | TransferPurpose::RestorePart { batch } => {
-                let done = {
-                    let b = self.transfer_batches.get_mut(&batch).expect("batch exists");
-                    b.remaining -= 1;
-                    b.remaining == 0
-                };
-                if !done {
-                    return None;
-                }
-                let b = self.transfer_batches.remove(&batch).expect("batch exists");
-                match b.effect {
-                    BatchEffect::UnstallRequests(ids) => {
-                        let mut resumed = Vec::new();
-                        for r in ids {
-                            if self.requests[r.0].state
-                                == ReqState::Stalled(StallReason::KvExchange)
-                            {
-                                let gid = self.requests[r.0].group;
-                                if self.group_alive(gid) && self.group_mut(gid).unstall(r) {
-                                    self.requests[r.0].state = ReqState::Running;
-                                    resumed.push(r);
-                                }
-                            }
+        let batch = self.pending_transfers.remove(&job)?;
+        let b = self.transfer_batches.get_mut(&batch).expect("batch exists");
+        b.remaining -= 1;
+        if b.remaining > 0 {
+            return None;
+        }
+        let b = self.transfer_batches.remove(&batch).expect("batch exists");
+        let event = match b.effect {
+            BatchEffect::UnstallRequests(ids) => {
+                let mut resumed = Vec::new();
+                for r in ids {
+                    if self.requests[r.0].state == ReqState::Stalled(StallReason::KvExchange) {
+                        let gid = self.requests[r.0].group;
+                        if self.group_alive(gid) && self.group_mut(gid).unstall(r) {
+                            self.requests[r.0].state = ReqState::Running;
+                            resumed.push(r);
                         }
-                        Some(TransferEvent::ExchangeDone { requests: resumed })
-                    }
-                    BatchEffect::ParamRestoreReady(group) => {
-                        // Elastic-load hook: when this restore belongs to an
-                        // in-flight model load, queue the split here so the
-                        // load completes under any policy (request_split is
-                        // idempotent if the policy also reacts).
-                        if self.group_alive(group) {
-                            let m = self.group(group).model;
-                            if let Some(i) = self
-                                .model_ops
-                                .iter()
-                                .position(|op| op.model == m && op.phase == ModelOpPhase::Restoring)
-                            {
-                                self.model_ops[i].phase = ModelOpPhase::Splitting;
-                                self.request_split(group);
-                            }
-                        }
-                        Some(TransferEvent::ParamRestoreReady { group })
-                    }
-                    BatchEffect::RecoveryReady(group) => {
-                        if self.group_alive(group) {
-                            self.group_mut(group).frozen = false;
-                        }
-                        Some(TransferEvent::RecoveryReady { group })
                     }
                 }
+                TransferEvent::ExchangeDone { requests: resumed }
             }
-            TransferPurpose::Migration { request } => {
-                let gid = self.requests[request.0].group;
-                if self.group_alive(gid) && self.group_mut(gid).unstall(request) {
-                    self.requests[request.0].state = ReqState::Running;
+            BatchEffect::ParamRestoreReady(group) => {
+                // Elastic-load hook: when this restore belongs to an
+                // in-flight model load, queue the split here so the load
+                // completes under any policy (request_split is idempotent
+                // if the policy also reacts).
+                if self.group_alive(group) {
+                    let m = self.group(group).model;
+                    if let Some(i) = self
+                        .model_ops
+                        .iter()
+                        .position(|op| op.model == m && op.phase == ModelOpPhase::Restoring)
+                    {
+                        self.model_ops[i].phase = ModelOpPhase::Splitting;
+                        self.request_split(group);
+                    }
                 }
-                Some(TransferEvent::MigrationDone { request })
+                TransferEvent::ParamRestoreReady { group }
             }
-            TransferPurpose::SwapOut { request } => {
+            BatchEffect::RecoveryReady(group) => {
+                if self.group_alive(group) {
+                    self.group_mut(group).frozen = false;
+                }
+                TransferEvent::RecoveryReady { group }
+            }
+            BatchEffect::Migrated(request) => {
+                self.resume(request);
+                TransferEvent::MigrationDone { request }
+            }
+            BatchEffect::SwappedOut(request) => {
                 // Host-pool space was reserved at start; completion only
                 // frees the GPU-side blocks.
                 let gid = self.requests[request.0].group;
@@ -2482,15 +2437,22 @@ impl ClusterState {
                 }
                 self.requests[request.0].state = ReqState::Swapped;
                 self.metrics.on_preemption(request);
-                Some(TransferEvent::SwapOutDone { request })
+                TransferEvent::SwapOutDone { request }
             }
-            TransferPurpose::SwapIn { request } => {
-                let gid = self.requests[request.0].group;
-                if self.group_alive(gid) && self.group_mut(gid).unstall(request) {
-                    self.requests[request.0].state = ReqState::Running;
-                }
-                Some(TransferEvent::SwapInDone { request })
+            BatchEffect::SwappedIn(request) => {
+                self.resume(request);
+                TransferEvent::SwapInDone { request }
             }
+        };
+        Some(event)
+    }
+
+    /// Moves a request stalled for its own transfer back to running, if
+    /// its group is still alive.
+    fn resume(&mut self, request: RequestId) {
+        let gid = self.requests[request.0].group;
+        if self.group_alive(gid) && self.group_mut(gid).unstall(request) {
+            self.requests[request.0].state = ReqState::Running;
         }
     }
 

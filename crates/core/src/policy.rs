@@ -1,12 +1,7 @@
 //! The KunServe policy: detection, drop, coordinated exchange, lookahead
 //! scheduling and dynamic restore (paper §3–§4).
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "per-model/group tick counters: keyed lookup and order-free `retain` filtering only"
-)]
-
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cluster::{
     ClusterState, GroupId, MicrobatchFormerSpec, ModelId, Policy, RequestId, TransferEvent,
@@ -166,16 +161,16 @@ impl KunServeConfig {
 #[derive(Debug)]
 pub struct KunServePolicy {
     cfg: KunServeConfig,
-    restoring: HashSet<GroupId>,
+    restoring: BTreeSet<GroupId>,
     network_configured: bool,
     /// Consecutive monitor ticks each model has been overloaded — the
     /// debounce is per model so one tenant's persistent overload cannot
     /// waive another tenant's spike filter.
-    overloaded_ticks: std::collections::HashMap<ModelId, u32>,
+    overloaded_ticks: BTreeMap<ModelId, u32>,
     /// Consecutive monitor ticks each *borrowing* group's demand has sat
     /// below the restore threshold of its native capacity — the
     /// donation-return hysteresis ([`KunServeConfig::donation_hold_ticks`]).
-    borrower_calm_ticks: std::collections::HashMap<GroupId, u32>,
+    borrower_calm_ticks: BTreeMap<GroupId, u32>,
     /// Drop events triggered, for reporting.
     pub drops_triggered: u32,
     /// Restore events triggered, for reporting.
@@ -187,10 +182,10 @@ impl KunServePolicy {
     pub fn new(cfg: KunServeConfig) -> Self {
         KunServePolicy {
             cfg,
-            restoring: HashSet::new(),
+            restoring: BTreeSet::new(),
             network_configured: false,
-            overloaded_ticks: std::collections::HashMap::new(),
-            borrower_calm_ticks: std::collections::HashMap::new(),
+            overloaded_ticks: BTreeMap::new(),
+            borrower_calm_ticks: BTreeMap::new(),
             drops_triggered: 0,
             restores_triggered: 0,
         }
@@ -264,14 +259,14 @@ impl KunServePolicy {
     /// copies, and residual requirements (including those of fully-merged
     /// models) are served by donor merges whose freed bytes are granted to
     /// the starved model's KV pool. `eligible` restricts which models may
-    /// drop this call (the per-model debounce on monitor ticks; `None` =
-    /// all, used by the reactive admission/OOM paths). Returns `true` if a
-    /// drop was initiated.
+    /// drop this call: the debounced models on a monitor tick, or the one
+    /// model that hit the wall on the reactive admission/OOM paths.
+    /// Returns `true` if a drop was initiated.
     fn maybe_drop(
         &mut self,
         state: &mut ClusterState,
         _now: SimTime,
-        eligible: Option<&HashSet<ModelId>>,
+        eligible: &[ModelId],
     ) -> bool {
         if !self.cfg.dynamic_drop || state.has_pending_reconfigs() {
             return false;
@@ -294,7 +289,7 @@ impl KunServePolicy {
     fn build_drop_round(
         &self,
         state: &ClusterState,
-        eligible: Option<&HashSet<ModelId>>,
+        eligible: &[ModelId],
     ) -> Option<(Vec<ModelDemand>, Vec<LenderOffer>)> {
         let donation = self.cfg.cross_model_donation && state.cfg.num_models() > 1;
         let mut demands: Vec<ModelDemand> = Vec::new();
@@ -303,7 +298,7 @@ impl KunServePolicy {
         // forward term: `(index into demands, margined backlog)`.
         let mut projected: Vec<(usize, u64)> = Vec::new();
         for model in state.cfg.model_ids() {
-            let is_eligible = eligible.is_none_or(|e| e.contains(&model));
+            let is_eligible = eligible.contains(&model);
             // Without donation, ineligible models contribute nothing —
             // skip them before any group scan (the reactive
             // admission-blocked/decode-OOM hot path).
@@ -484,13 +479,11 @@ impl KunServePolicy {
                 self.borrower_calm_ticks.remove(&g);
             }
         }
-        let borrower_calm = |calm: &std::collections::HashMap<GroupId, u32>,
-                             state: &ClusterState,
-                             g: GroupId|
-         -> bool {
-            !state.group_alive(g)
-                || calm.get(&g).copied().unwrap_or(0) >= self.cfg.donation_hold_ticks
-        };
+        let borrower_calm =
+            |calm: &BTreeMap<GroupId, u32>, state: &ClusterState, g: GroupId| -> bool {
+                !state.group_alive(g)
+                    || calm.get(&g).copied().unwrap_or(0) >= self.cfg.donation_hold_ticks
+            };
 
         for g in state.alive_groups() {
             let kv = state.group_model_cfg(g).kv_bytes_per_token();
@@ -558,20 +551,20 @@ impl Policy for KunServePolicy {
         // persists across monitor ticks; one-tick spikes are absorbed by
         // normal queuing, and another tenant's sustained overload does not
         // waive the filter.
-        let mut eligible = HashSet::new();
+        let mut eligible = Vec::new();
         for model in state.cfg.model_ids() {
             if self.required_bytes_of(state, model) > 0 {
                 let t = self.overloaded_ticks.entry(model).or_insert(0);
                 *t += 1;
                 if *t >= self.cfg.sustain_ticks {
-                    eligible.insert(model);
+                    eligible.push(model);
                 }
             } else {
                 self.overloaded_ticks.remove(&model);
             }
         }
         if !eligible.is_empty() {
-            self.maybe_drop(state, now, Some(&eligible));
+            self.maybe_drop(state, now, &eligible);
         }
         self.maybe_restore(state, now);
     }
@@ -581,8 +574,7 @@ impl Policy for KunServePolicy {
         // A realized admission failure bypasses the tick debounce, but only
         // for the model that actually hit the wall — it must not drag other
         // tenants' groups into a drop.
-        let eligible = HashSet::from([state.group_model(group)]);
-        self.maybe_drop(state, now, Some(&eligible));
+        self.maybe_drop(state, now, &[state.group_model(group)]);
     }
 
     fn on_decode_oom(
@@ -593,8 +585,8 @@ impl Policy for KunServePolicy {
         _request: RequestId,
     ) -> cluster::OomResolution {
         self.configure_network(state);
-        let eligible = HashSet::from([state.group_model(group)]);
-        if self.maybe_drop(state, now, Some(&eligible)) || state.has_pending_reconfigs() {
+        if self.maybe_drop(state, now, &[state.group_model(group)]) || state.has_pending_reconfigs()
+        {
             // More memory is on the way; skip this decode step.
             return cluster::OomResolution::SkipIteration;
         }

@@ -5,12 +5,7 @@
 //! before they resume. The pool only tracks capacity; transfer *timing* is
 //! the business of the network/PCIe simulator.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "swapped-sequence staging: keyed lookup only"
-)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::error::KvError;
 use crate::manager::SeqKey;
@@ -21,7 +16,7 @@ use crate::Result;
 pub struct HostSwapPool {
     capacity: u32,
     used: u32,
-    swapped: HashMap<SeqKey, SwappedSeq>,
+    swapped: BTreeMap<SeqKey, SwappedSeq>,
 }
 
 /// Bookkeeping for one swapped-out sequence.
@@ -39,7 +34,7 @@ impl HostSwapPool {
         HostSwapPool {
             capacity,
             used: 0,
-            swapped: HashMap::new(),
+            swapped: BTreeMap::new(),
         }
     }
 

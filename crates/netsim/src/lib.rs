@@ -21,16 +21,15 @@
 //! # Examples
 //!
 //! ```
-//! use netsim::{Link, LinkSpec, Priority};
+//! use netsim::{JobId, Link, LinkSpec, Priority};
 //! use sim_core::SimTime;
 //!
 //! let mut link = Link::new(LinkSpec::rdma_200gbps());
-//! // A 1 GiB background exchange in 16 MiB chunks.
-//! let job = link.submit(SimTime::ZERO, 1 << 30, 16 << 20, Priority::KvExchange);
+//! // Job 0: a 1 GiB background exchange in 16 MiB chunks.
+//! link.submit(SimTime::ZERO, JobId(0), 1 << 30, 16 << 20, Priority::KvExchange);
 //! // An activation arriving at t=1ms waits at most one chunk residual.
 //! let done = link.interactive(SimTime::from_millis(1), 8 << 20);
 //! assert!(done < SimTime::from_millis(3));
-//! # let _ = job;
 //! ```
 
 pub mod link;

@@ -24,7 +24,6 @@ struct Job {
     id: JobId,
     priority: Priority,
     submitted: SimTime,
-    seq: u64,
     remaining: u64,
     chunk_bytes: u64,
 }
@@ -32,7 +31,7 @@ struct Job {
 /// A directed link processing transfers as atomic chunks.
 ///
 /// Background jobs ([`Link::submit`]) transmit chunk by chunk in
-/// `(priority, submission)` order. Interactive transfers
+/// `(priority, id)` order, which is submission order within a class. Interactive transfers
 /// ([`Link::interactive`]) preempt at chunk boundaries: one arriving
 /// mid-chunk waits for the chunk residual, never for the whole job.
 /// Chunk starts are committed lazily, so interactive transfers win ties with
@@ -47,8 +46,6 @@ pub struct Link {
     last_advance: SimTime,
     jobs: Vec<Job>,
     completions: Vec<(SimTime, JobId)>,
-    next_seq: u64,
-    next_job: u64,
     /// Total bytes ever carried, for accounting tests.
     carried_bytes: u64,
 }
@@ -62,8 +59,6 @@ impl Link {
             last_advance: SimTime::ZERO,
             jobs: Vec::new(),
             completions: Vec::new(),
-            next_seq: 0,
-            next_job: 0,
             carried_bytes: 0,
         }
     }
@@ -73,31 +68,27 @@ impl Link {
         self.spec
     }
 
-    /// Submits a background job of `bytes`, transmitted in `chunk_bytes`
-    /// chunks. Returns its id. A `chunk_bytes >= bytes` job is a single
-    /// atomic chunk (the *uncoordinated* mode).
+    /// Submits background job `id` of `bytes`, transmitted in
+    /// `chunk_bytes` chunks. A `chunk_bytes >= bytes` job is a single
+    /// atomic chunk (the *uncoordinated* mode). Ids must rise with
+    /// submission: jobs of one class are sent in id order.
     pub fn submit(
         &mut self,
         now: SimTime,
+        id: JobId,
         bytes: u64,
         chunk_bytes: u64,
         priority: Priority,
-    ) -> JobId {
+    ) {
         debug_assert!(bytes > 0, "empty transfers should not be submitted");
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.jobs.push(Job {
             id,
             priority,
             submitted: now,
-            seq,
             remaining: bytes,
             chunk_bytes: chunk_bytes.max(1),
         });
-        self.sort_jobs();
-        id
+        self.jobs.sort_by_key(|j| (j.priority, j.id));
     }
 
     /// Performs an interactive (activation-class) transfer arriving at
@@ -187,10 +178,6 @@ impl Link {
     pub fn carried_bytes(&self) -> u64 {
         self.carried_bytes
     }
-
-    fn sort_jobs(&mut self) {
-        self.jobs.sort_by_key(|j| (j.priority, j.seq));
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +201,8 @@ mod tests {
     #[test]
     fn single_job_completes_at_wire_time() {
         let mut l = test_link();
-        let id = l.submit(SimTime::ZERO, 100_000, 10_000, Priority::KvExchange);
+        let id = JobId(0);
+        l.submit(SimTime::ZERO, id, 100_000, 10_000, Priority::KvExchange);
         assert_eq!(l.next_completion_estimate(), Some(ms(10)));
         let done = l.take_completions(ms(10));
         assert_eq!(done, vec![(ms(10), id)]);
@@ -226,7 +214,13 @@ mod tests {
     fn interactive_waits_only_chunk_residual_when_coordinated() {
         let mut l = test_link();
         // 100 ms of background work in 10 ms (100 KB / 10 KB) chunks.
-        l.submit(SimTime::ZERO, 1_000_000, 100_000, Priority::KvExchange);
+        l.submit(
+            SimTime::ZERO,
+            JobId(0),
+            1_000_000,
+            100_000,
+            Priority::KvExchange,
+        );
         // Activation arrives mid-chunk at t = 15 ms: the chunk in flight ends
         // at 20 ms, then 10 KB of activation = 1 ms.
         let done = l.interactive(ms(15), 10_000);
@@ -237,7 +231,13 @@ mod tests {
     fn interactive_stalls_behind_whole_job_when_uncoordinated() {
         let mut l = test_link();
         // Same job as one atomic chunk: the uncoordinated baseline.
-        l.submit(SimTime::ZERO, 1_000_000, u64::MAX, Priority::KvExchange);
+        l.submit(
+            SimTime::ZERO,
+            JobId(0),
+            1_000_000,
+            u64::MAX,
+            Priority::KvExchange,
+        );
         let done = l.interactive(ms(15), 10_000);
         // Must wait for the whole 100 ms job.
         assert_eq!(done, ms(101));
@@ -247,7 +247,7 @@ mod tests {
     fn interactive_wins_tie_with_uncommitted_chunk() {
         let mut l = test_link();
         // Background submitted at t=10; interactive also at t=10.
-        l.submit(ms(10), 50_000, 10_000, Priority::KvExchange);
+        l.submit(ms(10), JobId(0), 50_000, 10_000, Priority::KvExchange);
         let done = l.interactive(ms(10), 10_000);
         assert_eq!(done, ms(11), "activation goes first at the boundary");
         // Background then resumes and finishes 5 chunks later.
@@ -257,9 +257,16 @@ mod tests {
     #[test]
     fn background_jobs_respect_priority_then_fifo() {
         let mut l = test_link();
-        let restore = l.submit(SimTime::ZERO, 10_000, 10_000, Priority::ParamRestore);
-        let kv1 = l.submit(SimTime::ZERO, 10_000, 10_000, Priority::KvExchange);
-        let kv2 = l.submit(SimTime::ZERO, 10_000, 10_000, Priority::KvExchange);
+        let (restore, kv1, kv2) = (JobId(0), JobId(1), JobId(2));
+        l.submit(
+            SimTime::ZERO,
+            restore,
+            10_000,
+            10_000,
+            Priority::ParamRestore,
+        );
+        l.submit(SimTime::ZERO, kv1, 10_000, 10_000, Priority::KvExchange);
+        l.submit(SimTime::ZERO, kv2, 10_000, 10_000, Priority::KvExchange);
         let done = l.take_completions(ms(3));
         assert_eq!(done, vec![(ms(1), kv1), (ms(2), kv2), (ms(3), restore)]);
     }
@@ -267,7 +274,8 @@ mod tests {
     #[test]
     fn completion_estimate_is_lower_bound_under_interference() {
         let mut l = test_link();
-        let id = l.submit(SimTime::ZERO, 100_000, 10_000, Priority::KvExchange);
+        let id = JobId(0);
+        l.submit(SimTime::ZERO, id, 100_000, 10_000, Priority::KvExchange);
         let est = l.next_completion_estimate().expect("job pending");
         assert_eq!(est, ms(10));
         // Interactive traffic delays the job past the estimate.
@@ -285,9 +293,16 @@ mod tests {
     #[test]
     fn idle_gaps_are_not_charged() {
         let mut l = test_link();
-        l.submit(SimTime::ZERO, 10_000, 10_000, Priority::KvExchange);
+        l.submit(
+            SimTime::ZERO,
+            JobId(0),
+            10_000,
+            10_000,
+            Priority::KvExchange,
+        );
         // Job done at 1 ms; next submission at 100 ms starts fresh.
-        let id2 = l.submit(ms(100), 10_000, 10_000, Priority::KvExchange);
+        let id2 = JobId(1);
+        l.submit(ms(100), id2, 10_000, 10_000, Priority::KvExchange);
         let done = l.take_completions(ms(200));
         assert_eq!(done.last(), Some(&(ms(101), id2)));
     }
@@ -295,7 +310,8 @@ mod tests {
     #[test]
     fn remaining_bytes_tracks_chunks() {
         let mut l = test_link();
-        let id = l.submit(SimTime::ZERO, 40_000, 10_000, Priority::KvExchange);
+        let id = JobId(0);
+        l.submit(SimTime::ZERO, id, 40_000, 10_000, Priority::KvExchange);
         assert_eq!(l.remaining_bytes(id), Some(40_000));
         l.advance_to(ms(2)); // chunks starting before 2 ms: at 0 and 1 ms.
         assert_eq!(l.remaining_bytes(id), Some(20_000));
@@ -310,7 +326,13 @@ mod tests {
             latency: SimDuration::from_micros(100),
         };
         let mut l = Link::new(spec);
-        l.submit(SimTime::ZERO, 100_000, 10_000, Priority::KvExchange);
+        l.submit(
+            SimTime::ZERO,
+            JobId(0),
+            100_000,
+            10_000,
+            Priority::KvExchange,
+        );
         // 10 chunks × (1 ms + 0.1 ms) = 11 ms.
         let est = l.next_completion_estimate().expect("pending");
         assert_eq!(est, SimTime::from_micros(11_000));

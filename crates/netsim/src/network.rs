@@ -1,13 +1,7 @@
 //! Cluster-wide network: directed inter-instance links plus per-node host
 //! (PCIe) links, with the coordinated-transfer chunking policy.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "iteration is order-insensitive reduction (min/sum/all); completion drain sorts link \
-              keys first"
-)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sim_core::{SimDuration, SimTime};
 
@@ -52,13 +46,8 @@ pub struct Network {
     /// reproducible — no float rate rescaling). `1` = healthy.
     slowdown: u64,
     target_chunk_time: SimDuration,
-    links: HashMap<LinkKey, Link>,
-    /// Global job id → link carrying it.
-    job_locations: HashMap<JobId, LinkKey>,
-    /// Global job id → link-local job id.
-    local_ids: HashMap<JobId, JobId>,
-    /// (link, link-local id) → global job id.
-    global_ids: HashMap<(LinkKey, JobId), JobId>,
+    links: BTreeMap<LinkKey, Link>,
+    /// The id of the next bulk job; ids rise with submission.
     next_job: u64,
 }
 
@@ -72,10 +61,7 @@ impl Network {
             coordinated: true,
             slowdown: 1,
             target_chunk_time: SimDuration::from_millis(50),
-            links: HashMap::new(),
-            job_locations: HashMap::new(),
-            local_ids: HashMap::new(),
-            global_ids: HashMap::new(),
+            links: BTreeMap::new(),
             next_job: 0,
         }
     }
@@ -166,16 +152,10 @@ impl Network {
         };
         let bytes = bytes.saturating_mul(self.slowdown);
         let chunk = self.chunk_bytes_for(spec, bytes);
-        // Links allocate ids densely from 0 per link; remap onto a single
-        // network-wide id space.
-        let link = self.link_mut(key);
-        let local = link.submit(now, bytes, chunk, priority);
-        let global = JobId(self.next_job);
+        let id = JobId(self.next_job);
         self.next_job += 1;
-        self.job_locations.insert(global, key);
-        self.local_ids.insert(global, local);
-        self.global_ids.insert((key, local), global);
-        global
+        self.link_mut(key).submit(now, id, bytes, chunk, priority);
+        id
     }
 
     /// Performs an interactive (activation) transfer; returns completion.
@@ -192,38 +172,15 @@ impl Network {
             .min()
     }
 
-    /// Drains all bulk completions up to `now`, as `(time, job)` pairs in
-    /// deterministic order.
+    /// Drains all bulk completions up to `now`, as `(time, job)` pairs
+    /// ordered by time, then by submission.
     pub fn take_completions(&mut self, now: SimTime) -> Vec<(SimTime, JobId)> {
-        let mut keys: Vec<LinkKey> = self.links.keys().copied().collect();
-        keys.sort();
         let mut out = Vec::new();
-        for key in keys {
-            let done = self
-                .links
-                .get_mut(&key)
-                .expect("key from map")
-                .take_completions(now);
-            for (t, local) in done {
-                let global = *self
-                    .global_ids
-                    .get(&(key, local))
-                    .expect("every local id has a global id");
-                self.job_locations.remove(&global);
-                self.local_ids.remove(&global);
-                self.global_ids.remove(&(key, local));
-                out.push((t, global));
-            }
+        for link in self.links.values_mut() {
+            out.extend(link.take_completions(now));
         }
         out.sort_by_key(|&(t, id)| (t, id));
         out
-    }
-
-    /// Remaining bytes of a pending bulk job.
-    pub fn remaining_bytes(&self, job: JobId) -> Option<u64> {
-        let key = self.job_locations.get(&job)?;
-        let local = self.local_ids.get(&job)?;
-        self.links.get(key)?.remaining_bytes(*local)
     }
 
     /// Returns `true` if no bulk transfers are pending anywhere.
@@ -374,30 +331,6 @@ mod tests {
         let at = SimTime::from_millis(1);
         assert_eq!(n.take_completions(at), vec![(at, a), (at, b), (at, c)]);
         assert!(n.is_idle());
-    }
-
-    #[test]
-    fn remaining_bytes_and_ids_are_global() {
-        let mut n = net();
-        let a = n.submit_bulk(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            50_000,
-            Priority::KvExchange,
-        );
-        let b = n.submit_bulk(
-            SimTime::ZERO,
-            NodeId(2),
-            NodeId(3),
-            30_000,
-            Priority::KvExchange,
-        );
-        assert_ne!(a, b);
-        assert_eq!(n.remaining_bytes(a), Some(50_000));
-        assert_eq!(n.remaining_bytes(b), Some(30_000));
-        n.take_completions(SimTime::from_millis(10));
-        assert_eq!(n.remaining_bytes(a), None);
     }
 
     #[test]

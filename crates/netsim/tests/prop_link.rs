@@ -1,7 +1,7 @@
 //! Property tests for the link simulator: byte conservation, priority
 //! ordering and the coordination bound on interactive delay.
 
-use netsim::{Link, LinkSpec, Priority};
+use netsim::{JobId, Link, LinkSpec, Priority};
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
 
@@ -23,8 +23,8 @@ proptest! {
     ) {
         let mut link = Link::new(spec());
         let mut expected: u64 = 0;
-        for &(bytes, chunk) in &jobs {
-            link.submit(SimTime::ZERO, bytes, chunk, Priority::KvExchange);
+        for (i, &(bytes, chunk)) in jobs.iter().enumerate() {
+            link.submit(SimTime::ZERO, JobId(i as u64), bytes, chunk, Priority::KvExchange);
             expected += bytes;
         }
         let mut acts = interactives.clone();
@@ -50,7 +50,7 @@ proptest! {
         act_bytes in 1u64..100_000,
     ) {
         let mut link = Link::new(spec());
-        link.submit(SimTime::ZERO, job_bytes, chunk_bytes, Priority::KvExchange);
+        link.submit(SimTime::ZERO, JobId(0), job_bytes, chunk_bytes, Priority::KvExchange);
         let t = SimTime::from_millis(arrive_ms);
         let done = link.interactive(t, act_bytes);
         let wire = spec().wire_time(act_bytes);
@@ -68,8 +68,9 @@ proptest! {
     #[test]
     fn priority_ordering_holds(bytes in 10_000u64..1_000_000, chunk in 1_000u64..100_000) {
         let mut link = Link::new(spec());
-        let restore = link.submit(SimTime::ZERO, bytes, chunk, Priority::ParamRestore);
-        let exchange = link.submit(SimTime::ZERO, bytes, chunk, Priority::KvExchange);
+        let (restore, exchange) = (JobId(0), JobId(1));
+        link.submit(SimTime::ZERO, restore, bytes, chunk, Priority::ParamRestore);
+        link.submit(SimTime::ZERO, exchange, bytes, chunk, Priority::KvExchange);
         let done = link.take_completions(SimTime::from_secs(100_000));
         let pos = |id| done.iter().position(|&(_, j)| j == id).expect("completed");
         prop_assert!(pos(exchange) < pos(restore), "KV exchange preempts restores");
@@ -83,7 +84,7 @@ proptest! {
         acts in proptest::collection::vec((0u64..500, 1_000u64..100_000), 1..8),
     ) {
         let mut link = Link::new(spec());
-        link.submit(SimTime::ZERO, job_bytes, 50_000, Priority::KvExchange);
+        link.submit(SimTime::ZERO, JobId(0), job_bytes, 50_000, Priority::KvExchange);
         let mut last_est = link.next_completion_estimate().expect("job pending");
         let mut sorted = acts.clone();
         sorted.sort();
