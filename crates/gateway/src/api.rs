@@ -139,15 +139,17 @@ struct Track {
 /// Time advances only through [`Gateway::pump_until`] (or
 /// [`Gateway::finish`]), in monitor-interval boundaries. At each boundary
 /// the gateway injects every due submission (in arrival order), steps the
-/// engine session, fires streaming callbacks, and lets the [`Clock`] pace
-/// the loop. Elastic model operations are actions the gateway applies
-/// between boundaries; the engine advances them at every tick instant.
-/// Because injection and stepping happen only at tick boundaries, a
-/// session reproduces the batch run of the same submissions exactly:
-/// byte-identical reports, paced or virtual.
+/// engine session and fires streaming callbacks. Elastic model operations
+/// are actions the gateway applies between boundaries; the engine advances
+/// them at every tick instant. Because injection and stepping happen only
+/// at tick boundaries, a session reproduces the batch run of the same
+/// submissions exactly: byte-identical reports.
+///
+/// The [`Clock`] parameter is kept for the benchmark, which names
+/// `Gateway<Virtual>`; it changes nothing.
 pub struct Gateway<C: Clock> {
     session: ServingSession,
-    clock: C,
+    _clock: C,
     interval: SimDuration,
     now: SimTime,
     tenants: Vec<Tenant>,
@@ -169,7 +171,7 @@ impl<C: Clock> Gateway<C> {
         );
         Gateway {
             session: ServingSession::open(kind, cfg),
-            clock,
+            _clock: clock,
             interval,
             now: SimTime::ZERO,
             tenants: Vec::new(),
@@ -382,8 +384,9 @@ impl<C: Clock> Gateway<C> {
 
     /// Advances simulated time boundary-by-boundary until the last
     /// monitor-tick boundary at or before `until`, injecting due
-    /// submissions, firing streaming callbacks and pacing via the
-    /// [`Clock`].
+    /// submissions and firing streaming callbacks. It runs as fast as the
+    /// host allows; a caller who wants wall-time pacing sleeps between
+    /// calls.
     pub fn pump_until(&mut self, until: SimTime) {
         loop {
             let next = self.now + self.interval;
@@ -402,7 +405,6 @@ impl<C: Clock> Gateway<C> {
             self.session.step_until(next);
             self.now = next;
             self.deliver_stream_events();
-            self.clock.pace(next);
         }
     }
 

@@ -19,13 +19,14 @@
 //!   the parked copy back (ParamRestore) and splits the group again.
 //!   Each is a [`cluster::Action`] applied through the session; the
 //!   engine advances it at every monitor-tick instant.
-//! - **The virtual-time ↔ wall-clock bridge** ([`Clock`], [`Virtual`],
-//!   [`Paced`]): pacing only delays boundary processing, never feeds back
-//!   into the simulation, so a real-time demo and an as-fast-as-possible
-//!   CI run of the same submissions produce byte-identical reports — and
-//!   the same report as a batch [`kunserve::serving::Run`] of those
-//!   arrivals, as long as none lands exactly on a monitor tick. The
-//!   gateway only injects and steps; the engine steps model ops.
+//! - **Virtual time only**: the gateway reads no wall clock, so a session
+//!   of submissions produces the same report as a batch
+//!   [`kunserve::serving::Run`] of those arrivals, as long as none lands
+//!   exactly on a monitor tick. A caller who wants wall-time pacing sleeps
+//!   between [`Gateway::pump_until`] calls. The [`Clock`] parameter and
+//!   its one implementation, [`Virtual`], are kept for the benchmark,
+//!   which names `Gateway<Virtual>`. The gateway only injects and steps;
+//!   the engine steps model ops.
 //!
 //! The gateway owns a [`kunserve::serving::ServingSession`]; it never
 //! constructs engines itself, keeping `core::serving` the single engine
@@ -57,5 +58,5 @@ pub mod tenant;
 pub use api::{
     Gateway, GatewayError, RequestHandle, RequestStatus, StreamCallback, SubmitSpec, TokenEvent,
 };
-pub use clock::{Clock, Paced, Virtual};
+pub use clock::{Clock, Virtual};
 pub use tenant::{Quota, TenantId};
