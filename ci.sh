@@ -14,14 +14,17 @@
 #           reports "correct": true with "failed": 0, and the gateway_zoo
 #           pass peaks below GATEWAY_ZOO_RSS_CEILING_MB
 #   test    cargo test across the workspace
-#   clippy  clippy with -D warnings: the workspace lints (Cargo.toml)
-#           and the determinism lints (clippy.toml)
+#   clippy  fails naming the file and line of any determinism-lint
+#           exemption (`clippy::disallowed_types`) in the simulation
+#           crates' non-test code, then runs clippy with -D warnings: the
+#           workspace lints (Cargo.toml) and the determinism lints
+#           (clippy.toml)
 #   gate    `figs --gate`: every gated figure (fig17, both fig18
-#           documents and fig19-fig24 at smoke scale, paper_scale_parallel
-#           at full scale) in one process; each document is checked
-#           against the bench-JSON schema, its tolerance file and its
-#           wall-clock budget (crates/bench/tolerances/, compiled into
-#           the registry), and the stage fails naming every failed check
+#           documents and fig19-fig24, at smoke scale) in one process;
+#           each document is checked against the bench-JSON schema, its
+#           tolerance file and its wall-clock budget
+#           (crates/bench/tolerances/, compiled into the registry), and the
+#           stage fails naming every failed check
 #
 # Every figure runs through the one scenario driver,
 # `cargo run -p bench --bin figs -- <figure> [--smoke] [--threads N] [--json PATH]`
@@ -196,7 +199,24 @@ stage_test() {
     cargo test -q --workspace --offline
 }
 
+# The determinism lints (clippy.toml) hold without exception in the
+# simulation's non-test code: the lines of each file under crates/*/src
+# before its first `#[cfg(test)]`. crates/bench allows them in its
+# manifest. Prints the file and line of every exemption found there.
+check_no_lint_exemptions() {
+    local found
+    found=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort |
+        xargs awk '/#\[cfg\(test\)\]/ { nextfile }
+            /clippy::disallowed_types/ { print FILENAME ":" FNR ": " $0 }')
+    if [ -n "$found" ]; then
+        printf '%s\n' "$found" >&2
+        echo "ci.sh: the simulation's non-test code exempts itself from a determinism lint" >&2
+        return 1
+    fi
+}
+
 stage_clippy() {
+    check_no_lint_exemptions
     cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bench::gate::{self, Verdict};
-use bench::{figs, harness, with_exec_meta, write_json};
+use bench::{figs, with_exec_meta, write_json};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,8 +46,7 @@ fn main() -> ExitCode {
         let Some(tolerance) = figure.tolerance.filter(|_| invocation.gate) else {
             continue;
         };
-        let host = harness::host_parallelism();
-        for verdict in gate::check(&text, tolerance, gate::BUDGETS, host) {
+        for verdict in gate::check(&text, tolerance, gate::BUDGETS) {
             println!("gate,{},{verdict}", figure.name);
             if let Verdict::Fail(what) = verdict {
                 failed.push(format!("{}: {what}", figure.name));

@@ -32,7 +32,6 @@ mod fig21_shared_prefix;
 mod fig22_failure_storm;
 mod fig23_cascading_recovery;
 mod fig24_gateway;
-mod paper_scale_parallel;
 mod table1_models;
 mod table2_testbed;
 
@@ -174,13 +173,6 @@ pub const FIGURES: &[Figure] = &[
         smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig24_smoke.json")),
         run: fig24_gateway::run,
-    },
-    Figure {
-        name: "paper_scale_parallel",
-        about: "Cluster A fidelity lineup, serial vs. the parallel harness",
-        smoke: false,
-        tolerance: Some(include_str!("../../tolerances/paper_scale.json")),
-        run: paper_scale_parallel::run,
     },
     Figure {
         name: "table1_models",

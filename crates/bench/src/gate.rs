@@ -30,8 +30,6 @@
 //! | `donated_bytes_less_than` | `{A: B}` | A's `donated_bytes_peak` strictly below B's |
 //! | `goodput_greater_than` | `{A: B}` | A's `goodput_frac` strictly above B's |
 //! | `retry_decays` / `retry_grows` | `[system]` | `retries_late` strictly below / above `retries_early` |
-//! | `min_speedup` | ratio | the document's `speedup` at least the floor |
-//! | `min_speedup_host_threads` | threads | host size from which `min_speedup` applies (default 4); below it the check is skipped |
 //!
 //! p99 TTFT and prefix amplification must be finite and non-negative, and
 //! `goodput_frac` must lie in [0, 1], wherever a check reads them.
@@ -48,8 +46,6 @@ pub const BUDGETS: &str = include_str!("../tolerances/ci_budget.json");
 pub enum Verdict {
     /// The check held.
     Ok(String),
-    /// The check does not apply on this host.
-    Skipped(String),
     /// The check failed.
     Fail(String),
 }
@@ -58,7 +54,6 @@ impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Verdict::Ok(what) => write!(f, "ok,{what}"),
-            Verdict::Skipped(what) => write!(f, "SKIPPED,{what}"),
             Verdict::Fail(what) => write!(f, "FAIL,{what}"),
         }
     }
@@ -66,8 +61,7 @@ impl fmt::Display for Verdict {
 
 /// Checks `doc`, the text of a figure's document, against the schema,
 /// the text of the figure's `tolerance` file and the `budgets` text.
-/// `host_threads` decides whether `min_speedup` applies.
-pub fn check(doc: &str, tolerance: &str, budgets: &str, host_threads: usize) -> Vec<Verdict> {
+pub fn check(doc: &str, tolerance: &str, budgets: &str) -> Vec<Verdict> {
     let doc = match Json::parse(doc) {
         Ok(doc) => doc,
         Err(e) => return vec![Verdict::Fail(format!("document: does not parse: {e}"))],
@@ -78,7 +72,6 @@ pub fn check(doc: &str, tolerance: &str, budgets: &str, host_threads: usize) -> 
             .get("systems")
             .and_then(Json::as_arr)
             .unwrap_or_default(),
-        host_threads,
         out: Vec::new(),
     };
     gate.schema();
@@ -185,9 +178,6 @@ enum Rule {
     PerModelBelow,
     /// `[system]`: `retries_late` strictly below or above `retries_early`.
     Retries(Op),
-    /// A ratio: the document's `speedup` at least the floor, on a host
-    /// with `min_speedup_host_threads` threads or more.
-    Speedup,
     /// A number another rule reads.
     Setting,
 }
@@ -210,8 +200,6 @@ const RULES: &[(&str, Rule)] = &[
     ("goodput_greater_than", Rule::Order(GOODPUT, Op::Above)),
     ("retry_decays", Rule::Retries(Op::Below)),
     ("retry_grows", Rule::Retries(Op::Above)),
-    ("min_speedup", Rule::Speedup),
-    ("min_speedup_host_threads", Rule::Setting),
 ];
 
 /// How a check compares its two sides.
@@ -268,7 +256,6 @@ fn name(value: &Json) -> Result<&str, String> {
 struct Gate<'a> {
     doc: &'a Json,
     systems: &'a [Json],
-    host_threads: usize,
     out: Vec<Verdict>,
 }
 
@@ -431,24 +418,6 @@ impl Gate<'_> {
                     self.compare(key, self.side(n, Metric::Field("retries_late")), op, early);
                 }
             }
-            Rule::Speedup => {
-                let floor = bound("floor", value);
-                let need = tol.get("min_speedup_host_threads").and_then(Json::as_f64);
-                let need = need.unwrap_or(4.0);
-                let speedup = self.doc.get("speedup").and_then(Json::as_f64);
-                let host = self.host_threads;
-                if (host as f64) < need {
-                    let recorded = speedup.map_or("no speedup".into(), |s| format!("speedup {s}"));
-                    self.out.push(Verdict::Skipped(format!(
-                        "{key}: not enforced on a {host}-thread host (min_speedup_host_threads \
-                         {need}); the document records {recorded}"
-                    )));
-                } else {
-                    let speedup =
-                        speedup.ok_or_else(|| "the document has no numeric `speedup`".into());
-                    self.compare(key, ("speedup".into(), speedup), Op::AtLeast, floor);
-                }
-            }
             Rule::Setting => {
                 value.as_f64().ok_or("expected a number")?;
             }
@@ -531,7 +500,7 @@ mod tests {
     /// A document every check of [`tolerance`] passes on.
     fn doc() -> Json {
         parse(
-            r#"{"figure": "fig_t", "speedup": 2.5, "systems": [
+            r#"{"figure": "fig_t", "systems": [
                 {"system": "A", "total": 10, "finished": 10, "ttft_p99_s": 0.5,
                  "donated_bytes_peak": 100, "prefix_recompute_amplification": 1.5,
                  "goodput_frac": 0.9, "goodput_requests": 9, "deadline_misses": 1,
@@ -563,15 +532,13 @@ mod tests {
                 "donated_bytes_less_than": {"A": "B"},
                 "goodput_greater_than": {"A": "B"},
                 "retry_decays": ["A"],
-                "retry_grows": ["B"],
-                "min_speedup": 2,
-                "min_speedup_host_threads": 4}"#,
+                "retry_grows": ["B"]}"#,
         )
     }
 
     /// The failed checks of gating `doc` against `tol` and `budgets`.
-    fn failures(doc: &Json, tol: &Json, budgets: &str, host_threads: usize) -> Vec<String> {
-        check(&doc.to_string(), &tol.to_string(), budgets, host_threads)
+    fn failures(doc: &Json, tol: &Json, budgets: &str) -> Vec<String> {
+        check(&doc.to_string(), &tol.to_string(), budgets)
             .into_iter()
             .filter_map(|v| match v {
                 Verdict::Fail(what) => Some(what),
@@ -603,17 +570,14 @@ mod tests {
 
     #[test]
     fn every_key_passes_on_a_conforming_document() {
-        let verdicts = check(&doc().to_string(), &tolerance().to_string(), BUDGET, 4);
+        let verdicts = check(&doc().to_string(), &tolerance().to_string(), BUDGET);
         let held = |prefix: &str| {
             verdicts
                 .iter()
                 .any(|v| matches!(v, Verdict::Ok(what) if what.starts_with(prefix)))
         };
-        assert!(failures(&doc(), &tolerance(), BUDGET, 4).is_empty());
-        for (key, _) in RULES
-            .iter()
-            .filter(|(k, _)| *k != "min_speedup_host_threads")
-        {
+        assert!(failures(&doc(), &tolerance(), BUDGET).is_empty());
+        for (key, _) in RULES {
             assert!(held(&format!("{key}: ")), "no passing check for {key}");
         }
         assert!(held("schema: 2 systems") && held("budget: wall_clock_ms 100 <= ceiling 1000"));
@@ -635,14 +599,12 @@ mod tests {
             ("goodput_greater_than", r#"{"B": "A"}"#),
             ("retry_decays", r#"["B"]"#),
             ("retry_grows", r#"["A"]"#),
-            ("min_speedup", "3"),
-            ("min_speedup_host_threads", r#""four""#),
         ];
         let keys: Vec<&str> = cases.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, RULES.iter().map(|&(k, _)| k).collect::<Vec<_>>());
         for (key, value) in cases {
             let tol = with(&tolerance(), key, Some(parse(value)));
-            let fails = failures(&doc(), &tol, BUDGET, 4);
+            let fails = failures(&doc(), &tol, BUDGET);
             let named = |f: &String| f.starts_with(&format!("{key}: "));
             assert!(
                 !fails.is_empty() && fails.iter().all(named),
@@ -653,7 +615,6 @@ mod tests {
             &doc(),
             &with(&tolerance(), "max_shed_frac", Some(parse(r#"{"A": 0.05}"#))),
             BUDGET,
-            4,
         );
         assert_eq!(
             fails,
@@ -663,7 +624,6 @@ mod tests {
             &doc(),
             &with(&tolerance(), "p99_less_than", Some(parse(r#"{"B": "A"}"#))),
             BUDGET,
-            4,
         );
         assert_eq!(
             fails,
@@ -684,7 +644,7 @@ mod tests {
         ] {
             let doc = with_system(0, |s| with(s, field, Some(Json::Num(value))));
             let want = format!("{key}: `A` has {field} {value}, which is not sane");
-            let fails = failures(&doc, &tolerance(), BUDGET, 4);
+            let fails = failures(&doc, &tolerance(), BUDGET);
             assert!(fails.contains(&want), "{want}: {fails:?}");
         }
     }
@@ -693,10 +653,10 @@ mod tests {
     fn a_misspelled_key_fails_instead_of_switching_its_check_off() {
         // Spelled right, this ordering fails: B's p99 is above A's.
         let tol = with(&tolerance(), "p99_less_then", Some(parse(r#"{"B": "A"}"#)));
-        let fails = failures(&doc(), &tol, BUDGET, 4);
+        let fails = failures(&doc(), &tol, BUDGET);
         assert_eq!(fails, ["tolerance: unknown key `p99_less_then`"]);
         let budgets = r#"{"comment": "", "budget": {"fig_t": 1}, "budgets": {"fig_t": 1000}}"#;
-        let fails = failures(&doc(), &tolerance(), budgets, 4);
+        let fails = failures(&doc(), &tolerance(), budgets);
         assert_eq!(fails, ["budget: unknown key `budget` in ci_budget.json"]);
     }
 
@@ -750,7 +710,7 @@ mod tests {
         ];
         for (doc, fault) in cases {
             let want = format!("schema: {fault}");
-            let fails = failures(&doc, &tolerance(), BUDGET, 4);
+            let fails = failures(&doc, &tolerance(), BUDGET);
             assert!(fails.contains(&want), "{want}: {fails:?}");
         }
     }
@@ -762,7 +722,7 @@ mod tests {
                 "systems": [{"system": "A", "total": 4, "finished": 4, "ttft_p99_s": 0.1}]}"#,
         );
         let tol = parse(r#"{"figure": "fig_t", "max_ttft_p99_s": {"A": 1}}"#);
-        assert!(failures(&doc, &tol, BUDGET, 1).is_empty());
+        assert!(failures(&doc, &tol, BUDGET).is_empty());
         // `min_finished_frac` defaults to 1.
         let short = with(
             &doc,
@@ -771,25 +731,25 @@ mod tests {
                 r#"[{"system": "A", "total": 4, "finished": 3, "ttft_p99_s": 0.1}]"#,
             )),
         );
-        let fails = failures(&short, &tol, BUDGET, 1);
+        let fails = failures(&short, &tol, BUDGET);
         assert_eq!(
             fails,
             ["min_finished_frac: A finished/total 0.75 < floor 1"]
         );
         // `figure` and a non-empty `max_ttft_p99_s` are required.
         for key in ["figure", "max_ttft_p99_s"] {
-            let fails = failures(&doc, &with(&tol, key, None), BUDGET, 1);
+            let fails = failures(&doc, &with(&tol, key, None), BUDGET);
             assert_eq!(fails, [format!("{key}: missing")]);
         }
         let empty = with(&tol, "max_ttft_p99_s", Some(parse("{}")));
-        let fails = failures(&doc, &empty, BUDGET, 1);
+        let fails = failures(&doc, &empty, BUDGET);
         assert_eq!(fails, ["max_ttft_p99_s: pins no system"]);
     }
 
     #[test]
     fn figure_system_and_budget_mismatches_fail() {
         let renamed = with(&doc(), "figure", Some(Json::str("fig_u")));
-        let fails = failures(&renamed, &tolerance(), BUDGET, 4);
+        let fails = failures(&renamed, &tolerance(), BUDGET);
         assert_eq!(
             fails,
             [
@@ -798,39 +758,15 @@ mod tests {
             ]
         );
         let tol = with(&tolerance(), "max_ttft_p99_s", Some(parse(r#"{"C": 1}"#)));
-        let fails = failures(&doc(), &tol, BUDGET, 4);
+        let fails = failures(&doc(), &tol, BUDGET);
         assert!(fails.contains(&"max_ttft_p99_s: the document has no system `C`".into()));
-        let fails = failures(&doc(), &tolerance(), r#"{"budgets": {"fig_t": 99}}"#, 4);
+        let fails = failures(&doc(), &tolerance(), r#"{"budgets": {"fig_t": 99}}"#);
         assert_eq!(fails, ["budget: wall_clock_ms 100 > ceiling 99"]);
     }
 
     #[test]
-    fn the_speedup_floor_applies_from_its_host_size() {
-        let slow = with(&doc(), "speedup", Some(Json::Num(1.5)));
-        let fail = ["min_speedup: speedup 1.5 < floor 2"];
-        assert_eq!(failures(&slow, &tolerance(), BUDGET, 4), fail);
-        assert_eq!(failures(&slow, &tolerance(), BUDGET, 64), fail);
-        let small = check(&slow.to_string(), &tolerance().to_string(), BUDGET, 3);
-        assert!(!small.iter().any(|v| matches!(v, Verdict::Fail(_))));
-        assert!(small
-            .iter()
-            .any(|v| matches!(v, Verdict::Skipped(what) if what.starts_with("min_speedup: "))));
-        // The threshold comes from the tolerance, with 4 by default.
-        let eight = with(
-            &tolerance(),
-            "min_speedup_host_threads",
-            Some(Json::Num(8.0)),
-        );
-        assert!(failures(&slow, &eight, BUDGET, 4).is_empty());
-        assert_eq!(failures(&slow, &eight, BUDGET, 8), fail);
-        let default = with(&tolerance(), "min_speedup_host_threads", None);
-        assert!(failures(&slow, &default, BUDGET, 3).is_empty());
-        assert_eq!(failures(&slow, &default, BUDGET, 4), fail);
-    }
-
-    #[test]
     fn a_document_that_does_not_parse_fails() {
-        let verdicts = check(r#"{"figure": "#, &tolerance().to_string(), BUDGET, 4);
+        let verdicts = check(r#"{"figure": "#, &tolerance().to_string(), BUDGET);
         assert!(
             matches!(verdicts.as_slice(), [Verdict::Fail(what)] if what.starts_with("document: does not parse")),
             "{verdicts:?}"

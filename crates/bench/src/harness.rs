@@ -65,6 +65,25 @@ mod tests {
     }
 
     #[test]
+    fn four_workers_run_four_jobs_at_once() {
+        // Each job waits until all four have started. A harness that ran
+        // them one at a time would time out on any host.
+        let started = (Mutex::new(0usize), std::sync::Condvar::new());
+        let met = run_indexed(4, 4, |_| {
+            let (count, all_in) = &started;
+            let mut n = count.lock().expect("counter");
+            *n += 1;
+            all_in.notify_all();
+            let timeout = std::time::Duration::from_secs(10);
+            let (n, _) = all_in
+                .wait_timeout_while(n, timeout, |n| *n < 4)
+                .expect("counter");
+            *n == 4
+        });
+        assert_eq!(met, [true; 4], "the four jobs never ran at once");
+    }
+
+    #[test]
     fn zero_jobs_and_oversubscription() {
         assert!(run_indexed::<usize, _>(4, 0, |i| i).is_empty());
         // More threads than jobs clamps cleanly.

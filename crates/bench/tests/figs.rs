@@ -131,13 +131,13 @@ fn parser_accepts_every_well_formed_invocation() {
         };
         assert_eq!(*opts, want, "{}", f.name);
     }
-    let parsed = parse_args(&args("paper_scale_parallel --gate")).unwrap();
+    let parsed = parse_args(&args("fig17_extreme_burst --gate")).unwrap();
     let [(fig, opts)] = parsed.runs[..] else {
         panic!("one run: {parsed:?}")
     };
     assert_eq!(
         (fig.name, opts.smoke, parsed.gate),
-        ("paper_scale_parallel", false, true)
+        ("fig17_extreme_burst", true, true)
     );
 }
 

@@ -6,10 +6,11 @@
 //! The tests at the bottom are the **full Cluster A/B fidelity runs**:
 //! three fig. 12 scenarios at paper scale, every system in the lineup,
 //! and the fig. 18 co-serving pair, with the paper's ordering claims
-//! asserted against vLLM (DP). They drop and restore layers on 48-layer
-//! 14B instances and 80-layer, TP=4 72B instances. Together they take
-//! under half a second in the dev profile on a 2-vCPU host, so they run
-//! in the default tier-1 wall.
+//! asserted against vLLM (DP); the BurstGPT row also caps both p99s and
+//! checks that the bench harness's worker count changes no report. They
+//! drop and restore layers on 48-layer 14B instances and 80-layer, TP=4
+//! 72B instances. Together they take under half a second in the dev
+//! profile on a 2-vCPU host, so they run in the default tier-1 wall.
 
 use bench::{MultiScenario, Scenario};
 use kunserve::serving::Run;
@@ -59,8 +60,9 @@ fn qwen72b_tp4_cluster_b_serves_longbench() {
 
 /// Shared assertions of one full-fidelity scenario run: the whole lineup
 /// completes, KunServe actually drops, and the paper's headline ordering
-/// (KunServe's TTFT tail beats data-parallel vLLM's) reproduces.
-fn assert_full_fidelity(sc: &Scenario) {
+/// (KunServe's TTFT tail beats data-parallel vLLM's) reproduces. Returns
+/// the outcomes in lineup order.
+fn assert_full_fidelity(sc: &Scenario) -> Vec<RunOutcome> {
     let outcomes = sc.run_lineup_parallel(bench::harness::host_parallelism());
     for out in &outcomes {
         assert_eq!(
@@ -93,11 +95,34 @@ fn assert_full_fidelity(sc: &Scenario) {
         .filter(|(_, w)| w.starts_with("drop"))
         .count();
     assert!(drops > 0, "{}: KunServe must have dropped", sc.name);
+    outcomes
 }
 
 #[test]
 fn full_cluster_a_fidelity_burstgpt_14b() {
-    assert_full_fidelity(&Scenario::burstgpt_14b());
+    let sc = Scenario::burstgpt_14b();
+    let outcomes = assert_full_fidelity(&sc);
+    // p99 TTFT caps: vLLM (DP) reads 15.58 s and KunServe 4.50 s.
+    for (out, cap) in [(&outcomes[0], 40.0), (&outcomes[4], 12.0)] {
+        assert!(
+            out.report.ttft.p99 <= cap,
+            "{}: p99 {:.2}s is above its {cap}s cap",
+            out.name,
+            out.report.ttft.p99
+        );
+    }
+    // The harness may change only wall-clock: a serial lineup and one on
+    // four workers give byte-identical reports.
+    let serial = sc.run_lineup_parallel(1);
+    let parallel = sc.run_lineup_parallel(4);
+    for (a, b) in serial.iter().zip(&parallel) {
+        assert_eq!(
+            format!("{:?}", a.report),
+            format!("{:?}", b.report),
+            "{}: four workers changed the report",
+            a.name
+        );
+    }
 }
 
 #[test]
