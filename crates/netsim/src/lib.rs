@@ -18,6 +18,11 @@
 //! activation then waits for the whole remaining job, which is exactly the
 //! uncoordinated stall the ablation (Figure 14) measures.
 //!
+//! A [`Network`] gives every bulk job one network-wide [`JobId`], rising
+//! with submission, and the link carrying it stores that id: a link sends
+//! its jobs in `(priority, id)` order, and equal-time completions come
+//! back in submission order.
+//!
 //! # Examples
 //!
 //! ```
