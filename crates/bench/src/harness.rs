@@ -71,13 +71,13 @@ mod tests {
         let started = (Mutex::new(0usize), std::sync::Condvar::new());
         let met = run_indexed(4, 4, |_| {
             let (count, all_in) = &started;
-            let mut n = count.lock().expect("counter");
+            let mut n = count.lock().expect("no job panics holding the count");
             *n += 1;
             all_in.notify_all();
             let timeout = std::time::Duration::from_secs(10);
             let (n, _) = all_in
                 .wait_timeout_while(n, timeout, |n| *n < 4)
-                .expect("counter");
+                .expect("no job panics holding the count");
             *n == 4
         });
         assert_eq!(met, [true; 4], "the four jobs never ran at once");
