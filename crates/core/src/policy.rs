@@ -585,8 +585,8 @@ impl Policy for KunServePolicy {
         _request: RequestId,
     ) -> cluster::OomResolution {
         self.configure_network(state);
-        if self.maybe_drop(state, now, &[state.group_model(group)]) || state.has_pending_reconfigs()
-        {
+        let model = state.group_model(group);
+        if self.maybe_drop(state, now, &[model]) || state.has_pending_reconfigs() {
             // More memory is on the way; skip this decode step.
             return cluster::OomResolution::SkipIteration;
         }

@@ -31,9 +31,10 @@ struct Job {
 /// A directed link processing transfers as atomic chunks.
 ///
 /// Background jobs ([`Link::submit`]) transmit chunk by chunk in
-/// `(priority, id)` order, which is submission order within a class. Interactive transfers
-/// ([`Link::interactive`]) preempt at chunk boundaries: one arriving
-/// mid-chunk waits for the chunk residual, never for the whole job.
+/// `(priority, id)` order, which is submission order within a class.
+/// Interactive transfers ([`Link::interactive`]) preempt at chunk
+/// boundaries: one arriving mid-chunk waits for the chunk residual, never
+/// for the whole job.
 /// Chunk starts are committed lazily, so interactive transfers win ties with
 /// chunks that *would* start at the same instant — the paper's "check
 /// whether there will be activation transfer" rule.
