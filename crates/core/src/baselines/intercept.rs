@@ -11,20 +11,12 @@
 use cluster::{ClusterState, GroupId, OomResolution, Policy, ReqState, RequestId};
 use sim_core::SimTime;
 
-/// The InferCept-style swapping policy.
-#[derive(Debug, Clone, Copy)]
-pub struct InferCeptPolicy {
-    /// Maximum victims to swap out per pressure event.
-    pub max_swap_per_event: usize,
-}
+/// Maximum victims to swap out per pressure event.
+const MAX_SWAP_PER_EVENT: usize = 4;
 
-impl Default for InferCeptPolicy {
-    fn default() -> Self {
-        InferCeptPolicy {
-            max_swap_per_event: 4,
-        }
-    }
-}
+/// The InferCept-style swapping policy.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InferCeptPolicy;
 
 impl InferCeptPolicy {
     /// Picks the youngest running victim other than `except`, preferring
@@ -44,7 +36,6 @@ impl InferCeptPolicy {
     }
 
     fn swap_out_some(
-        &self,
         state: &mut ClusterState,
         group: GroupId,
         except: Option<RequestId>,
@@ -89,7 +80,7 @@ impl Policy for InferCeptPolicy {
     fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {
         // Make room for the queue head by parking the youngest running
         // sequences (InferCept favors new arrivals' TTFT).
-        self.swap_out_some(state, group, None, now, self.max_swap_per_event);
+        Self::swap_out_some(state, group, None, now, MAX_SWAP_PER_EVENT);
     }
 
     fn on_decode_oom(
@@ -99,7 +90,7 @@ impl Policy for InferCeptPolicy {
         group: GroupId,
         request: RequestId,
     ) -> OomResolution {
-        if self.swap_out_some(state, group, Some(request), now, 1) > 0 {
+        if Self::swap_out_some(state, group, Some(request), now, 1) > 0 {
             // Blocks free when the PCIe transfer completes; skip this step.
             OomResolution::SkipIteration
         } else {

@@ -11,15 +11,18 @@ use std::cmp::Reverse;
 use cluster::{ClusterState, GroupId, OomResolution, Policy, ReqState, RequestId};
 use sim_core::SimTime;
 
+/// A group is pressured above this demand/capacity ratio.
+const PRESSURE_THRESHOLD: f64 = 0.90;
+
+/// Destinations must stay below this ratio after receiving a sequence.
+const DEST_THRESHOLD: f64 = 0.80;
+
+/// Migrations started per group per tick.
+const MAX_MIGRATIONS_PER_TICK: usize = 4;
+
 /// The Llumnix-style migration policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LlumnixPolicy {
-    /// A group is pressured above this demand/capacity ratio.
-    pub pressure_threshold: f64,
-    /// Destinations must stay below this ratio after receiving a sequence.
-    pub dest_threshold: f64,
-    /// Migrations started per group per tick.
-    pub max_migrations_per_tick: usize,
     /// Reused buffer: one pass's migration candidates, keyed youngest
     /// first, then by their place in the group's running list.
     victims: Vec<(Reverse<SimTime>, usize, RequestId)>,
@@ -27,30 +30,18 @@ pub struct LlumnixPolicy {
     groups: Vec<GroupId>,
 }
 
-impl Default for LlumnixPolicy {
-    fn default() -> Self {
-        LlumnixPolicy {
-            pressure_threshold: 0.90,
-            dest_threshold: 0.80,
-            max_migrations_per_tick: 4,
-            victims: Vec::new(),
-            groups: Vec::new(),
-        }
-    }
-}
-
 impl LlumnixPolicy {
     /// Least-loaded destination that can absorb `tokens` and stay under the
     /// destination threshold. Model-aware: KVCache layouts are
     /// model-specific, so only groups serving `from`'s model qualify.
-    fn find_dest(&self, state: &ClusterState, from: GroupId, tokens: u64) -> Option<GroupId> {
+    fn find_dest(state: &ClusterState, from: GroupId, tokens: u64) -> Option<GroupId> {
         let model = state.group(from).model;
         state
             .alive_group_ids()
             .filter(|&g| g != from && state.group(g).model == model && !state.group(g).frozen)
             .filter(|&g| {
                 let demand = state.group_demand_tokens(g) + tokens;
-                (demand as f64) < self.dest_threshold * state.group_capacity_tokens(g) as f64
+                (demand as f64) < DEST_THRESHOLD * state.group_capacity_tokens(g) as f64
                     && state.group(g).blocks.can_allocate(tokens)
             })
             .min_by(|&a, &b| {
@@ -62,8 +53,9 @@ impl LlumnixPolicy {
             })
     }
 
-    /// Migrates up to `limit` youngest running sequences off `group`.
-    fn relieve(&mut self, state: &mut ClusterState, group: GroupId, now: SimTime, limit: usize) {
+    /// Migrates up to `MAX_MIGRATIONS_PER_TICK` youngest running sequences
+    /// off `group`.
+    fn relieve(&mut self, state: &mut ClusterState, group: GroupId, now: SimTime) {
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
         victims.extend(
@@ -79,9 +71,9 @@ impl LlumnixPolicy {
         // The running-list place breaks arrival ties, so the unstable sort
         // gives the stable order without a stable sort's extra buffer.
         victims.sort_unstable_by_key(|&(arrival, i, _)| (arrival, i));
-        for &(_, _, r) in victims.iter().take(limit) {
+        for &(_, _, r) in victims.iter().take(MAX_MIGRATIONS_PER_TICK) {
             let tokens = state.request(r).kv_tokens().max(1);
-            let Some(dest) = self.find_dest(state, group, tokens) else {
+            let Some(dest) = Self::find_dest(state, group, tokens) else {
                 break;
             };
             state.start_migration(r, dest, now);
@@ -102,15 +94,15 @@ impl Policy for LlumnixPolicy {
         for &g in &groups {
             let demand = state.group_demand_tokens(g) as f64;
             let cap = state.group_capacity_tokens(g) as f64;
-            if demand > self.pressure_threshold * cap {
-                self.relieve(state, g, now, self.max_migrations_per_tick);
+            if demand > PRESSURE_THRESHOLD * cap {
+                self.relieve(state, g, now);
             }
         }
         self.groups = groups;
     }
 
     fn on_admission_blocked(&mut self, state: &mut ClusterState, now: SimTime, group: GroupId) {
-        self.relieve(state, group, now, self.max_migrations_per_tick);
+        self.relieve(state, group, now);
     }
 
     fn on_decode_oom(
@@ -131,7 +123,7 @@ impl Policy for LlumnixPolicy {
             .max_by_key(|&r| state.request(r).spec.arrival);
         if let Some(v) = victim {
             let tokens = state.request(v).kv_tokens().max(1);
-            if let Some(dest) = self.find_dest(state, group, tokens) {
+            if let Some(dest) = Self::find_dest(state, group, tokens) {
                 if state.start_migration(v, dest, now) {
                     return OomResolution::Retry;
                 }

@@ -18,8 +18,11 @@
 //!
 //! - [`plan`]: greedy drop-plan generation (paper Fig. 6) — merge the
 //!   smallest groups first to minimize pipeline depth.
-//! - [`lookahead`]: cost-balanced microbatch formation (paper Fig. 11)
-//!   driven by the Eq. 1–3 cost model, minimizing pipeline bubbles.
+//! - [`balance_microbatches`]: cost-balanced microbatch formation (paper
+//!   Fig. 11) driven by the Eq. 1–3 cost model, minimizing pipeline
+//!   bubbles; it lives in `cluster::former`, beside the token-count
+//!   former, and the policy selects it through
+//!   [`cluster::MicrobatchFormerSpec`].
 //! - [`policy`]: the [`policy::KunServePolicy`] tying detection, drop,
 //!   coordinated KVCache exchange and dynamic restore together (§4).
 //! - [`baselines`]: the systems the paper compares against — vLLM
@@ -49,17 +52,15 @@
 //! ```
 
 pub mod baselines;
-pub mod lookahead;
 pub mod plan;
 pub mod policy;
 pub mod serving;
 
 pub use baselines::{InferCeptPolicy, LlumnixPolicy, VllmPolicy};
-pub use lookahead::balance_microbatches;
+pub use cluster::balance_microbatches;
 pub use plan::{
-    arbitrate_drop_plans, arbitrate_with_donation, ArbitratedPlan, Arbitration, ArbitrationOutcome,
-    DonationGrant, DonorMerge, DonorPlan, DropPlan, DropPlanner, LenderOffer, ModelDemand,
-    PlanGroup,
+    arbitrate_with_donation, ArbitratedPlan, Arbitration, ArbitrationOutcome, DonationGrant,
+    DonorMerge, DonorPlan, DropPlan, DropPlanner, LenderOffer, ModelDemand, PlanGroup,
 };
 pub use policy::{KunServeConfig, KunServePolicy};
 pub use serving::{Run, RunOutcome, ServingSession, SystemKind};

@@ -256,7 +256,7 @@ pub struct ArbitrationOutcome {
 }
 
 /// Arbitrates simultaneous per-model drop plans against a shared reclaim
-/// allowance.
+/// allowance, then serves what is left with cross-model donation.
 ///
 /// With `allowance = None` (or enough allowance for everyone) each model
 /// plans for its full requirement — single-model behaviour is unchanged.
@@ -272,21 +272,10 @@ pub struct ArbitrationOutcome {
 /// stranded, but a model whose copy no longer fits the remainder gets
 /// nothing rather than rounding up past the allowance.
 ///
-/// The result is deterministic and ordered by model id.
-pub fn arbitrate_drop_plans(
-    demands: &[ModelDemand],
-    allowance: Option<u64>,
-    arbitration: Arbitration,
-) -> Vec<ArbitratedPlan> {
-    arbitrate_with_donation(demands, &[], allowance, arbitration).plans
-}
-
-/// Arbitrates simultaneous drop plans **with cross-model donation**: after
-/// each overloaded model's own copies are awarded (exactly as
-/// [`arbitrate_drop_plans`]), residual requirements — including those of
-/// models that cannot free anything themselves (fully merged, or a single
-/// group) — are served from `offers`, donor copies of models that are not
-/// overloaded this round. Donor copies are awarded one at a time to the
+/// Residual requirements — including those of models that cannot free
+/// anything themselves (fully merged, or a single group) — are then
+/// served from `offers`, donor layers of models that are not overloaded
+/// this round. Donor layers are awarded one grant at a time to the
 /// borrower with the largest weighted residual ([`Arbitration`] weights);
 /// under [`Arbitration::SloWeighted`] the least latency-critical lender
 /// donates first. The shared `allowance` bounds own + donated bytes
@@ -657,7 +646,7 @@ mod tests {
     #[test]
     fn unbounded_allowance_plans_each_model_independently() {
         let demands = [demand(0, 2 * COPY, 1.0, 4, 0), demand(1, COPY, 1.0, 4, 4)];
-        let plans = arbitrate_drop_plans(&demands, None, Arbitration::Proportional);
+        let plans = arbitrate_with_donation(&demands, &[], None, Arbitration::Proportional).plans;
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].granted_bytes, 2 * COPY);
         assert_eq!(plans[0].plan.freed_bytes, 2 * COPY);
@@ -680,7 +669,8 @@ mod tests {
             demand(0, 2 * COPY, 1.0, 4, 0),
             demand(1, 2 * COPY, 1.0, 4, 4),
         ];
-        let plans = arbitrate_drop_plans(&demands, Some(2 * COPY), Arbitration::Proportional);
+        let plans =
+            arbitrate_with_donation(&demands, &[], Some(2 * COPY), Arbitration::Proportional).plans;
         // Equal weights: one copy each (grants quantize up inside the
         // planner, so each frees exactly one copy).
         assert_eq!(plans[0].plan.freed_bytes, COPY);
@@ -694,7 +684,8 @@ mod tests {
             demand(0, 2 * COPY, 1.0, 4, 0),
             demand(1, 2 * COPY, 4.0, 4, 4),
         ];
-        let plans = arbitrate_drop_plans(&demands, Some(COPY), Arbitration::SloWeighted);
+        let plans =
+            arbitrate_with_donation(&demands, &[], Some(COPY), Arbitration::SloWeighted).plans;
         let by_model: Vec<u64> = plans.iter().map(|p| p.granted_bytes).collect();
         assert!(
             by_model[1] > by_model[0],
@@ -717,7 +708,7 @@ mod tests {
                 demand(1, 5 * COPY, 3.0, 4, 4),
             ];
             for arb in [Arbitration::Proportional, Arbitration::SloWeighted] {
-                let plans = arbitrate_drop_plans(&demands, Some(allowance), arb);
+                let plans = arbitrate_with_donation(&demands, &[], Some(allowance), arb).plans;
                 let freed: u64 = plans.iter().map(|p| p.plan.freed_bytes).sum();
                 assert!(
                     freed <= allowance,
@@ -739,7 +730,8 @@ mod tests {
             demand(0, 10 * COPY, 1.0, 2, 0),
             demand(1, 3 * COPY, 1.0, 4, 2),
         ];
-        let plans = arbitrate_drop_plans(&demands, Some(4 * COPY), Arbitration::Proportional);
+        let plans =
+            arbitrate_with_donation(&demands, &[], Some(4 * COPY), Arbitration::Proportional).plans;
         assert_eq!(plans[0].granted_bytes, COPY);
         assert_eq!(plans[0].plan.freed_bytes, COPY);
         assert_eq!(plans[1].granted_bytes, 3 * COPY);
@@ -943,19 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn no_offers_reduces_to_plain_arbitration() {
-        let demands = [
-            demand(0, 2 * COPY, 1.0, 4, 0),
-            demand(1, 2 * COPY, 1.0, 4, 4),
-        ];
-        let with =
-            arbitrate_with_donation(&demands, &[], Some(2 * COPY), Arbitration::Proportional);
-        let plain = arbitrate_drop_plans(&demands, Some(2 * COPY), Arbitration::Proportional);
-        assert!(with.donor_plans.is_empty());
-        assert_eq!(format!("{:?}", with.plans), format!("{plain:?}"));
-    }
-
-    #[test]
     fn donation_outcome_is_deterministic() {
         let demands = [
             demand(0, 3 * COPY, 2.0, 1, 0),
@@ -982,7 +961,8 @@ mod tests {
             demand(2, 4 * COPY, 3.0, 6, 8),
         ];
         let run = || {
-            arbitrate_drop_plans(&demands, Some(5 * COPY), Arbitration::SloWeighted)
+            arbitrate_with_donation(&demands, &[], Some(5 * COPY), Arbitration::SloWeighted)
+                .plans
                 .into_iter()
                 .map(|p| (p.model, p.granted_bytes, p.plan))
                 .collect::<Vec<_>>()

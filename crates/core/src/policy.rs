@@ -12,14 +12,43 @@ use crate::plan::{
     arbitrate_with_donation, Arbitration, ArbitrationOutcome, LenderOffer, ModelDemand, PlanGroup,
 };
 
-/// Feature flags and thresholds of the KunServe policy.
+/// A group is overloaded when `demand > OVERLOAD_THRESHOLD × capacity`.
+const OVERLOAD_THRESHOLD: f64 = 0.98;
+
+/// Headroom multiplier applied to the computed memory requirement.
+const REQUIREMENT_MARGIN: f64 = 1.2;
+
+/// Lookahead recursion halt threshold in tokens (Fig. 11 `MIN`).
+const MIN_BATCH_TOKENS: u64 = 256;
+
+/// Monitor ticks the overload must persist before a drop triggers
+/// (debounces transient spikes the baseline absorbs by itself).
+const SUSTAIN_TICKS: u32 = 2;
+
+/// Monitor ticks a borrower's demand must stay below the restore
+/// threshold before its borrowed KV is handed back (and before a lender
+/// may reclaim it for a restore). Hysteresis against donate/reclaim
+/// thrash when demand hovers around the threshold.
+const DONATION_HOLD_TICKS: u32 = 8;
+
+/// Shed when the least-loaded serving group's demand exceeds
+/// `SHED_LOAD_FACTOR × capacity` — a backlog that deep means the request
+/// would wait out its deadline in the queue and retry anyway, amplifying
+/// the storm instead of doing work.
+const SHED_LOAD_FACTOR: f64 = 2.0;
+
+/// The switches and settings of the KunServe policy.
 ///
-/// The three booleans correspond to the ablation levels of paper Fig. 14:
-/// `+Dynamic drop`, `+Coordinated ex.`, `+Lookahead`.
+/// Dynamic drop is always on: paper Fig. 14's levels are [`drop_only`],
+/// then `+Coordinated ex.` ([`drop_and_coordinated`]), then `+Lookahead`
+/// (the default), and its no-drop baseline is vLLM (DP) itself. Each of
+/// the other boolean switches is one figure's ablation arm (see the
+/// presets below).
+///
+/// [`drop_only`]: KunServeConfig::drop_only
+/// [`drop_and_coordinated`]: KunServeConfig::drop_and_coordinated
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KunServeConfig {
-    /// Enable online parameter dropping on overload (§4.1).
-    pub dynamic_drop: bool,
     /// Enable coordinated (chunked, activation-priority) KVCache exchange
     /// (§4.2); off = one monolithic transfer that stalls activations.
     pub coordinated_exchange: bool,
@@ -28,18 +57,9 @@ pub struct KunServeConfig {
     pub lookahead: bool,
     /// Enable dynamic parameter restoration when demand subsides (§4.4).
     pub restore: bool,
-    /// A group is overloaded when `demand > threshold × capacity`.
-    pub overload_threshold: f64,
     /// Restore when a merged group's demand drops below
     /// `threshold × no-drop capacity` (the paper uses 50 %).
     pub restore_threshold: f64,
-    /// Headroom multiplier applied to the computed memory requirement.
-    pub requirement_margin: f64,
-    /// Lookahead recursion halt threshold in tokens (Fig. 11 `MIN`).
-    pub min_batch_tokens: u64,
-    /// Monitor ticks the overload must persist before a drop triggers
-    /// (debounces transient spikes the baseline absorbs by itself).
-    pub sustain_ticks: u32,
     /// Cluster-wide cap on bytes one arbitration round may reclaim across
     /// all co-served models (`None` = unbounded). Bounding this limits the
     /// exchange traffic a round puts on the shared fabric and forces
@@ -60,42 +80,25 @@ pub struct KunServeConfig {
     /// baseline, which over-donates whenever the deficit is not an exact
     /// copy multiple (the fig18 `donated_bytes_peak` ablation).
     pub layer_granular_donation: bool,
-    /// Monitor ticks a borrower's demand must stay below the restore
-    /// threshold before its borrowed KV is handed back (and before a
-    /// lender may reclaim it for a restore). Hysteresis against
-    /// donate/reclaim thrash when demand hovers around the threshold.
-    pub donation_hold_ticks: u32,
     /// Deadline-aware admission control: shed a deadline-carrying request
-    /// at (re-)arrival when every group that could serve it is hopelessly
-    /// backlogged (see [`KunServeConfig::shed_load_factor`]). Requests
-    /// without deadlines are never shed, so open-loop runs are unaffected.
+    /// at (re-)arrival when every group that could serve it holds more
+    /// than twice its capacity in demand. Requests without deadlines are
+    /// never shed, so open-loop runs are unaffected.
     pub deadline_shedding: bool,
-    /// Shed when the least-loaded serving group's demand exceeds
-    /// `shed_load_factor × capacity` — a backlog that deep means the
-    /// request would wait out its deadline in the queue and retry anyway,
-    /// amplifying the storm instead of doing work.
-    pub shed_load_factor: f64,
 }
 
 impl Default for KunServeConfig {
     fn default() -> Self {
         KunServeConfig {
-            dynamic_drop: true,
             coordinated_exchange: true,
             lookahead: true,
             restore: true,
-            overload_threshold: 0.98,
             restore_threshold: 0.50,
-            requirement_margin: 1.2,
-            min_batch_tokens: 256,
-            sustain_ticks: 2,
             reclaim_allowance_bytes: None,
             arbitration: Arbitration::SloWeighted,
             cross_model_donation: true,
             layer_granular_donation: true,
-            donation_hold_ticks: 8,
             deadline_shedding: true,
-            shed_load_factor: 2.0,
         }
     }
 }
@@ -169,12 +172,8 @@ pub struct KunServePolicy {
     overloaded_ticks: BTreeMap<ModelId, u32>,
     /// Consecutive monitor ticks each *borrowing* group's demand has sat
     /// below the restore threshold of its native capacity — the
-    /// donation-return hysteresis ([`KunServeConfig::donation_hold_ticks`]).
+    /// donation-return hysteresis (`DONATION_HOLD_TICKS`).
     borrower_calm_ticks: BTreeMap<GroupId, u32>,
-    /// Drop events triggered, for reporting.
-    pub drops_triggered: u32,
-    /// Restore events triggered, for reporting.
-    pub restores_triggered: u32,
 }
 
 impl KunServePolicy {
@@ -186,14 +185,7 @@ impl KunServePolicy {
             network_configured: false,
             overloaded_ticks: BTreeMap::new(),
             borrower_calm_ticks: BTreeMap::new(),
-            drops_triggered: 0,
-            restores_triggered: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &KunServeConfig {
-        &self.cfg
     }
 
     fn configure_network(&mut self, state: &mut ClusterState) {
@@ -245,8 +237,8 @@ impl KunServePolicy {
             }
             let demand = state.group_demand_tokens(g) as f64;
             let cap = state.group_capacity_tokens(g) as f64;
-            if demand > cap * self.cfg.overload_threshold {
-                required += ((demand - cap * self.cfg.overload_threshold) * kv as f64) as u64;
+            if demand > cap * OVERLOAD_THRESHOLD {
+                required += ((demand - cap * OVERLOAD_THRESHOLD) * kv as f64) as u64;
             }
         }
         required
@@ -268,7 +260,7 @@ impl KunServePolicy {
         _now: SimTime,
         eligible: &[ModelId],
     ) -> bool {
-        if !self.cfg.dynamic_drop || state.has_pending_reconfigs() {
+        if state.has_pending_reconfigs() {
             return false;
         }
         let Some((demands, offers)) = self.build_drop_round(state, eligible) else {
@@ -349,7 +341,7 @@ impl KunServePolicy {
             if candidates.len() < 2 && !donation {
                 continue; // fully merged: fall back to KVCache-centric
             }
-            let required = (required as f64 * self.cfg.requirement_margin) as u64;
+            let required = (required as f64 * REQUIREMENT_MARGIN) as u64;
             // A donation-dependent model (nothing of its own to drop) sizes
             // its deficit forward: grants are cut to whole layers, so an
             // instantaneous-backlog deficit would chase the burst one layer
@@ -438,9 +430,6 @@ impl KunServePolicy {
             // the next tick instead of re-serving the sustain window —
             // the spike filter's job is done once the overload is real.
         }
-        if any {
-            self.drops_triggered += 1;
-        }
         any
     }
 
@@ -461,7 +450,7 @@ impl KunServePolicy {
         // Track per-borrower calm: consecutive ticks a borrowing group's
         // demand stayed below the restore threshold of its *native*
         // capacity. Borrowed KV only goes home once the borrower has been
-        // calm for `donation_hold_ticks` — the hysteresis that prevents
+        // calm for `DONATION_HOLD_TICKS` — the hysteresis that prevents
         // donate/reclaim thrash while demand hovers around the threshold.
         self.borrower_calm_ticks
             .retain(|&g, _| state.group_alive(g) && state.group_has_borrowed(g));
@@ -481,8 +470,7 @@ impl KunServePolicy {
         }
         let borrower_calm =
             |calm: &BTreeMap<GroupId, u32>, state: &ClusterState, g: GroupId| -> bool {
-                !state.group_alive(g)
-                    || calm.get(&g).copied().unwrap_or(0) >= self.cfg.donation_hold_ticks
+                !state.group_alive(g) || calm.get(&g).copied().unwrap_or(0) >= DONATION_HOLD_TICKS
             };
 
         for g in state.alive_groups() {
@@ -533,7 +521,6 @@ impl KunServePolicy {
                 }
                 if state.start_param_restore(g, now) {
                     self.restoring.insert(g);
-                    self.restores_triggered += 1;
                 }
             }
         }
@@ -556,7 +543,7 @@ impl Policy for KunServePolicy {
             if self.required_bytes_of(state, model) > 0 {
                 let t = self.overloaded_ticks.entry(model).or_insert(0);
                 *t += 1;
-                if *t >= self.cfg.sustain_ticks {
+                if *t >= SUSTAIN_TICKS {
                     eligible.push(model);
                 }
             } else {
@@ -623,14 +610,14 @@ impl Policy for KunServePolicy {
             // Nothing thawed serves this model right now: admitting would
             // only park the request behind a parameter reload.
             None => true,
-            Some(load) => load > self.cfg.shed_load_factor,
+            Some(load) => load > SHED_LOAD_FACTOR,
         }
     }
 
     fn microbatch_former(&self) -> MicrobatchFormerSpec {
         if self.cfg.lookahead {
             MicrobatchFormerSpec::CostBalanced {
-                min_batch_tokens: self.cfg.min_batch_tokens,
+                min_batch_tokens: MIN_BATCH_TOKENS,
             }
         } else {
             MicrobatchFormerSpec::TokenCount

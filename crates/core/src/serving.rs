@@ -60,7 +60,7 @@ impl SystemKind {
         match self {
             SystemKind::VllmDp => Box::new(VllmPolicy::dp()),
             SystemKind::VllmPp => Box::new(VllmPolicy::pp()),
-            SystemKind::InferCept => Box::new(InferCeptPolicy::default()),
+            SystemKind::InferCept => Box::new(InferCeptPolicy),
             SystemKind::Llumnix => Box::new(LlumnixPolicy::default()),
             SystemKind::KunServe => Box::new(KunServePolicy::new(KunServeConfig::default())),
             SystemKind::KunServeWith(cfg) => Box::new(KunServePolicy::new(*cfg)),
