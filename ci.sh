@@ -25,6 +25,8 @@
 #           tolerance file and its wall-clock budget
 #           (crates/bench/tolerances/, compiled into the registry), and the
 #           stage fails naming every failed check
+#   size    prints the size of the non-test code, `size <crate> <lines>`
+#           per crate and `size total <lines>`; never fails
 #
 # Every figure runs through the one scenario driver,
 # `cargo run -p bench --bin figs -- <figure> [--smoke] [--threads N] [--json PATH]`
@@ -41,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build bench test clippy gate)
+ALL_STAGES=(fmt build bench test clippy gate size)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -59,8 +61,8 @@ write_timings() {
                 "${STAGE_NAMES[$i]}" "${STAGE_MS[$i]}" "${STAGE_OK[$i]}" \
                 "$([ "$i" -lt $((${#STAGE_NAMES[@]} - 1)) ] && echo ',')"
         done
-        # threads_available lets the timing consumers (and the speedup
-        # gate post-mortem) tell a degraded 1-core run from a real one.
+        # threads_available puts the stage times in context: the same
+        # stages take longer on a 1-core host than on a larger one.
         printf '  ],\n  "total_wall_clock_ms": %s,\n  "threads_available": %s\n}\n' \
             "$total_ms" "$(nproc 2>/dev/null || echo 1)"
     } > "$TIMINGS_JSON"
@@ -222,6 +224,27 @@ stage_clippy() {
 
 stage_gate() {
     cargo run --release --offline -q -p bench --bin figs -- --gate
+}
+
+# The size of the non-test code: the non-blank lines that are not `//`
+# comments, before the first `#[cfg(test)]` of each .rs file under
+# crates/*/src and src, leaving out crates/bench/src/bin (the umbrella
+# crate's src counts as `src`).
+stage_size() {
+    find crates/*/src src -name '*.rs' -not -path 'crates/bench/src/bin/*' | sort |
+        xargs awk '
+            /#\[cfg\(test\)\]/ { nextfile }
+            /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+            {
+                split(FILENAME, part, "/")
+                lines[part[1] == "src" ? "src" : part[2]]++
+                total++
+            }
+            END {
+                for (c in lines) printf "size %s %d\n", c, lines[c] | "sort"
+                close("sort")
+                printf "size total %d\n", total
+            }'
 }
 
 STAGES=("$@")

@@ -42,10 +42,10 @@ pub struct Figure {
     pub name: &'static str,
     /// One-line description for the usage text.
     pub about: &'static str,
-    /// Whether `--smoke` selects a tiny CI-sized scenario.
-    pub smoke: bool,
     /// The tolerance file `figs --gate` checks the document against
     /// (see [`crate::gate`]), compiled in; `None` for an ungated figure.
+    /// A gated figure has a tiny CI-sized scenario that `--smoke` selects
+    /// and `--gate` runs.
     pub tolerance: Option<&'static str>,
     /// Runs the figure, printing its series, and returns its document.
     pub run: fn(&Opts) -> Json,
@@ -65,126 +65,108 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig02_motivation",
         about: "Fig. 2: TTFT spikes of KV-centric overload handling under a burst",
-        smoke: false,
         tolerance: None,
         run: fig02_motivation::run,
     },
     Figure {
         name: "fig05_drop_degrees",
         about: "Fig. 5: latency vs. fraction of parameters dropped",
-        smoke: false,
         tolerance: None,
         run: fig05_drop_degrees::run,
     },
     Figure {
         name: "fig12_end_to_end",
         about: "Fig. 12: end-to-end timelines, four workloads x five systems",
-        smoke: false,
         tolerance: None,
         run: fig12_end_to_end::run,
     },
     Figure {
         name: "fig13_latency_slo",
         about: "Fig. 13: p50/p99 TTFT and TPOT, SLO-violation ratios",
-        smoke: false,
         tolerance: None,
         run: fig13_latency_slo::run,
     },
     Figure {
         name: "fig14_ablation",
         about: "Fig. 14: drop / +coordinated exchange / +lookahead ablation",
-        smoke: false,
         tolerance: None,
         run: fig14_ablation::run,
     },
     Figure {
         name: "fig15_cost_model",
         about: "Fig. 15: Eq. 1-3 cost model vs. the token-count baseline",
-        smoke: false,
         tolerance: None,
         run: fig15_cost_model::run,
     },
     Figure {
         name: "fig16_long_run",
         about: "Fig. 16: 640 s run with two overload waves, with and without restore",
-        smoke: false,
         tolerance: None,
         run: fig16_long_run::run,
     },
     Figure {
         name: "fig17_extreme_burst",
         about: "Fig. 17: a burst window replayed until every system runs out of memory",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig17_smoke.json")),
         run: fig17_extreme_burst::run,
     },
     Figure {
         name: "fig18_multi_model",
         about: "Fig. 18 (extension): two models co-served under colliding bursts",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig18_smoke.json")),
         run: fig18_multi_model::run,
     },
     Figure {
         name: "fig18_donation",
         about: "Fig. 18 (extension): cross-model donation granularity ablation",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig18_donation.json")),
         run: fig18_donation::run,
     },
     Figure {
         name: "fig19_diurnal",
         about: "Fig. 19 (extension): diurnal tide, repeated drop/restore cycles",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig19_smoke.json")),
         run: fig19_diurnal::run,
     },
     Figure {
         name: "fig20_coldstart_storm",
         about: "Fig. 20 (extension): cold-start storms on a long-tail model zoo",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig20_smoke.json")),
         run: fig20_coldstart_storm::run,
     },
     Figure {
         name: "fig21_shared_prefix",
         about: "Fig. 21 (extension): shared-prefix traffic, bounded recompute",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig21_smoke.json")),
         run: fig21_shared_prefix::run,
     },
     Figure {
         name: "fig22_failure_storm",
         about: "Fig. 22 (extension): a rack failure mid-burst",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig22_smoke.json")),
         run: fig22_failure_storm::run,
     },
     Figure {
         name: "fig23_cascading_recovery",
         about: "Fig. 23 (extension): cascading recovery, shedding vs. no-shed ablation",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig23_smoke.json")),
         run: fig23_cascading_recovery::run,
     },
     Figure {
         name: "fig24_gateway",
         about: "Fig. 24 (extension): the online gateway under closed-loop clients",
-        smoke: true,
         tolerance: Some(include_str!("../../tolerances/fig24_smoke.json")),
         run: fig24_gateway::run,
     },
     Figure {
         name: "table1_models",
         about: "Table 1: parameter share of instance HBM per model",
-        smoke: false,
         tolerance: None,
         run: table1_models::run,
     },
     Figure {
         name: "table2_testbed",
         about: "Table 2: the simulated testbeds",
-        smoke: false,
         tolerance: None,
         run: table2_testbed::run,
     },
@@ -205,13 +187,12 @@ pub struct Invocation {
 
 /// Parses `<figure> [--smoke] [--threads N] [--json PATH]` or
 /// `--gate [<figure>] [--threads N]`. Rejects a missing or unknown figure,
-/// an unknown flag or extra argument, `--smoke` for a figure without a
-/// smoke scenario, a `--threads` that is not a positive integer, a
-/// `--json` without a path, and `--gate` with `--smoke`, with `--json` or
-/// with an ungated figure.
+/// an unknown flag or extra argument, `--smoke` for an ungated figure, a
+/// `--threads` that is not a positive integer, a `--json` without a path,
+/// and `--gate` with `--smoke`, with `--json` or with an ungated figure.
 ///
 /// `--gate` runs the figure it names, or every gated figure, each at its
-/// smoke scale when it has one and at full scale otherwise.
+/// smoke scale.
 pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let mut name = None;
     let mut smoke = false;
@@ -255,11 +236,11 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
             },
             None => FIGURES.iter().filter(|f| f.tolerance.is_some()).collect(),
         };
-        let runs = figures.into_iter().map(|f| (f, opts(f.smoke))).collect();
+        let runs = figures.into_iter().map(|f| (f, opts(true))).collect();
         return Ok(Invocation { runs, json, gate });
     }
     let figure = find(name.ok_or("no figure given")?)?;
-    if smoke && !figure.smoke {
+    if smoke && figure.tolerance.is_none() {
         return Err(format!("{} has no smoke scenario", figure.name));
     }
     Ok(Invocation {
@@ -270,25 +251,24 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
 }
 
 /// The driver's usage text: the synopsis, then every figure with its
-/// description (`*` marks a `--smoke` scenario, `g` a gated figure).
+/// description (`g` marks a gated figure, which has a `--smoke` scenario).
 pub fn usage() -> String {
     let mut text = String::from(
         "usage: figs <figure> [--smoke] [--threads N] [--json PATH]\n\
          \x20      figs --gate [<figure>] [--threads N]\n\
          \n\
-         --smoke      the tiny CI scenario (figures marked *)\n\
-         --gate       run every gated figure (marked g), or the one named, at its\n\
-         \x20            CI scale and check each document against its tolerance file\n\
-         \x20            and wall-clock budget; exits 1 naming every failed check\n\
+         --smoke      the tiny CI scenario of a gated figure (marked g)\n\
+         --gate       run every gated figure, or the one named, at smoke scale and\n\
+         \x20            check each document against its tolerance file and\n\
+         \x20            wall-clock budget; exits 1 naming every failed check\n\
          --threads N  worker threads (default: host parallelism)\n\
          --json PATH  output path (default: target/bench-json/<figure>.json)\n\
          \n\
          figures:\n",
     );
     for f in FIGURES {
-        let smoke = if f.smoke { '*' } else { ' ' };
         let gated = if f.tolerance.is_some() { 'g' } else { ' ' };
-        text += &format!("  {:<25}{smoke}{gated} {}\n", f.name, f.about);
+        text += &format!("  {:<25}{gated} {}\n", f.name, f.about);
     }
     text
 }

@@ -425,7 +425,7 @@ pub(crate) fn with_fields(
 
 /// Appends the executor metadata fields of the bench-JSON schema —
 /// `wall_clock_ms`, `threads` (workers used) and `threads_available`
-/// (host parallelism; speedup gates are meaningless below it) — to a
+/// (host parallelism, which puts the wall clock in context) — to a
 /// figure document.
 pub fn with_exec_meta(doc: Json, threads: usize, wall_clock_ms: f64) -> Json {
     with_fields(

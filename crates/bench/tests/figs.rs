@@ -1,8 +1,8 @@
 //! The figure registry, its tolerance files and budgets, and its argument
 //! parser agree: every tolerance file is compiled into the entry it
-//! gates, every gated entry has a budget, every smoke scenario is gated,
-//! `figs --gate` runs and passes a gated figure, and a malformed `figs`
-//! invocation exits 2 before it simulates or writes anything.
+//! gates, every gated entry has a budget, `figs --gate` runs and passes a
+//! gated figure, and a malformed `figs` invocation exits 2 before it
+//! simulates or writes anything.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -65,13 +65,6 @@ fn the_budgets_are_exactly_the_gated_entries() {
 }
 
 #[test]
-fn every_smoke_entry_is_gated() {
-    for f in FIGURES.iter().filter(|f| f.smoke) {
-        assert!(f.tolerance.is_some(), "{}: no tolerance file", f.name);
-    }
-}
-
-#[test]
 fn simulation_free_figures_name_themselves_and_reparse() {
     let opts = Opts {
         smoke: false,
@@ -114,11 +107,14 @@ fn parser_accepts_every_well_formed_invocation() {
     assert!(opts.threads >= 1, "defaults to host parallelism");
     assert_eq!(parsed.json, Some(PathBuf::from("out/t1.json")));
 
+    // `--smoke` is accepted for exactly the gated figures.
     for f in FIGURES {
         assert!(parse_args(&args(f.name)).is_ok(), "{}", f.name);
+        let smoke = parse_args(&args(&format!("{} --smoke", f.name)));
+        assert_eq!(smoke.is_ok(), f.tolerance.is_some(), "{} --smoke", f.name);
     }
 
-    // `--gate` runs every gated figure, each at its CI scale, or the one
+    // `--gate` runs every gated figure, each at smoke scale, or the one
     // it names.
     let parsed = parse_args(&args("--gate --threads 2")).unwrap();
     assert!(parsed.gate && parsed.json.is_none());
@@ -126,7 +122,7 @@ fn parser_accepts_every_well_formed_invocation() {
     assert_eq!(names, gated());
     for (f, opts) in &parsed.runs {
         let want = Opts {
-            smoke: f.smoke,
+            smoke: true,
             threads: 2,
         };
         assert_eq!(*opts, want, "{}", f.name);
