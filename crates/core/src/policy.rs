@@ -228,7 +228,7 @@ impl KunServePolicy {
     /// Memory requirement R (§4.1 line 1) of one model: the queued +
     /// admitted demand exceeding what its overloaded groups can hold, in
     /// bytes (margin not applied).
-    fn required_bytes_of(&self, state: &ClusterState, model: ModelId) -> u64 {
+    fn required_bytes_of(state: &ClusterState, model: ModelId) -> u64 {
         let kv = state.cfg.model_cfg(model).kv_bytes_per_token();
         let mut required: u64 = 0;
         for g in state.alive_groups() {
@@ -297,7 +297,7 @@ impl KunServePolicy {
             if !donation && !is_eligible {
                 continue;
             }
-            let required = self.required_bytes_of(state, model);
+            let required = Self::required_bytes_of(state, model);
             if required == 0 && !donation {
                 continue;
             }
@@ -540,7 +540,7 @@ impl Policy for KunServePolicy {
         // waive the filter.
         let mut eligible = Vec::new();
         for model in state.cfg.model_ids() {
-            if self.required_bytes_of(state, model) > 0 {
+            if Self::required_bytes_of(state, model) > 0 {
                 let t = self.overloaded_ticks.entry(model).or_insert(0);
                 *t += 1;
                 if *t >= SUSTAIN_TICKS {
