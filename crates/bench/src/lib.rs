@@ -5,8 +5,9 @@
 //! Most build on [`Scenario`]: a workload × model × cluster combination
 //! calibrated like the paper's testbed (§5.1) — the KV pool is
 //! provisioned at ~2.1× the average demand, and the arrival rate is scaled
-//! to the simulated cluster's serving capacity (the paper does the same
-//! with TraceUpscaler).
+//! to the simulated cluster's serving capacity. The paper scales its
+//! traces with TraceUpscaler; a scenario sets its rate directly on the
+//! trace builder.
 
 use cluster::{ClusterConfig, ModelId};
 use kunserve::serving::{Run, RunOutcome, SystemKind};

@@ -56,7 +56,7 @@ fn decode_tokens_per_iter(stages: usize, cfg: &ClusterConfig) -> u64 {
 /// Collects one iteration's work for a group into `work`: a decode chunk
 /// per running decode request plus budget-bounded prefill chunks in
 /// arrival order. Each request appears at most once. `prefills` is a
-/// reused buffer. Returns the new tokens collected.
+/// reused buffer.
 fn collect_work(
     g: &crate::group::ExecGroup,
     reqs: &[Request],
@@ -64,7 +64,7 @@ fn collect_work(
     skipped: &[RequestId],
     work: &mut Vec<SeqChunk>,
     prefills: &mut Vec<RequestId>,
-) -> u64 {
+) {
     let rounds = decode_tokens_per_iter(g.stages(), cfg);
     let stages = g.stages() as u64;
     let budget = if stages == 1 {
@@ -122,7 +122,6 @@ fn collect_work(
         });
         used += chunk;
     }
-    used
 }
 
 /// Whether `mbs`, read in order with adjacent fragments of one request
@@ -650,7 +649,7 @@ impl Engine {
             return; // an OOM handler requested a reconfiguration
         }
 
-        let new_tokens = collect_work(
+        collect_work(
             self.state.group(group),
             &self.state.requests[..],
             &self.state.cfg,
@@ -678,14 +677,7 @@ impl Engine {
         let g = self.state.group_mut(group);
         g.iter_seq += 1;
         let seq = g.iter_seq;
-        g.busy_until = Some(finish);
-        g.current_iter = Some(IterationPlan {
-            work,
-            started: self.now,
-            duration: finish - self.now,
-            bubble_frac,
-            new_tokens,
-        });
+        g.current_iter = Some(IterationPlan { work, bubble_frac });
         self.events.push(finish, Event::GroupDone { group, seq });
     }
 
@@ -860,12 +852,9 @@ impl Engine {
     /// completions and block releases. The plan's `work` Vec is kept for
     /// the next iteration to fill.
     fn complete_iteration(&mut self, group: GroupId) {
-        let plan = {
-            let g = self.state.group_mut(group);
-            g.busy_until = None;
-            g.current_iter.take()
+        let Some(plan) = self.state.group_mut(group).current_iter.take() else {
+            return;
         };
-        let Some(plan) = plan else { return };
         let now = self.now;
         self.state.metrics.iterations.bump();
         if self.state.group(group).stages() > 1 {
@@ -1314,11 +1303,13 @@ mod tests {
     fn scheduled_fault_matrix_replays_in_time_order() {
         let mut eng = Engine::new(two_racks(), Box::new(QueueingPolicy));
         let at = SimTime::from_secs;
+        // A rack outage with an instance outage of the other rack
+        // interleaved inside it.
         let matrix = [
             (at(5), FaultKind::RackDown(0)),
-            (at(6), FaultKind::LinkDegraded { factor: 8 }),
+            (at(6), FaultKind::InstanceDown(2)),
             (at(10), FaultKind::RackUp(0)),
-            (at(12), FaultKind::LinkRestored),
+            (at(12), FaultKind::InstanceUp(2)),
         ];
         // Scheduled out of order; the engine keeps them sorted.
         for &(t, kind) in matrix.iter().rev() {
@@ -1328,15 +1319,15 @@ mod tests {
         eng.step_until(at(5));
         assert_eq!(eng.state.alive_groups().len(), 2);
         eng.step_until(at(6));
-        assert_eq!(eng.state.link_slowdown(), 8, "degraded window open");
+        assert_eq!(eng.state.alive_groups().len(), 1, "instance 2 down");
         eng.step_until(at(10));
         assert_eq!(
             eng.state.alive_groups().len(),
-            4,
+            3,
             "rack rejoined as fresh groups"
         );
         eng.step_until(at(12));
-        assert_eq!(eng.state.link_slowdown(), 1, "window closed");
+        assert_eq!(eng.state.alive_groups().len(), 4, "instance 2 rejoined");
         assert_eq!(marked(&eng, "rack-failure"), vec![at(5)]);
         assert_eq!(marked(&eng, "rack-recovery"), vec![at(10)]);
     }

@@ -11,10 +11,7 @@
 //!   power/ToR domain ([`ClusterState::fail_rack`] /
 //!   [`ClusterState::recover_rack`]);
 //! * **instance down / instance up** — a single-victim outage
-//!   ([`ClusterState::fail_instance`] / [`ClusterState::recover_instance`]);
-//! * **degraded link windows** — the fabric slows by an integer factor for
-//!   a bounded window ([`ClusterState::set_link_slowdown`]), stretching
-//!   every bulk transfer submitted inside it.
+//!   ([`ClusterState::fail_instance`] / [`ClusterState::recover_instance`]).
 //!
 //! Schedules are validated up front ([`FailureSchedule::validate`]) against
 //! the cluster they will run on, with a typed [`ScheduleError`] instead of
@@ -49,20 +46,12 @@ pub enum FaultKind {
     InstanceDown(u32),
     /// One instance rejoins and reloads parameters.
     InstanceUp(u32),
-    /// The fabric degrades: bulk transfers submitted from now on carry
-    /// `factor×` their nominal cost (see [`netsim::Network::set_slowdown`]).
-    LinkDegraded {
-        /// Integer slowdown multiplier (must be ≥ 2 to mean anything).
-        factor: u64,
-    },
-    /// The fabric returns to full speed.
-    LinkRestored,
 }
 
 impl FaultKind {
     /// Whether the fault names something in `cfg`: an instance below
-    /// [`ClusterConfig::total_instances`], a rack of a racked cluster that
-    /// holds an instance, or a link factor of at least 2.
+    /// [`ClusterConfig::total_instances`], or a rack of a racked cluster
+    /// that holds an instance.
     fn names_target(self, cfg: &ClusterConfig) -> bool {
         match self {
             // A rack exists when its first instance does.
@@ -71,8 +60,6 @@ impl FaultKind {
                     && u64::from(r) * u64::from(cfg.rack_size) < u64::from(cfg.total_instances())
             }
             FaultKind::InstanceDown(i) | FaultKind::InstanceUp(i) => i < cfg.total_instances(),
-            FaultKind::LinkDegraded { factor } => factor >= 2,
-            FaultKind::LinkRestored => true,
         }
     }
 }
@@ -134,14 +121,6 @@ impl ClusterState {
                 up
             }
             FaultKind::InstanceUp(i) => self.recover_instance(InstanceId(i), now).is_some(),
-            FaultKind::LinkDegraded { factor } => {
-                self.set_link_slowdown(factor, now);
-                true
-            }
-            FaultKind::LinkRestored => {
-                self.set_link_slowdown(1, now);
-                true
-            }
         }
     }
 
@@ -178,14 +157,13 @@ pub struct FailureEvent {
 pub enum ScheduleError {
     /// The event names nothing in the cluster: an instance index at or
     /// above [`ClusterConfig::total_instances`], a rack fault on an
-    /// unracked cluster (`rack_size == 0`), a rack with no instances, or a
-    /// link factor below 2.
+    /// unracked cluster (`rack_size == 0`), or a rack with no instances.
     NoSuchTarget(FailureEvent),
-    /// A down/degrade event targets something that is already down.
+    /// A down event targets something that is already down.
     Duplicate(FailureEvent),
-    /// An up/restore event has no earlier matching down/degrade.
+    /// An up event has no earlier matching down.
     UpWithoutDown(FailureEvent),
-    /// An up/restore event fires at the same instant as the down it would
+    /// An up event fires at the same instant as the down it would
     /// close — a zero-width outage is almost certainly a scripting bug.
     OutOfOrder {
         /// The opening event.
@@ -274,17 +252,6 @@ impl FailureSchedule {
         self.push(at, FaultKind::InstanceUp(instance))
     }
 
-    /// Opens a degraded-link window at `at`: bulk transfers submitted while
-    /// the window is open cost `factor×` their healthy transfer time.
-    pub fn link_degraded(self, at: SimTime, factor: u64) -> Self {
-        self.push(at, FaultKind::LinkDegraded { factor })
-    }
-
-    /// Closes the degraded-link window at `at`.
-    pub fn link_restored(self, at: SimTime) -> Self {
-        self.push(at, FaultKind::LinkRestored)
-    }
-
     /// The scripted events, sorted by (time, kind).
     pub fn sorted_events(&self) -> Vec<FailureEvent> {
         let mut ev = self.events.clone();
@@ -334,8 +301,6 @@ impl FailureSchedule {
                 FaultKind::RackUp(r) => ((0u8, r), false, cfg.instances_in_rack(r)),
                 FaultKind::InstanceDown(i) => ((1u8, i), true, vec![i]),
                 FaultKind::InstanceUp(i) => ((1u8, i), false, vec![i]),
-                FaultKind::LinkDegraded { .. } => ((2u8, 0), true, Vec::new()),
-                FaultKind::LinkRestored => ((2u8, 0), false, Vec::new()),
             };
             if opens {
                 if down.contains_key(&key) {
@@ -393,14 +358,13 @@ mod tests {
     #[test]
     fn validation_catches_scripting_bugs() {
         let cfg = racked(8, 2); // racks 0..=3, instances 0..=7
-                                // Well-formed matrix: down/up pairs plus a degraded window.
+
+        // Well-formed matrix: interleaved down/up pairs.
         let ok = FailureSchedule::new()
             .rack_down(SimTime::from_secs(10), 0)
             .rack_up(SimTime::from_secs(20), 0)
             .instance_down(SimTime::from_secs(12), 5)
-            .instance_up(SimTime::from_secs(14), 5)
-            .link_degraded(SimTime::from_secs(11), 4)
-            .link_restored(SimTime::from_secs(18));
+            .instance_up(SimTime::from_secs(14), 5);
         assert_eq!(ok.validate(&cfg), Ok(()));
 
         // Double-down on the same rack.
@@ -497,24 +461,6 @@ mod tests {
         ));
         assert_eq!(
             FailureSchedule::new().rack_down(at, 1).validate(&cfg),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn validation_rejects_a_link_factor_below_two() {
-        let cfg = racked(4, 0);
-        let at = SimTime::from_secs(5);
-        assert!(no_such_target(
-            &FailureSchedule::new().link_degraded(at, 0),
-            &cfg
-        ));
-        assert!(no_such_target(
-            &FailureSchedule::new().link_degraded(at, 1),
-            &cfg
-        ));
-        assert_eq!(
-            FailureSchedule::new().link_degraded(at, 2).validate(&cfg),
             Ok(())
         );
     }

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use kvcache::BlockManager;
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimDuration;
 use workload::ModelId;
 
 use crate::batch::SeqChunk;
@@ -30,14 +30,8 @@ pub struct IterationPlan {
     /// The collected chunks, one per request: a prefill chunk, or its
     /// decode tokens.
     pub work: Vec<SeqChunk>,
-    /// When the iteration started.
-    pub started: SimTime,
-    /// Execution duration (pipeline makespan for multi-stage groups).
-    pub duration: SimDuration,
     /// Fraction of stage-time lost to pipeline bubbles (0 for single-stage).
     pub bubble_frac: f64,
-    /// Total new tokens processed.
-    pub new_tokens: u64,
 }
 
 /// One execution group.
@@ -61,14 +55,17 @@ pub struct ExecGroup {
     pub stalled: Vec<RequestId>,
     /// Requests whose KVCache is parked in host DRAM (swap baseline).
     pub swapped: Vec<RequestId>,
-    /// End of the current iteration, if one is executing.
-    pub busy_until: Option<SimTime>,
     /// Monotone iteration counter for stale-event detection.
     pub iter_seq: u64,
     /// The iteration currently executing.
     pub current_iter: Option<IterationPlan>,
-    /// Set while a reconfiguration (merge/split) is pending: the group
-    /// finishes its current iteration but starts no new one.
+    /// Set while the group may start no new iteration (it finishes the
+    /// current one):
+    /// - a reconfiguration (merge/split) is pending;
+    /// - a recovered instance reloads its parameters
+    ///   (`ClusterState::recover_instance`, cleared on `RecoveryReady`);
+    /// - an unloaded model's group is parked (`park_unloaded`, cleared by
+    ///   `ClusterState::request_load_model`).
     pub frozen: bool,
     /// Extra delay the next iteration must absorb (VMM remaps).
     pub pending_overhead: SimDuration,
@@ -95,7 +92,6 @@ impl ExecGroup {
             running: Vec::new(),
             stalled: Vec::new(),
             swapped: Vec::new(),
-            busy_until: None,
             iter_seq: 0,
             current_iter: None,
             frozen: false,
@@ -110,7 +106,7 @@ impl ExecGroup {
 
     /// Returns `true` if an iteration is executing.
     pub fn is_busy(&self) -> bool {
-        self.busy_until.is_some()
+        self.current_iter.is_some()
     }
 
     /// Requests currently admitted (running + stalled).

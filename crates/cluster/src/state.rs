@@ -382,25 +382,6 @@ impl ClusterState {
         self.instances[inst.0 as usize].group
     }
 
-    /// Applies a transient fabric degradation: newly submitted bulk jobs
-    /// take `factor×` as long until [`Self::set_link_slowdown`] is called
-    /// again with `1`. Recorded as a reconfiguration marker so timelines
-    /// show the window.
-    pub fn set_link_slowdown(&mut self, factor: u64, now: SimTime) {
-        self.network.set_slowdown(factor);
-        let msg = if factor > 1 {
-            format!("link: degraded x{factor}")
-        } else {
-            "link: restored".to_string()
-        };
-        self.metrics.on_reconfig(now, msg);
-    }
-
-    /// The current fabric degradation factor (`1` = healthy).
-    pub fn link_slowdown(&self) -> u64 {
-        self.network.slowdown()
-    }
-
     // ------------------------------------------------------------------
     // Load accounting (monitor metrics, dispatch).
     // ------------------------------------------------------------------
@@ -490,7 +471,7 @@ impl ClusterState {
         let Some(p) = self.requests[id.0].spec.prefix else {
             return;
         };
-        match self.prefix.on_dispatch(group.0 as u64, p.group, p.tokens) {
+        match self.prefix.on_dispatch(group.0 as u64, p.group) {
             PrefixOutcome::Hit => {
                 // Keep at least one prefill token so the prefill→decode
                 // transition (and first-token accounting) still fires.
@@ -2465,6 +2446,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::IterationPlan;
     use workload::{Deadline, RequestSpec, RetryPolicy};
 
     fn racked_cluster(n: u32, rack_size: u32) -> ClusterState {
@@ -2665,11 +2647,14 @@ mod tests {
         assert!(state.try_admit(r, g), "tiny request admits");
         state.group_mut(g).running.push(r);
 
-        state.group_mut(g).busy_until = Some(SimTime::from_secs_f64(1.0));
+        state.group_mut(g).current_iter = Some(IterationPlan {
+            work: Vec::new(),
+            bubble_frac: 0.0,
+        });
         assert_eq!(state.cancel_request(r), CancelOutcome::Deferred);
         assert_eq!(state.requests[0].state, ReqState::Running);
 
-        state.group_mut(g).busy_until = None;
+        state.group_mut(g).current_iter = None;
         assert_eq!(state.cancel_request(r), CancelOutcome::Cancelled);
         assert_eq!(state.requests[0].state, ReqState::Dropped);
         assert!(state.group(g).running.is_empty());

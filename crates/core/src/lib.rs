@@ -3,8 +3,8 @@
 //! This crate is a from-scratch reproduction of the EuroSys '26 paper
 //! *"KunServe: Parameter-centric Memory Management for Efficient Memory
 //! Overloading Handling in LLM Serving"* (Cheng, Lai, Wei, Chen, Chen —
-//! SJTU IPADS) on top of a simulated GPU serving substrate (see the
-//! `cluster` crate and `DESIGN.md` for the substitution methodology).
+//! SJTU IPADS) on top of a simulated GPU serving substrate (the `cluster`
+//! crate).
 //!
 //! The paper's idea: when KVCache demand overloads GPU memory, **drop
 //! replicated model parameters** instead of victimizing KVCache. Dropping

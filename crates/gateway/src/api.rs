@@ -1,4 +1,4 @@
-//! The gateway proper: submit / stream / cancel / elastic model ops.
+//! The gateway proper: submit / poll / cancel / elastic model ops.
 
 use std::collections::VecDeque;
 
@@ -23,6 +23,9 @@ pub enum GatewayError {
     ModelUnavailable(ModelId),
     /// The requested arrival precedes already-processed simulated time.
     ArrivalInPast(SimTime),
+    /// The request asks for no input or no output tokens; a served
+    /// request needs at least one of each.
+    ZeroLength,
     /// The elastic model operation is not applicable right now (already
     /// in flight, last full copy, or nothing to load).
     ModelOpRejected(ModelId),
@@ -38,6 +41,7 @@ impl std::fmt::Display for GatewayError {
             GatewayError::UnknownModel(m) => write!(f, "model {m} is not deployed"),
             GatewayError::ModelUnavailable(m) => write!(f, "model {m} is not available"),
             GatewayError::ArrivalInPast(t) => write!(f, "arrival {t} already elapsed"),
+            GatewayError::ZeroLength => write!(f, "input and output lengths must be positive"),
             GatewayError::ModelOpRejected(m) => write!(f, "model op on {m} not applicable"),
             GatewayError::UnknownRequest => write!(f, "unknown request handle"),
         }
@@ -53,9 +57,9 @@ pub struct SubmitSpec {
     pub model: ModelId,
     /// Simulated arrival instant (must not precede [`Gateway::now`]).
     pub arrival: SimTime,
-    /// Prompt length in tokens.
+    /// Prompt length in tokens (at least 1).
     pub input_tokens: u64,
-    /// Decode budget in tokens.
+    /// Decode budget in tokens (at least 1).
     pub output_tokens: u64,
     /// Optional SLO deadline (closed-loop clients).
     pub deadline: Option<Deadline>,
@@ -102,7 +106,7 @@ pub enum RequestStatus {
 }
 
 /// One increment of a request's token stream, delivered by
-/// [`Gateway::poll`] and streaming callbacks.
+/// [`Gateway::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenEvent {
     /// The request this event belongs to.
@@ -117,18 +121,11 @@ pub struct TokenEvent {
     pub status: RequestStatus,
 }
 
-/// Callback invoked at pump boundaries with a request's token increments.
-pub type StreamCallback = Box<dyn FnMut(TokenEvent)>;
-
 struct Track {
     spec: RequestSpec,
     engine_id: Option<cluster::RequestId>,
     /// Tokens already reported through `poll`.
     polled: u64,
-    /// Tokens already reported through the callback.
-    streamed: u64,
-    streamed_done: bool,
-    callback: Option<StreamCallback>,
     /// Cancelled while still in the inbox (never reaches the engine).
     withdrawn: bool,
 }
@@ -138,8 +135,9 @@ struct Track {
 ///
 /// Time advances only through [`Gateway::pump_until`] (or
 /// [`Gateway::finish`]), in monitor-interval boundaries. At each boundary
-/// the gateway injects every due submission (in arrival order), steps the
-/// engine session and fires streaming callbacks. Elastic model operations
+/// the gateway injects every due submission (in arrival order) and steps
+/// the engine session; clients read progress with [`Gateway::poll`] and
+/// [`Gateway::status`] between pumps. Elastic model operations
 /// are actions the gateway applies between boundaries; the engine advances
 /// them at every tick instant. Because injection and stepping happen only
 /// at tick boundaries, a session reproduces the batch run of the same
@@ -156,9 +154,6 @@ pub struct Gateway<C: Clock> {
     tracks: Vec<Track>,
     /// Handles not yet injected, kept sorted by (arrival, handle).
     inbox: VecDeque<u64>,
-    /// Handles with a callback that has not seen its terminal event yet,
-    /// ascending.
-    streaming: Vec<u64>,
 }
 
 impl<C: Clock> Gateway<C> {
@@ -177,7 +172,6 @@ impl<C: Clock> Gateway<C> {
             tenants: Vec::new(),
             tracks: Vec::new(),
             inbox: VecDeque::new(),
-            streaming: Vec::new(),
         }
     }
 
@@ -218,7 +212,8 @@ impl<C: Clock> Gateway<C> {
     /// Submits a request under `key`. On success the request is queued
     /// for injection at the boundary covering `spec.arrival` and its
     /// handle is returned; the error cases are quota, auth, model
-    /// availability and time-ordering violations.
+    /// availability, time-ordering violations and a zero length. A refused
+    /// submission charges no quota.
     pub fn submit(&mut self, key: &str, spec: SubmitSpec) -> Result<RequestHandle, GatewayError> {
         let tenant_ix = self
             .tenants
@@ -234,6 +229,9 @@ impl<C: Clock> Gateway<C> {
         }
         if spec.arrival < self.now {
             return Err(GatewayError::ArrivalInPast(spec.arrival));
+        }
+        if spec.input_tokens == 0 || spec.output_tokens == 0 {
+            return Err(GatewayError::ZeroLength);
         }
         let reserve = spec.input_tokens + spec.output_tokens;
         if !self.tenants[tenant_ix].admits(reserve) {
@@ -253,9 +251,6 @@ impl<C: Clock> Gateway<C> {
             },
             engine_id: None,
             polled: 0,
-            streamed: 0,
-            streamed_done: false,
-            callback: None,
             withdrawn: false,
         });
         let ix = self
@@ -266,28 +261,6 @@ impl<C: Clock> Gateway<C> {
             .unwrap_err();
         self.inbox.insert(ix, handle.0);
         Ok(handle)
-    }
-
-    /// Attaches a streaming callback to a request: at every pump boundary
-    /// where the request generated tokens (and once on termination) the
-    /// callback receives a [`TokenEvent`]. Replaces any prior callback;
-    /// increments already streamed are not replayed.
-    pub fn stream(
-        &mut self,
-        handle: RequestHandle,
-        callback: StreamCallback,
-    ) -> Result<(), GatewayError> {
-        let track = self
-            .tracks
-            .get_mut(handle.0 as usize)
-            .ok_or(GatewayError::UnknownRequest)?;
-        track.callback = Some(callback);
-        if !track.streamed_done {
-            if let Err(ix) = self.streaming.binary_search(&handle.0) {
-                self.streaming.insert(ix, handle.0);
-            }
-        }
-        Ok(())
     }
 
     /// Polls a request's token stream: returns the increment since the
@@ -384,9 +357,8 @@ impl<C: Clock> Gateway<C> {
 
     /// Advances simulated time boundary-by-boundary until the last
     /// monitor-tick boundary at or before `until`, injecting due
-    /// submissions and firing streaming callbacks. It runs as fast as the
-    /// host allows; a caller who wants wall-time pacing sleeps between
-    /// calls.
+    /// submissions. It runs as fast as the host allows; a caller who wants
+    /// wall-time pacing sleeps between calls.
     pub fn pump_until(&mut self, until: SimTime) {
         loop {
             let next = self.now + self.interval;
@@ -404,40 +376,7 @@ impl<C: Clock> Gateway<C> {
             }
             self.session.step_until(next);
             self.now = next;
-            self.deliver_stream_events();
         }
-    }
-
-    /// Runs streaming callbacks, in ascending handle order, for every
-    /// streamed request with progress; a handle leaves the list once its
-    /// terminal event is delivered.
-    fn deliver_stream_events(&mut self) {
-        let at = self.now;
-        let mut streaming = std::mem::take(&mut self.streaming);
-        streaming.retain(|&h| {
-            let handle = RequestHandle(h);
-            let (generated, status) = self.progress(handle).expect("streamed handles are known");
-            let track = &mut self.tracks[h as usize];
-            let new_tokens = generated - track.streamed;
-            let terminal = matches!(status, RequestStatus::Finished | RequestStatus::Cancelled);
-            if new_tokens == 0 && !terminal {
-                return true;
-            }
-            track.streamed = generated;
-            track.streamed_done = terminal;
-            let event = TokenEvent {
-                handle,
-                new_tokens,
-                generated,
-                at,
-                status,
-            };
-            if let Some(cb) = track.callback.as_mut() {
-                cb(event);
-            }
-            !terminal
-        });
-        self.streaming = streaming;
     }
 
     /// Closes the gateway: remaining inbox submissions are injected, the
@@ -484,25 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn poll_streams_tokens_incrementally_and_callback_sees_the_same_total() {
+    fn poll_streams_tokens_incrementally() {
         let mut g = gw();
         g.register_tenant("acme", "k1", Quota::UNLIMITED);
         let spec = SubmitSpec::new(ModelId::PRIMARY, SimTime::from_millis(10), 128, 24);
         let h = g.submit("k1", spec).unwrap();
         assert_eq!(g.status(h).unwrap(), RequestStatus::Pending);
-        let streamed = std::rc::Rc::new(std::cell::RefCell::new((0u64, false)));
-        let sink = streamed.clone();
-        g.stream(
-            h,
-            Box::new(move |ev: TokenEvent| {
-                let mut s = sink.borrow_mut();
-                s.0 += ev.new_tokens;
-                if ev.status == RequestStatus::Finished {
-                    s.1 = true;
-                }
-            }),
-        )
-        .unwrap();
         let mut polled = 0;
         let mut t = SimTime::ZERO;
         for _ in 0..600 {
@@ -515,9 +441,6 @@ mod tests {
         }
         assert_eq!(g.status(h).unwrap(), RequestStatus::Finished);
         assert_eq!(polled, 24, "poll must deliver exactly the decode budget");
-        let (cb_total, cb_done) = *streamed.borrow();
-        assert_eq!(cb_total, 24, "callback must deliver the same stream");
-        assert!(cb_done, "callback must see the terminal event");
         let (report, _) = g.finish(SimDuration::from_secs(60));
         assert_eq!(report.finished_requests, 1);
     }
@@ -534,6 +457,14 @@ mod tests {
             .unwrap();
         g.cancel(h).unwrap();
         assert_eq!(g.status(h).unwrap(), RequestStatus::Cancelled);
+        // Every poll of the withdrawn handle reads the same terminal state
+        // and no tokens.
+        for t in [1, 2] {
+            g.pump_until(SimTime::from_secs(t));
+            let ev = g.poll(h).unwrap();
+            assert_eq!(ev.status, RequestStatus::Cancelled, "poll at {t} s");
+            assert_eq!((ev.new_tokens, ev.generated), (0, 0), "poll at {t} s");
+        }
         g.pump_until(SimTime::from_secs(10));
         let (report, state) = g.finish(SimDuration::from_secs(30));
         assert_eq!(report.total_requests, 0, "withdrawn before injection");
@@ -541,29 +472,26 @@ mod tests {
     }
 
     #[test]
-    fn stream_callback_sees_an_inbox_cancel_once() {
+    fn zero_lengths_are_rejected_before_quota_is_charged() {
         let mut g = gw();
-        g.register_tenant("acme", "k1", Quota::UNLIMITED);
+        g.register_tenant("acme", "k1", Quota::requests(1));
+        let at = SimTime::from_millis(10);
+        for (input, output) in [(0, 8), (64, 0), (0, 0)] {
+            assert_eq!(
+                g.submit("k1", SubmitSpec::new(ModelId::PRIMARY, at, input, output)),
+                Err(GatewayError::ZeroLength),
+                "{input} input and {output} output tokens"
+            );
+        }
+        // The one-request quota is still unspent.
         let h = g
-            .submit(
-                "k1",
-                SubmitSpec::new(ModelId::PRIMARY, SimTime::from_secs(5), 64, 8),
-            )
+            .submit("k1", SubmitSpec::new(ModelId::PRIMARY, at, 1, 1))
             .unwrap();
-        let events = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = events.clone();
-        g.stream(
-            h,
-            Box::new(move |ev: TokenEvent| sink.borrow_mut().push(ev)),
-        )
-        .unwrap();
-        g.cancel(h).unwrap();
-        g.pump_until(SimTime::from_secs(1));
-        g.pump_until(SimTime::from_secs(2));
-        let events = events.borrow();
-        assert_eq!(events.len(), 1, "exactly one terminal event: {events:?}");
-        assert_eq!(events[0].status, RequestStatus::Cancelled);
-        assert_eq!((events[0].new_tokens, events[0].generated), (0, 0));
+        g.pump_until(SimTime::from_secs(5));
+        assert_eq!(g.status(h).unwrap(), RequestStatus::Finished);
+        let (report, _) = g.finish(SimDuration::from_secs(30));
+        assert_eq!(report.total_requests, 1, "only the accepted request ran");
+        assert_eq!(report.finished_requests, 1);
     }
 
     #[test]

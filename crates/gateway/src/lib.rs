@@ -6,9 +6,9 @@
 //! the missing production face on top of it:
 //!
 //! - **Sessions & streaming** ([`Gateway::submit`], [`Gateway::poll`],
-//!   [`Gateway::stream`], [`Gateway::cancel`]): submissions return a
-//!   [`RequestHandle`] whose token stream can be polled incrementally or
-//!   delivered through a callback at every pump boundary.
+//!   [`Gateway::status`], [`Gateway::cancel`]): submissions return a
+//!   [`RequestHandle`] whose token stream is polled incrementally between
+//!   pumps.
 //! - **Tenancy** ([`Gateway::register_tenant`], [`Quota`]): API keys
 //!   resolve to tenants with request/token quotas, checked at submit time
 //!   against reserved usage so admission depends only on the submissions.
@@ -55,8 +55,6 @@ pub mod api;
 pub mod clock;
 pub mod tenant;
 
-pub use api::{
-    Gateway, GatewayError, RequestHandle, RequestStatus, StreamCallback, SubmitSpec, TokenEvent,
-};
+pub use api::{Gateway, GatewayError, RequestHandle, RequestStatus, SubmitSpec, TokenEvent};
 pub use clock::{Clock, Virtual};
 pub use tenant::{Quota, TenantId};

@@ -5,9 +5,10 @@
 //! block manager the serving engine allocates from:
 //!
 //! - [`BlockManager`]: block accounting with prompt allocation, per-token
-//!   decode growth, and **live resizing** — the capacity grows when
+//!   decode growth, and **live capacity extents** — the capacity grows when
 //!   KunServe remaps dropped parameter memory into the KVCache region and
-//!   shrinks again on restore. Blocks are fungible, so a sequence's block
+//!   shrinks again on restore ([`BlockManager::grow_extent`],
+//!   [`BlockManager::shrink_extent`]). Blocks are fungible, so a sequence's block
 //!   table is its token count: it holds `ceil(tokens / block_tokens)`
 //!   blocks, and no caller ever needs to know which. The tables are a
 //!   key-sorted `Vec` that decode growth searches from its last hit, so

@@ -359,39 +359,6 @@ impl BlockManager {
         Ok(table.tokens)
     }
 
-    /// Grows or shrinks the **native** extent so the total capacity becomes
-    /// `new_capacity` blocks (the legacy single-extent resize).
-    ///
-    /// Growth always succeeds. Shrinking fails with
-    /// [`KvError::ShrinkBelowUsage`] if fewer than `capacity - new_capacity`
-    /// blocks are free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shrink would cut into non-native extents — segmented
-    /// pools shrink via [`BlockManager::shrink_extent`].
-    pub fn resize(&mut self, new_capacity: u32) -> Result<()> {
-        let cap = self.capacity_blocks();
-        if new_capacity >= cap {
-            self.grow_extent(ExtentTag::Native, new_capacity - cap);
-            return Ok(());
-        }
-        if new_capacity < self.used {
-            return Err(KvError::ShrinkBelowUsage {
-                used: self.used,
-                requested: new_capacity,
-            });
-        }
-        let delta = cap - new_capacity;
-        assert!(
-            self.extent_blocks(ExtentTag::Native) >= delta,
-            "resize below the native extent; shrink tagged extents explicitly"
-        );
-        self.shrink_extent(ExtentTag::Native, delta)
-            .expect("usage checked above");
-        Ok(())
-    }
-
     /// All live sequence keys, ascending by key.
     pub fn seqs(&self) -> Vec<SeqKey> {
         self.tables.iter().map(|t| t.seq).collect()
@@ -452,36 +419,6 @@ mod tests {
         assert_eq!(m.free_blocks(), 4);
         assert!(m.can_allocate(256));
         assert_eq!(m.free(SeqKey(1)), Err(KvError::UnknownSeq));
-    }
-
-    #[test]
-    fn resize_grow_extends_capacity() {
-        let mut m = BlockManager::new(2, 64);
-        m.allocate(SeqKey(1), 128).expect("fills");
-        assert!(!m.can_allocate(64));
-        // KunServe dropped parameters: the pool grows.
-        m.resize(6).expect("grow");
-        assert!(m.can_allocate(4 * 64));
-        m.allocate(SeqKey(2), 256).expect("uses grown space");
-        assert_eq!(m.used_blocks(), 6);
-    }
-
-    #[test]
-    fn resize_shrink_requires_free_blocks() {
-        let mut m = BlockManager::new(6, 64);
-        m.allocate(SeqKey(1), 3 * 64).expect("alloc");
-        assert_eq!(
-            m.resize(2),
-            Err(KvError::ShrinkBelowUsage {
-                used: 3,
-                requested: 2
-            })
-        );
-        m.resize(3).expect("shrink to exactly used");
-        assert_eq!(m.free_blocks(), 0);
-        m.free(SeqKey(1)).expect("free");
-        m.resize(1).expect("shrink empty");
-        assert_eq!(m.capacity_blocks(), 1);
     }
 
     #[test]
@@ -572,18 +509,6 @@ mod tests {
             m.shrink_extent(ExtentTag::Remap, 1),
             Err(KvError::UnknownExtent)
         );
-    }
-
-    #[test]
-    fn resize_keeps_tagged_extents_intact() {
-        let mut m = BlockManager::new(4, 64);
-        m.grow_extent(ExtentTag::Borrowed(loan(2, 0, 3)), 3);
-        m.resize(9).expect("grow native to 6");
-        assert_eq!(m.extent_blocks(ExtentTag::Native), 6);
-        assert_eq!(m.extent_blocks(ExtentTag::Borrowed(loan(2, 0, 3))), 3);
-        m.resize(5).expect("shrink native back");
-        assert_eq!(m.extent_blocks(ExtentTag::Native), 2);
-        assert_eq!(m.borrowed_blocks(), 3);
     }
 
     #[test]

@@ -45,12 +45,6 @@ struct Residency {
 #[derive(Debug, Clone, Default)]
 pub struct PrefixLedger {
     residency: BTreeMap<(u64, u32), Residency>,
-    /// Prefill tokens skipped thanks to resident prefixes.
-    saved_tokens: u64,
-    /// Prefix tokens computed for the first time (once per pair).
-    unique_tokens: u64,
-    /// Prefix tokens recomputed after an invalidation.
-    recompute_tokens: u64,
 }
 
 impl PrefixLedger {
@@ -59,15 +53,10 @@ impl PrefixLedger {
         PrefixLedger::default()
     }
 
-    /// Records the dispatch of a shared-prefix request (`tokens` shared
-    /// tokens, prefix group `prefix_group`) onto serving-group slot
-    /// `group_slot`, and returns where its prefix KV comes from.
-    pub fn on_dispatch(
-        &mut self,
-        group_slot: u64,
-        prefix_group: u32,
-        tokens: u64,
-    ) -> PrefixOutcome {
+    /// Records the dispatch of a shared-prefix request of prefix group
+    /// `prefix_group` onto serving-group slot `group_slot`, and returns
+    /// where its prefix KV comes from.
+    pub fn on_dispatch(&mut self, group_slot: u64, prefix_group: u32) -> PrefixOutcome {
         let entry = self
             .residency
             .entry((group_slot, prefix_group))
@@ -76,15 +65,12 @@ impl PrefixLedger {
                 evicted_before: false,
             });
         if entry.resident {
-            self.saved_tokens += tokens;
             PrefixOutcome::Hit
         } else if entry.evicted_before {
             entry.resident = true;
-            self.recompute_tokens += tokens;
             PrefixOutcome::Recompute
         } else {
             entry.resident = true;
-            self.unique_tokens += tokens;
             PrefixOutcome::FirstCompute
         }
     }
@@ -117,21 +103,6 @@ impl PrefixLedger {
             _ => false,
         }
     }
-
-    /// Prefill tokens skipped thanks to resident prefixes.
-    pub fn saved_tokens(&self) -> u64 {
-        self.saved_tokens
-    }
-
-    /// Prefix tokens computed exactly once (first compute per pair).
-    pub fn unique_tokens(&self) -> u64 {
-        self.unique_tokens
-    }
-
-    /// Prefix tokens recomputed after invalidations.
-    pub fn recompute_tokens(&self) -> u64 {
-        self.recompute_tokens
-    }
 }
 
 #[cfg(test)]
@@ -141,57 +112,50 @@ mod tests {
     #[test]
     fn first_compute_then_hits() {
         let mut l = PrefixLedger::new();
-        assert_eq!(l.on_dispatch(0, 7, 100), PrefixOutcome::FirstCompute);
-        assert_eq!(l.on_dispatch(0, 7, 100), PrefixOutcome::Hit);
-        assert_eq!(l.on_dispatch(0, 7, 100), PrefixOutcome::Hit);
-        assert_eq!(l.unique_tokens(), 100);
-        assert_eq!(l.saved_tokens(), 200);
-        assert_eq!(l.recompute_tokens(), 0);
+        assert_eq!(l.on_dispatch(0, 7), PrefixOutcome::FirstCompute);
+        assert_eq!(l.on_dispatch(0, 7), PrefixOutcome::Hit);
+        assert_eq!(l.on_dispatch(0, 7), PrefixOutcome::Hit);
     }
 
     #[test]
     fn groups_and_slots_are_independent() {
         let mut l = PrefixLedger::new();
-        assert_eq!(l.on_dispatch(0, 1, 50), PrefixOutcome::FirstCompute);
+        assert_eq!(l.on_dispatch(0, 1), PrefixOutcome::FirstCompute);
         // Different prefix group, same slot: its own first compute.
-        assert_eq!(l.on_dispatch(0, 2, 60), PrefixOutcome::FirstCompute);
+        assert_eq!(l.on_dispatch(0, 2), PrefixOutcome::FirstCompute);
         // Same prefix group on another serving group: computed per slot.
-        assert_eq!(l.on_dispatch(1, 1, 50), PrefixOutcome::FirstCompute);
-        assert_eq!(l.unique_tokens(), 160);
+        assert_eq!(l.on_dispatch(1, 1), PrefixOutcome::FirstCompute);
     }
 
     #[test]
     fn invalidation_charges_recompute_once_per_pair() {
         let mut l = PrefixLedger::new();
-        l.on_dispatch(0, 1, 100);
-        l.on_dispatch(0, 2, 40);
-        l.on_dispatch(1, 1, 100);
+        l.on_dispatch(0, 1);
+        l.on_dispatch(0, 2);
+        l.on_dispatch(1, 1);
         assert_eq!(l.invalidate_group(0), 2, "both slot-0 pairs evicted");
         // Slot 1 is untouched.
-        assert_eq!(l.on_dispatch(1, 1, 100), PrefixOutcome::Hit);
+        assert_eq!(l.on_dispatch(1, 1), PrefixOutcome::Hit);
         // First dependent after the eviction recomputes; the next hits.
-        assert_eq!(l.on_dispatch(0, 1, 100), PrefixOutcome::Recompute);
-        assert_eq!(l.on_dispatch(0, 1, 100), PrefixOutcome::Hit);
-        assert_eq!(l.recompute_tokens(), 100);
+        assert_eq!(l.on_dispatch(0, 1), PrefixOutcome::Recompute);
+        assert_eq!(l.on_dispatch(0, 1), PrefixOutcome::Hit);
         // Only the recomputed (resident) pair evicts; re-invalidating an
         // already-evicted slot is a no-op.
         assert_eq!(l.invalidate_group(0), 1, "only the recomputed pair");
         assert_eq!(l.invalidate_group(0), 0, "nothing left resident");
-        assert_eq!(l.on_dispatch(0, 2, 40), PrefixOutcome::Recompute);
-        assert_eq!(l.recompute_tokens(), 140);
-        assert_eq!(l.unique_tokens(), 240);
+        assert_eq!(l.on_dispatch(0, 2), PrefixOutcome::Recompute);
     }
 
     #[test]
     fn single_pair_invalidation_spares_neighbours() {
         let mut l = PrefixLedger::new();
-        l.on_dispatch(0, 1, 100);
-        l.on_dispatch(0, 2, 40);
+        l.on_dispatch(0, 1);
+        l.on_dispatch(0, 2);
         assert!(l.invalidate(0, 1), "resident pair evicts");
         assert!(!l.invalidate(0, 1), "second eviction is a no-op");
         assert!(!l.invalidate(9, 9), "unknown pair is a no-op");
         // The neighbour on the same slot is untouched.
-        assert_eq!(l.on_dispatch(0, 2, 40), PrefixOutcome::Hit);
-        assert_eq!(l.on_dispatch(0, 1, 100), PrefixOutcome::Recompute);
+        assert_eq!(l.on_dispatch(0, 2), PrefixOutcome::Hit);
+        assert_eq!(l.on_dispatch(0, 1), PrefixOutcome::Recompute);
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the paged block manager: per-sequence and total
-//! accounting is exact, capacity is the sum of the extents, and resize
-//! preserves all invariants.
+//! accounting is exact, capacity is the sum of the extents, and growing
+//! and shrinking extents preserves all invariants.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +29,6 @@ enum Op {
     Allocate { seq: u64, tokens: u64 },
     Append { seq: u64, tokens: u64 },
     Free { seq: u64 },
-    Resize { capacity: u32 },
     DecodeRound,
     GrowExtent { tag: usize, blocks: u32 },
     ShrinkExtent { tag: usize, blocks: u32 },
@@ -41,7 +40,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0u64..64), (1u64..300)).prop_map(|(seq, tokens)| Op::Allocate { seq, tokens }),
         ((0u64..64), (1u64..80)).prop_map(|(seq, tokens)| Op::Append { seq, tokens }),
         (0u64..64).prop_map(|seq| Op::Free { seq }),
-        (1u32..160).prop_map(|capacity| Op::Resize { capacity }),
         Just(Op::DecodeRound),
         Just(Op::DecodeRound),
         ((0usize..3), (1u32..64)).prop_map(|(tag, blocks)| Op::GrowExtent { tag, blocks }),
@@ -133,24 +131,6 @@ proptest! {
                         Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
-                Op::Resize { capacity: target } => {
-                    // `resize` only moves the native extent, and panics
-                    // rather than shrink past it.
-                    if target < capacity && capacity - target > extents[0] {
-                        continue;
-                    }
-                    match m.resize(target) {
-                        Ok(()) => {
-                            prop_assert_eq!(m.capacity_blocks(), target);
-                            extents[0] = extents[0] + target - capacity;
-                        }
-                        Err(KvError::ShrinkBelowUsage { used, requested }) => {
-                            prop_assert_eq!(requested, target);
-                            prop_assert!(target < used);
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
                 Op::DecodeRound => {
                     let live: Vec<u64> = model.keys().copied().collect();
                     for seq in live {
@@ -218,8 +198,9 @@ proptest! {
         }
     }
 
-    /// A grow followed by the inverse shrink is always legal when usage is
-    /// unchanged — the KunServe drop → restore cycle on an idle pool.
+    /// Growing the remap extent and shrinking it back is always legal when
+    /// usage is unchanged: the KunServe drop → restore cycle, whose dropped
+    /// parameter memory becomes a `Remap` extent and goes back on restore.
     #[test]
     fn grow_shrink_round_trip(base in 1u32..50, extra in 1u32..50, tokens in 0u64..1000) {
         let mut m = BlockManager::new(base, 64);
@@ -227,9 +208,12 @@ proptest! {
         if usable > 0 {
             m.allocate(SeqKey(0), usable).expect("fits in base capacity");
         }
-        m.resize(base + extra).expect("grow always ok");
+        m.grow_extent(ExtentTag::Remap, extra);
         prop_assert_eq!(m.capacity_blocks(), base + extra);
-        m.resize(base).expect("shrink back to base with same usage");
+        prop_assert_eq!(m.extent_blocks(ExtentTag::Remap), extra);
+        m.shrink_extent(ExtentTag::Remap, extra)
+            .expect("shrink back to base with same usage");
         prop_assert_eq!(m.capacity_blocks(), base);
+        prop_assert_eq!(m.extent_blocks(ExtentTag::Native), base);
     }
 }

@@ -40,11 +40,6 @@ pub struct Network {
     fabric_spec: LinkSpec,
     host_spec: LinkSpec,
     coordinated: bool,
-    /// Transient degradation multiplier applied to bulk jobs at submission
-    /// time: a job submitted while the fabric is degraded by `k` carries
-    /// `k×` its nominal bytes (an integer factor keeps the model exactly
-    /// reproducible — no float rate rescaling). `1` = healthy.
-    slowdown: u64,
     target_chunk_time: SimDuration,
     links: BTreeMap<LinkKey, Link>,
     /// The id of the next bulk job; ids rise with submission.
@@ -59,7 +54,6 @@ impl Network {
             fabric_spec,
             host_spec: LinkSpec::pcie_gen4(),
             coordinated: true,
-            slowdown: 1,
             target_chunk_time: SimDuration::from_millis(50),
             links: BTreeMap::new(),
             next_job: 0,
@@ -75,31 +69,6 @@ impl Network {
     /// Returns whether coordinated chunking is enabled.
     pub fn coordinated(&self) -> bool {
         self.coordinated
-    }
-
-    /// The fabric spec used for inter-instance links.
-    pub fn fabric_spec(&self) -> LinkSpec {
-        self.fabric_spec
-    }
-
-    /// Sets the transient degradation factor for *newly submitted* bulk
-    /// jobs: `k > 1` means a job submitted now takes `k×` as long as on a
-    /// healthy link (modelled as inflated bytes, so chunking, priorities and
-    /// completion ordering all stay exact). `1` restores the link. Jobs
-    /// already in flight are unaffected — degradation is sampled once at
-    /// submission, which keeps the model deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn set_slowdown(&mut self, factor: u64) {
-        assert!(factor >= 1, "slowdown factor must be >= 1");
-        self.slowdown = factor;
-    }
-
-    /// The current degradation factor (`1` = healthy).
-    pub fn slowdown(&self) -> u64 {
-        self.slowdown
     }
 
     fn chunk_bytes_for(&self, spec: LinkSpec, bytes: u64) -> u64 {
@@ -150,7 +119,6 @@ impl Network {
             LinkKey::Fabric { .. } => self.fabric_spec,
             LinkKey::Host { .. } => self.host_spec,
         };
-        let bytes = bytes.saturating_mul(self.slowdown);
         let chunk = self.chunk_bytes_for(spec, bytes);
         let id = JobId(self.next_job);
         self.next_job += 1;
@@ -331,36 +299,6 @@ mod tests {
         let at = SimTime::from_millis(1);
         assert_eq!(n.take_completions(at), vec![(at, a), (at, b), (at, c)]);
         assert!(n.is_idle());
-    }
-
-    #[test]
-    fn slowdown_inflates_only_new_jobs() {
-        let mut n = net();
-        // Healthy: 10 KB at 10 MB/s = 1 ms.
-        let a = n.submit_bulk(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(1),
-            10_000,
-            Priority::KvExchange,
-        );
-        n.set_slowdown(3);
-        assert_eq!(n.slowdown(), 3);
-        // Degraded 3×: same job now takes 3 ms (separate link pair).
-        let b = n.submit_bulk(
-            SimTime::ZERO,
-            NodeId(2),
-            NodeId(3),
-            10_000,
-            Priority::KvExchange,
-        );
-        n.set_slowdown(1);
-        let done = n.take_completions(SimTime::from_millis(1));
-        assert_eq!(done.len(), 1, "only the healthy job is finished");
-        assert_eq!(done[0].1, a);
-        let done = n.take_completions(SimTime::from_millis(3));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].1, b);
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //!
 //! Since the original traces are external data, this crate generates seeded
 //! synthetic equivalents with the same first-order statistics and burst
-//! temporal structure (see DESIGN.md substitution table), plus:
+//! temporal structure (the [`Dataset`] samplers and the builders below),
+//! plus:
 //!
 //! - [`BurstTraceBuilder`]: non-homogeneous Poisson arrivals with explicit
 //!   burst phases (the Fig. 2 (a) shape).
-//! - [`Trace::upscale`]: TraceUpscaler-style RPS scaling that preserves the
-//!   temporal pattern (§5.1).
 //! - [`extreme_burst`]: the Fig. 17 methodology — replay the burst until
 //!   every system runs out of memory.
 //!

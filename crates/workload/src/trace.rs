@@ -224,41 +224,6 @@ impl Trace {
         out
     }
 
-    /// TraceUpscaler-style upscaling (§5.1): multiplies the request rate by
-    /// `factor` while preserving the temporal pattern.
-    ///
-    /// Each request is replicated `floor(factor)` times (plus one with the
-    /// fractional probability), with small deterministic jitter so replicas
-    /// do not arrive at the identical instant. Lengths are preserved.
-    pub fn upscale(&self, factor: f64, seed: u64) -> Trace {
-        assert!(factor > 0.0, "scale factor must be positive");
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut out = Vec::new();
-        for r in &self.requests {
-            let mut copies = factor.floor() as u64;
-            if rng.gen_bool(factor.fract().clamp(0.0, 1.0)) {
-                copies += 1;
-            }
-            for c in 0..copies {
-                // Jitter replicas within ±250 ms to avoid synchronized
-                // arrivals while keeping the burst shape.
-                let jitter_us = if c == 0 { 0 } else { rng.gen_range(0..500_000) };
-                out.push(RequestSpec {
-                    id: 0,
-                    model: r.model,
-                    arrival: r.arrival + SimDuration::from_micros(jitter_us),
-                    input_tokens: r.input_tokens,
-                    output_tokens: r.output_tokens,
-                    prefix: r.prefix,
-                    deadline: r.deadline,
-                });
-            }
-        }
-        Trace::new(out)
-    }
-
     /// Stamps every request with the same [`Deadline`] — turns a batch
     /// trace into a closed-loop SLO-bound client population. Ids and
     /// ordering are untouched.
@@ -367,30 +332,6 @@ mod tests {
         let tl = t.rate_timeline(SimDuration::from_secs(1));
         assert_eq!(tl[0].1, 2.0);
         assert_eq!(tl[1].1, 1.0);
-    }
-
-    #[test]
-    fn upscale_preserves_pattern_and_scales_rate() {
-        // A trace with a quiet first second and a bursty second second.
-        let mut reqs = Vec::new();
-        for i in 0..10 {
-            reqs.push(spec(i * 100, 100, 50));
-        }
-        for i in 0..40 {
-            reqs.push(spec(1000 + i * 25, 100, 50));
-        }
-        let t = Trace::new(reqs);
-        let up = t.upscale(3.0, 7);
-        let n_ratio = up.len() as f64 / t.len() as f64;
-        assert!((n_ratio - 3.0).abs() < 0.3, "count scaled by {n_ratio:.2}");
-        // Burst structure preserved: second-second rate still ≈ 4× the first.
-        let tl = up.rate_timeline(SimDuration::from_secs(1));
-        assert!(tl[1].1 > 2.5 * tl[0].1, "burst shape must be preserved");
-        // Lengths preserved.
-        assert_eq!(up.mean_input_tokens(), 100.0);
-        // Deterministic per seed.
-        let up2 = t.upscale(3.0, 7);
-        assert_eq!(up.len(), up2.len());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for trace generation, upscaling and extreme-burst replay.
+//! Property tests for trace generation and extreme-burst replay.
 
 use proptest::prelude::*;
 use sim_core::{SimDuration, SimTime};
@@ -22,28 +22,6 @@ proptest! {
         }
         for w in t.requests.windows(2) {
             prop_assert!(w[0].arrival <= w[1].arrival);
-        }
-    }
-
-    /// Upscaling by `f` multiplies the request count by ~f and preserves
-    /// per-request lengths.
-    #[test]
-    fn upscale_scales_counts(factor in 1.0f64..5.0, seed in 0u64..100) {
-        let base = BurstTraceBuilder::new(Dataset::ShareGpt)
-            .base_rps(20.0)
-            .duration(SimDuration::from_secs(30))
-            .seed(seed)
-            .build();
-        let up = base.upscale(factor, seed ^ 0xA5);
-        let ratio = up.len() as f64 / base.len() as f64;
-        prop_assert!((ratio - factor).abs() < 0.25 * factor + 0.1,
-            "count ratio {ratio:.2} vs factor {factor:.2}");
-        // Upscaling introduces no new length values.
-        use std::collections::BTreeSet;
-        let lengths: BTreeSet<(u64, u64)> =
-            base.requests.iter().map(|r| (r.input_tokens, r.output_tokens)).collect();
-        for r in &up.requests {
-            prop_assert!(lengths.contains(&(r.input_tokens, r.output_tokens)));
         }
     }
 

@@ -2,18 +2,15 @@
 //! deterministic core.
 //!
 //! Two contracts are pinned here:
-//! - **Session lifecycle**: submit → incremental stream (poll and
-//!   callback agree) → cancel → quota-exhausted rejection, end to end
-//!   through a real serving session.
+//! - **Session lifecycle**: submit → incremental stream (two requests
+//!   polled side by side) → cancel → quota-exhausted rejection, end to
+//!   end through a real serving session.
 //! - **Bridge determinism**: the gateway is a pure bridge. Replaying the
 //!   same arrival sequence through `Gateway::submit` + `pump_until` must
 //!   produce a report byte-identical to handing the materialized trace to
 //!   the batch [`Run`] builder, for every system of the paper's lineup.
 //!   The elastic hot-swap (`unload_model`/`load_model`) runs with the
 //!   memory ledger audited at every pump boundary.
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use cluster::{ModelAvailability, ModelId};
 use gateway::{Gateway, GatewayError, Quota, RequestStatus, SubmitSpec, Virtual};
@@ -64,34 +61,25 @@ fn session_lifecycle_submit_stream_cancel_quota() {
         "the second submission must exceed the one-request quota"
     );
 
-    // Stream: the callback sees every increment; the poll side of the
-    // other request advances monotonically to its full output.
-    let seen = Rc::new(RefCell::new(0u64));
-    let sink = Rc::clone(&seen);
-    gw.stream(
-        streamed,
-        Box::new(move |ev| {
-            *sink.borrow_mut() += ev.new_tokens;
-        }),
-    )
-    .unwrap();
-
     gw.cancel(doomed).unwrap();
     assert_eq!(gw.status(doomed).unwrap(), RequestStatus::Cancelled);
 
-    let mut polled_total = 0;
-    let mut last = 0;
+    // Stream: polling each live request after every pump, its token count
+    // advances monotonically to its full output.
+    let mut totals = [0u64; 2];
+    let mut last = [0u64; 2];
     let mut t = SimTime::ZERO;
     while t < SimTime::from_secs(30) {
         t += SimDuration::from_secs(1);
         gw.pump_until(t);
-        let ev = gw.poll(polled).unwrap();
-        polled_total += ev.new_tokens;
-        assert!(ev.generated >= last, "token count must be monotone");
-        last = ev.generated;
+        for (i, h) in [streamed, polled].into_iter().enumerate() {
+            let ev = gw.poll(h).unwrap();
+            totals[i] += ev.new_tokens;
+            assert!(ev.generated >= last[i], "token count must be monotone");
+            last[i] = ev.generated;
+        }
     }
-    assert_eq!(*seen.borrow(), 24, "callback must stream the full output");
-    assert_eq!(polled_total, 16, "poll must stream the full output");
+    assert_eq!(totals, [24, 16], "poll must stream each full output");
     assert_eq!(gw.status(streamed).unwrap(), RequestStatus::Finished);
 
     let (report, state) = gw.finish(SimDuration::from_secs(60));
