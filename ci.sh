@@ -19,6 +19,9 @@
 #           crates' non-test code, then runs clippy with -D warnings: the
 #           workspace lints (Cargo.toml) and the determinism lints
 #           (clippy.toml)
+#   doc     cargo doc for the workspace with rustdoc warnings denied, so
+#           an intra-doc link to an item that no longer exists fails
+#           (neither build nor clippy checks doc links)
 #   gate    `figs --gate`: every gated figure (fig17, both fig18
 #           documents and fig19-fig24, at smoke scale) in one process;
 #           each document is checked against the bench-JSON schema, its
@@ -43,7 +46,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build bench test clippy gate size)
+ALL_STAGES=(fmt build bench test clippy doc gate size)
 TIMINGS_JSON=target/ci-timings.json
 STAGE_NAMES=()
 STAGE_MS=()
@@ -220,6 +223,10 @@ check_no_lint_exemptions() {
 stage_clippy() {
     check_no_lint_exemptions
     cargo clippy --workspace --all-targets --offline -- -D warnings
+}
+
+stage_doc() {
+    RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline --locked
 }
 
 stage_gate() {
